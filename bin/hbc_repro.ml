@@ -464,7 +464,7 @@ let run_cmd =
             seed = config.Experiments.Harness.seed;
           }
       in
-      let r = Hbc_core.Executor.run ~request rt p in
+      let r = Sched_run.run ~request (Sched_run.Hbc rt) p in
       let valid =
         match r.Sim.Run_result.termination with
         | Sim.Run_result.Finished -> Sim.Run_result.fingerprints_close base r
@@ -729,7 +729,7 @@ let timeline_cmd =
              ())
         ()
     in
-    let r = Hbc_core.Executor.run ~request rt p in
+    let r = Sched_run.run ~request (Sched_run.Hbc rt) p in
     print_string
       (Report.Gantt.render ~workers:config.Experiments.Harness.workers
          ~makespan:r.Sim.Run_result.makespan r.Sim.Run_result.trace)
@@ -896,7 +896,9 @@ let fuzz_cmd =
   let force_arg =
     let doc =
       "Seed a known scheduler bug (duplicate-leftover, lose-stolen-task, or promote-innermost) \
-       into a fixed case; the fuzzer must catch, shrink, and write a repro for it (exit 1)."
+       into a fixed case; the fuzzer must catch, shrink, and write a repro for it (exit 1). With \
+       $(b,--native) the case runs on one domain under a $(b,polls:16) beat; lose-stolen-task is \
+       simulator-only."
     in
     Arg.(value & opt (some string) None & info [ "force-fail" ] ~docv:"BUG" ~doc)
   in
@@ -935,13 +937,15 @@ let fuzz_cmd =
       exit 2
   in
   (* Deterministic forced-failure case: small nested workload, all knobs at
-     their defaults, so each seeded bug maps to one stable failure class. *)
-  let forced_case bug =
+     their defaults, so each seeded bug maps to one stable failure class.
+     Natively it runs on one domain under a beat every 16 polls, the
+     reproducible native schedule. *)
+  let forced_case ~native bug =
     {
       Sanitizer.Fuzz.seed = 99;
       workload = "spmv-powerlaw";
       scale = 0.03;
-      workers = 4;
+      workers = (if native then 1 else 4);
       mechanism = Hbc_core.Rt_config.Software_polling;
       chunk = Hbc_core.Compiled.Adaptive;
       policy = Hbc_core.Rt_config.Outer_loop_first;
@@ -951,7 +955,7 @@ let fuzz_cmd =
       ac_window = 8;
       plan = Sim.Fault_plan.none;
       bug = Some bug;
-      native_beat = None;
+      native_beat = (if native then Some 16 else None);
     }
   in
   let fail_and_shrink out c f =
@@ -1046,8 +1050,14 @@ let fuzz_cmd =
             | Error e ->
                 Printf.eprintf "fuzz: %s\n" e;
                 exit 2
+            | Ok Hbc_core.Executor.Lose_stolen_task when native ->
+                Printf.eprintf
+                  "fuzz: --force-fail lose-stolen-task cannot run with --native: a dropped \
+                   stolen task leaves its join waiting forever on real domains (there is no \
+                   virtual-time cap to end the run); force it on the simulator instead\n";
+                exit 2
             | Ok bug -> (
-                let c = forced_case bug in
+                let c = forced_case ~native bug in
                 let o = Sanitizer.Fuzz.run_case c in
                 match o.Sanitizer.Fuzz.failure with
                 | Some f -> fail_and_shrink out c f

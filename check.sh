@@ -65,7 +65,16 @@ grep -Eq "faults injected  : [1-9]" "$NC" \
 grep -Eq "downgrades       : [1-9]" "$NC" \
     || { echo "check.sh: stall plan never tripped the watchdog" >&2; exit 1; }
 "$REPRO" fuzz --native --smoke > /dev/null
-rm -f "$NC"
+# a seeded bug planted by the shared interpreter must be caught natively too
+NF=$(mktemp "$TMP/hbc-nfuzz.XXXXXX.json")
+rc=0
+"$REPRO" fuzz --native --force-fail duplicate-leftover --out "$NF" > /dev/null || rc=$?
+if [ "$rc" -ne 1 ] || [ ! -s "$NF" ]; then
+    echo "check.sh: forced native seeded bug was not caught (exit $rc)" >&2
+    exit 1
+fi
+"$REPRO" fuzz --replay "$NF" > /dev/null
+rm -f "$NC" "$NF"
 echo "check.sh: native chaos smoke OK"
 
 # --- native pause/resume smoke test: pause a single-worker domains run at

@@ -30,7 +30,7 @@ let () =
   List.iter
     (fun (name, program) ->
       let seq = Baselines.Serial_exec.run_program program in
-      let hbc = Hbc_core.Executor.run Hbc_core.Rt_config.default program in
+      let hbc = Sched_run.run Sched_run.hbc program in
       let omp = Baselines.Openmp.run_program (Baselines.Openmp.dynamic ()) program in
       Printf.printf "%-28s OpenMP %5.1fx | HBC %5.1fx | valid %b | promotions %d\n" name
         (Sim.Run_result.speedup ~baseline:seq omp)

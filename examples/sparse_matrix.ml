@@ -14,7 +14,7 @@ let run_one name program =
            ())
       ()
   in
-  let hbc = Hbc_core.Executor.run ~request Hbc_core.Rt_config.default program in
+  let hbc = Sched_run.run ~request Sched_run.hbc program in
   let omp = Baselines.Openmp.run_program (Baselines.Openmp.dynamic ()) program in
   Printf.printf "%-22s seq %9d cy | OpenMP %5.1fx | HBC %5.1fx | promotions L0=%d L1=%d\n" name
     seq.Sim.Run_result.work_cycles

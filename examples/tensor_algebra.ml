@@ -8,7 +8,7 @@
 
 let run_one name program =
   let seq = Baselines.Serial_exec.run_program program in
-      let hbc = Hbc_core.Executor.run Hbc_core.Rt_config.default program in
+      let hbc = Sched_run.run Sched_run.hbc program in
       let omp = Baselines.Openmp.run_program (Baselines.Openmp.dynamic ()) program in
       let m = hbc.Sim.Run_result.metrics in
       Printf.printf "%-4s OpenMP(outer only) %5.1fx | HBC %5.1fx | promotions L0=%d L1=%d L2=%d | valid %b\n"

@@ -4,4 +4,6 @@ let chosen (p : _ Ir.Program.t) =
 let run_program ?(hbc = Hbc_core.Rt_config.default) ?(omp = Openmp.static ()) p =
   match chosen p with
   | `Static -> Openmp.run_program { omp with Openmp.schedule = Openmp.Static } p
-  | `Heartbeat -> Hbc_core.Executor.run hbc p
+  | `Heartbeat ->
+      Hbc_core.Executor.run_program hbc
+        (Hbc_core.Pipeline.compile_program ~chunk:hbc.Hbc_core.Rt_config.chunk p)

@@ -103,10 +103,10 @@ let micro_checkpoint_capture () =
       let entry = Workloads.Registry.find "spmv-powerlaw" in
       let rt = { Hbc_core.Rt_config.default with workers = tiny_workers; seed } in
       let (Ir.Program.Any p) = entry.Workloads.Registry.make tiny_scale in
-      let full = Hbc_core.Executor.run rt p in
+      let full = Sched_run.run (Sched_run.Hbc rt) p in
       let boundary = full.Sim.Run_result.makespan / 2 in
       let paused =
-        Hbc_core.Executor.run ~request:(Hbc_core.Run_request.make ~pause_at:boundary ()) rt p
+        Sched_run.run ~request:(Hbc_core.Run_request.make ~pause_at:boundary ()) (Sched_run.Hbc rt) p
       in
       let ck =
         match paused.Sim.Run_result.termination with
@@ -119,7 +119,7 @@ let micro_checkpoint_capture () =
         ignore (Sim.Checkpoint_state.to_string ck)
       done;
       let resumed =
-        Hbc_core.Executor.run ~request:(Hbc_core.Run_request.make ~resume_from:ck ()) rt p
+        Sched_run.run ~request:(Hbc_core.Run_request.make ~resume_from:ck ()) (Sched_run.Hbc rt) p
       in
       Probe.deti ctx "encodes" rounds;
       Probe.deti ctx "checkpoint_bytes" (String.length encoded);
@@ -143,7 +143,10 @@ let micro_domains_dispatch () =
       let entry = Workloads.Registry.find "spmv-powerlaw" in
       let rt = { Hbc_core.Rt_config.default with workers = 1; seed } in
       let (Ir.Program.Any p) = entry.Workloads.Registry.make tiny_scale in
-      let r = Hb_parallel.Native_run.run ~beat:(Hb_parallel.Native_run.Every_polls 64) rt p in
+      let r =
+        Sched_run.run ~backend:Sched.Policy.Domains ~beat:(Hb_parallel.Native_run.Every_polls 64)
+          (Sched_run.Hbc rt) p
+      in
       Probe.deti ctx "promotions" r.Sim.Run_result.metrics.Sim.Metrics.promotions;
       Probe.deti ctx "work_cycles" r.Sim.Run_result.work_cycles;
       Probe.adv ctx "makespan_wall_us" (Float.of_int r.Sim.Run_result.makespan))
@@ -213,7 +216,7 @@ let hbc_probe ~name ?(cfg = fun c -> c) bench =
         { (cfg Hbc_core.Rt_config.default) with Hbc_core.Rt_config.workers = tiny_workers; seed }
       in
       let (Ir.Program.Any p) = entry.Workloads.Registry.make tiny_scale in
-      result_metrics ctx (Hbc_core.Executor.run rt p))
+      result_metrics ctx (Sched_run.run (Sched_run.Hbc rt) p))
 
 let omp_probe ~name ~schedule bench =
   Probe.run ~name ~det_alloc:false (fun ctx ->

@@ -13,33 +13,30 @@
     current context chain with at least one remaining iteration, consumes
     its remaining iterations from the running task, splits them into two
     slice tasks, and materializes the leftover task from the leftover table.
-    Reductions get fresh locals per slice half, combined at the join. *)
+    Reductions get fresh locals per slice half, combined at the join.
+
+    The interpreter itself is {!Interp}, shared with the domains backend;
+    this module supplies its virtual-time hooks (cost-model charging,
+    heartbeat mechanisms, shared-bus traffic) and the driver. *)
 
 exception Did_not_finish
 (** Raised internally when the run exceeds [max_cycles]; reported as
     [dnf = true] in the result. *)
 
 exception Internal_error of string
-(** A runtime invariant broke (a bug, not a user error). *)
+(** Alias of {!Interp.Internal_error}: a runtime invariant broke (a bug,
+    not a user error). *)
 
-(** Testing hook: a deliberately plantable scheduler bug, armed by the
-    sanitizer tests and the fuzzer's forced-failure mode so the invariant
-    checker can be shown to catch real scheduling mistakes. Never armed in
-    normal operation. *)
-type seeded_bug = Sim_backend.seeded_bug =
+(** Re-export of {!Interp.seeded_bug}, the sanitizer's plantable
+    scheduler bugs. *)
+type seeded_bug = Interp.seeded_bug =
   | Duplicate_leftover
-      (** the promotion handler pushes the leftover task twice, so its
-          iterations execute twice (violates work conservation) *)
   | Lose_stolen_task
-      (** one successfully stolen task is dropped on the floor (violates
-          deque discipline / loses iterations; typically deadlocks) *)
   | Promote_innermost
-      (** the promotion handler inverts the configured policy's direction
-          (violates outer-loop-first) *)
 
 val set_seeded_bug : seeded_bug option -> unit
-(** Arm (or with [None] disarm) a seeded bug for subsequent runs. Global,
-    read once per {!run_program} call. *)
+(** Arm (or with [None] disarm) a seeded bug for subsequent runs on either
+    backend. Global, read once per run. *)
 
 val run_program : ?request:Run_request.t -> Rt_config.t -> 'e Pipeline.program -> Sim.Run_result.t
 (** Run one compiled program. The optional {!Run_request.t} carries the
@@ -48,9 +45,3 @@ val run_program : ?request:Run_request.t -> Rt_config.t -> 'e Pipeline.program -
     action is emitted exactly once as an {!Obs.Trace.event} into the
     request's sink (teed with the metrics counting sink); emission never
     perturbs virtual time, so results are independent of the sink. *)
-
-val run : ?request:Run_request.t -> Rt_config.t -> 'e Ir.Program.t -> Sim.Run_result.t
-(** Compile (with the chunk mode from the config) and run.
-    @deprecated New call sites should go through the backend-agnostic
-    facade, [Sched_run.run (Hbc cfg)] — it dispatches between this
-    simulator instantiation and the native domains one. *)

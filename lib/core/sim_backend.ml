@@ -6,14 +6,6 @@
    order is exactly the historical executor's — the functor instantiation
    is byte-identical to the pre-refactor code. *)
 
-(* Deliberately plantable scheduler bugs, exercised by the sanitizer tests
-   and the fuzzer's forced-failure mode. Testing hook: never armed in
-   normal operation. *)
-type seeded_bug =
-  | Duplicate_leftover  (* push the leftover task twice on promotion *)
-  | Lose_stolen_task  (* drop one successfully stolen task on the floor *)
-  | Promote_innermost  (* invert the promotion policy's target choice *)
-
 type t = {
   eng : Sim.Engine.t;
   cost : Sim.Cost_model.t;
@@ -24,8 +16,8 @@ type t = {
   hb : Heartbeat.t;
   deques : Sched.Task.t Sim.Deque.t array;
   steal_fails : int array;  (* consecutive dry steal rounds, drives backoff *)
-  bug : seeded_bug option;  (* armed seeded scheduler bug (tests/fuzzer) *)
-  mutable bug_fired : bool;  (* one-shot bugs fire at most once per run *)
+  bug : Interp.seeded_bug option;  (* armed seeded scheduler bug (tests/fuzzer) *)
+  mutable bug_fired : bool;  (* [Lose_stolen_task] fires at most once per run *)
 }
 
 let create ~eng ~cost ~metrics ~trace ~capture ~inj ~hb ~workers ~bug =
@@ -75,7 +67,7 @@ let random_victim b = Sim.Sim_rng.int (Sim.Engine.rng b.eng) (num_workers b)
 let steal_vetoed b = Sim.Fault_injector.steal_fails b.inj ~worker:(worker_id b)
 
 let keep_stolen b _task =
-  if b.bug = Some Lose_stolen_task && not b.bug_fired then begin
+  if b.bug = Some Interp.Lose_stolen_task && not b.bug_fired then begin
     (* Seeded bug: the stolen task vanishes — removed from the victim's
        deque but never executed. *)
     b.bug_fired <- true;

@@ -8,11 +8,6 @@
     plain call and [Sched.Core.Make (Sim_backend)] reproduces the
     pre-functor executor byte for byte (pinned by golden tests). *)
 
-(** Testing hook: a deliberately plantable scheduler bug, armed by the
-    sanitizer tests and the fuzzer's forced-failure mode. Never armed in
-    normal operation. *)
-type seeded_bug = Duplicate_leftover | Lose_stolen_task | Promote_innermost
-
 type t = {
   eng : Sim.Engine.t;
   cost : Sim.Cost_model.t;
@@ -23,7 +18,9 @@ type t = {
   hb : Heartbeat.t;
   deques : Sched.Task.t Sim.Deque.t array;
   steal_fails : int array;
-  bug : seeded_bug option;
+  bug : Interp.seeded_bug option;
+      (** only [Lose_stolen_task] is planted here ({!keep_stolen}); the
+          interpreter plants the others *)
   mutable bug_fired : bool;
 }
 
@@ -36,7 +33,7 @@ val create :
   inj:Sim.Fault_injector.t ->
   hb:Heartbeat.t ->
   workers:int ->
-  bug:seeded_bug option ->
+  bug:Interp.seeded_bug option ->
   t
 
 (** {2 BACKEND implementation} *)
@@ -91,4 +88,4 @@ val charge_join_slow : t -> unit
 
 val overhead : t -> string -> int -> unit
 (** Charge overhead cycles: one engine advance, per-kind attribution
-    (shared with the executor's interpreter). *)
+    (shared with the executor's interpreter hooks). *)

@@ -23,9 +23,9 @@ let render config =
         ~signature:(Hbc_core.Rt_config.signature rt)
         (fun () ->
           let program = Workloads.Mandelbrot.program_of_view ~name:tag view in
-          Hbc_core.Executor.run
+          Sched_run.run
             ~request:(Harness.guarded config Hbc_core.Run_request.default)
-            rt program)
+            (Sched_run.Hbc rt) program)
     with
     | Ok r ->
         Report.Table.cell_f ~decimals:3

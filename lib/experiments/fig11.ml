@@ -39,9 +39,9 @@ let render config =
           Harness.trial config ~bench:"mandelbrot-mixed" ~tag
             ~signature:(Hbc_core.Rt_config.signature rt)
             (fun () ->
-              Hbc_core.Executor.run
+              Sched_run.run
                 ~request:(Harness.guarded config Hbc_core.Run_request.default)
-                rt program)
+                (Sched_run.Hbc rt) program)
         with
         | Ok r -> Report.Table.cell_f (Sim.Run_result.speedup ~baseline r)
         | Error e -> Trial_error.cell e)

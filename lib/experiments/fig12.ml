@@ -39,7 +39,8 @@ let render config =
         Harness.trial config ~bench:("spmv-" ^ name) ~tag:"fig12-trace"
           ~signature:
             (Hbc_core.Rt_config.signature rt ^ "+" ^ Hbc_core.Run_request.signature request)
-          (fun () -> Hbc_core.Executor.run ~request:(Harness.guarded config request) rt program)
+          (fun () ->
+            Sched_run.run ~request:(Harness.guarded config request) (Sched_run.Hbc rt) program)
       with
       | Error e ->
           Buffer.add_string buf

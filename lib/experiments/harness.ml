@@ -325,7 +325,7 @@ let run_hbc ?(cfg = fun c -> c) ?(request = Hbc_core.Run_request.default) ?(tag 
     trial config ~bench:entry.Workloads.Registry.name ~tag ~signature
       (fun () ->
         let (Ir.Program.Any p) = entry.Workloads.Registry.make config.scale in
-        Hbc_core.Executor.run ~request:(guarded config request) rt p)
+        Sched_run.run ~request:(guarded config request) (Sched_run.Hbc rt) p)
   in
   outcome_of config entry tag result
 
@@ -343,7 +343,7 @@ let run_tpal ?(request = Hbc_core.Run_request.default) ?(tag = "tpal") config en
     trial config ~bench:entry.Workloads.Registry.name ~tag ~signature
       (fun () ->
         let (Ir.Program.Any p) = entry.Workloads.Registry.make config.scale in
-        Hbc_core.Executor.run ~request:(guarded config request) rt p)
+        Sched_run.run ~request:(guarded config request) (Sched_run.Hbc rt) p)
   in
   outcome_of config entry tag result
 

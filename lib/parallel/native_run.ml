@@ -1,16 +1,18 @@
-(* The compiled-nest interpreter on real OCaml 5 domains.
-
-   This is the executor's interpreter minus the virtual-time machinery:
-   no cost charging, no membus — real time is simply spent. Everything
-   the paper argues about is shared with the simulator through
-   [lib/sched]: the promotion choice ([Sched.Policy]), the
+(* The heartbeat runtime on real OCaml 5 domains: the driver and the
+   backend hooks of the shared interpreter ([Hbc_core.Interp]). The
+   interpreter, the promotion choice ([Sched.Policy]), the
    adaptive-chunking rule ([Sched.Adaptive_chunking]), the leftover walk
-   ([Sched.Leftover_walk]) and the whole deque/steal/join discipline
-   ([Sched.Core.Make (Domains_backend)]). Traced runs emit the same
-   capture-gated [Obs.Trace] events at the same operation boundaries as
-   the simulator, linearized by the backend's mutex, so the sanitizer
-   validates native streams with its full invariant set; fingerprints
-   cross-check against simulator runs of the same program.
+   ([Sched.Leftover_walk]) and the deque/steal/join discipline
+   ([Sched.Core.Make (Domains_backend)]) are the simulator's, line for
+   line. What is native is only what the hooks cover: real time is simply
+   spent, so every cost charge except body work is a no-op; beats come
+   from a wall-clock timer or a poll count, under chaos and the watchdog;
+   reduction halves combine on the owner after the join, since spawned
+   tasks run concurrently. Traced runs emit the same capture-gated
+   [Obs.Trace] events at the same operation boundaries as the simulator,
+   linearized by the backend's mutex, so the sanitizer validates native
+   streams with its full invariant set; fingerprints cross-check against
+   simulator runs of the same program.
 
    Fault tolerance (the robustness layer, all strictly opt-in):
 
@@ -37,13 +39,12 @@
      replay-with-verify scheme the simulator executor uses — fibers and
      stacks cannot be serialized, determinism can). *)
 
-module Compiled = Hbc_core.Compiled
 module Rt_config = Hbc_core.Rt_config
 module Pipeline = Hbc_core.Pipeline
 module Run_request = Hbc_core.Run_request
 module C = Sched.Core.Make (Domains_backend)
 
-exception Internal_error = Hbc_core.Executor.Internal_error
+exception Internal_error = Hbc_core.Interp.Internal_error
 
 (* Pause/resume control flow: [Pause_now] unwinds the run at the armed
    boundary (the heap state it needs — contexts, live-slice registry,
@@ -58,23 +59,11 @@ exception Resume_diverged of string
    makes single-domain runs reproducible (benchgate, CI smoke). *)
 type beat_source = Wall_us of float | Every_polls of int
 
-type status = Done | Promoted of int
-
-type seg_result = Seg_ok | Seg_promoted of int
-
-type task_state = { residual : int array; mutable no_promote : bool; mutable forbidden : int }
-
-(* Live-slice registry for checkpoint capture, armed only when the request
-   pauses or resumes (same scheme as the executor's): one LIFO stack per
-   worker holds the DOALL slice activations currently on that worker's
-   stack; the checkpoint reads each context's remaining range in place at
-   the pause boundary. Unarmed runs skip it entirely. *)
-type live_slice = { ck_key : int; ck_nest : string; ck_ctx : Ir.Ctx.t }
-
+(* The hook state: beat delivery, chaos and watchdog bookkeeping, and the
+   per-worker body-work counters. *)
 type run_state = {
   cfg : Rt_config.t;
   b : Domains_backend.t;
-  core : C.t;
   beat : beat_source;
   next_beat : float array;  (* per worker, Wall_us only *)
   polls : int array;  (* per worker, Every_polls only *)
@@ -83,33 +72,29 @@ type run_state = {
          bumped: the pause-boundary clock at P=1 and the liveness signal
          the monitor watchdog samples. Plain stores — monitor reads race,
          which the watchdog tolerates. *)
-  ac : (int * int, Sched.Adaptive_chunking.t) Hashtbl.t array;
-      (* per worker, keyed (nest_id, ord) — worker-private, no lock *)
   work : int array;  (* per-worker body-work cycles, summed at the end *)
-  promotions : int Atomic.t;
-  promo_left : int Atomic.t;  (* metered promotions; max_int = unmetered *)
-  promo_disabled : bool Atomic.t;  (* watchdog rung 2: no further splits *)
   capture : bool;
   chaos : bool;  (* an active fault injector is attached to the backend *)
   stall_left : int array;  (* injected stall: polls left to ignore beats *)
   since_beat : int array;  (* consecutive suppressed beats (watchdog rung 1) *)
   downgraded : bool array;  (* rung 1 tripped: polling fallback, beats always land *)
   downgrades : int Atomic.t;
-  live_slices : live_slice list array option;
   mutable next_mark : int;
       (* progress value of the next pause/regrant/verify boundary on
          worker 0; max_int when none is armed (the common case) *)
   mutable on_mark : unit -> unit;
-  mutable exec_epoch : int;  (* driver-only mutation, between nests *)
 }
-
-type 'e nest_handle = { st : run_state; nest : 'e Compiled.nest; nest_id : int; env : 'e }
 
 let wid (st : run_state) = Domains_backend.worker_id st.b
 
-let emit (st : run_state) ev = Domains_backend.critical st.b (fun () -> Domains_backend.emit st.b ev)
+(* Untraced runs skip the critical section entirely, so emission costs
+   nothing on the lock-free fast path. *)
+let emit (st : run_state) ev =
+  if st.capture then Domains_backend.critical st.b (fun () -> Domains_backend.emit st.b ev)
 
-let add_work (st : run_state) c = if c > 0 then st.work.(wid st) <- st.work.(wid st) + c
+let add_work_on (st : run_state) w c = if c > 0 then st.work.(w) <- st.work.(w) + c
+
+let add_work (st : run_state) c = add_work_on st (wid st) c
 
 (* A beat reached [w]'s boundary under chaos on a non-downgraded worker:
    decide delivery. An injected stall window or a drop suppresses it;
@@ -176,433 +161,37 @@ let consume (st : run_state) w ~count_poll =
   in
   boundary && ((not st.chaos) || st.downgraded.(w) || chaos_beat st w)
 
-(* Spend one metered promotion, failing when racing workers drained the
-   meter first; unmetered runs never touch the counter. *)
-let spend_promotion st =
-  if Atomic.get st.promo_left = Stdlib.max_int then true
-  else begin
-    let rec go () =
-      let v = Atomic.get st.promo_left in
-      v > 0 && (Atomic.compare_and_set st.promo_left v (v - 1) || go ())
-    in
-    go ()
-  end
+module Hooks = struct
+  module B = Domains_backend
 
-(* The promotion gate shared by leaf beats and general-loop latches: the
-   rung-2 watchdog can veto all further splits (the run then degrades to
-   serial execution of what remains, which is always correct). *)
-let may_promote st (ts : task_state) =
-  st.cfg.Rt_config.promotion && (not ts.no_promote)
-  && Atomic.get st.promo_left > 0
-  && not (Atomic.get st.promo_disabled)
+  type t = run_state
 
-let fresh_task_state c =
-  {
-    residual = Array.make (Ir.Nesting_tree.size c.nest.Compiled.tree) 0;
-    no_promote = false;
-    forbidden = -1;
-  }
+  let backend st = st.b
 
-let ac_for st ~worker ~nest_id ~ord =
-  let tbl = st.ac.(worker) in
-  let key = (nest_id, ord) in
-  match Hashtbl.find_opt tbl key with
-  | Some a -> a
-  | None ->
-      let a =
-        Sched.Adaptive_chunking.create ~target_polls:st.cfg.Rt_config.ac_target_polls
-          ~window:st.cfg.Rt_config.ac_window ()
-      in
-      Hashtbl.add tbl key a;
-      a
+  let emit = emit
 
-(* Sequential subtree execution for non-DOALL (pruned) loops. *)
-let rec serial_loop c (ctxs : Ir.Ctx.set) (l : _ Ir.Nest.loop) acc =
-  let ctx = ctxs.(l.Ir.Nest.ordinal) in
-  let lo, hi = l.Ir.Nest.bounds c.env ctxs in
-  Ir.Ctx.set_slice ctx ~lo ~hi;
-  (match l.Ir.Nest.init with Some f -> f c.env ctx.Ir.Ctx.locals | None -> ());
-  while ctx.Ir.Ctx.lo < ctx.Ir.Ctx.hi do
-    List.iter
-      (fun seg ->
-        match seg with
-        | Ir.Nest.Stmt s -> acc := !acc + s.Ir.Nest.exec c.env ctxs ctx.Ir.Ctx.lo
-        | Ir.Nest.Nested child -> serial_loop c ctxs child acc)
-      l.Ir.Nest.body;
-    ctx.Ir.Ctx.lo <- ctx.Ir.Ctx.lo + 1
-  done
+  let poll st ~worker ~count_poll = consume st worker ~count_poll
 
-let exec_leaf_iteration c ctxs (info : _ Compiled.loop_info) iter acc =
-  List.iter
-    (fun seg ->
-      match seg with
-      | Ir.Nest.Stmt s -> acc := !acc + s.Ir.Nest.exec c.env ctxs iter
-      | Ir.Nest.Nested child -> serial_loop c ctxs child acc)
-    info.Compiled.loop.Ir.Nest.body
+  let add_work = add_work
 
-(* Same invocation-key scheme as the executor (content hash of the
-   ancestor iteration vector + nest id + execution epoch), so spawned
-   halves and leftover continuations of one invocation land on one key
-   and the sanitizer's tiling check works on native traces unchanged. *)
-let slice_key c (ctxs : Ir.Ctx.set) ord =
-  let h = ref (((c.nest_id + 1) * 8191) + c.st.exec_epoch) in
-  List.iter
-    (fun o -> if o <> ord then h := (!h * 1000003) + ctxs.(o).Ir.Ctx.lo + 1)
-    c.nest.Compiled.infos.(ord).Compiled.chain_from_root;
-  ((!h * 1000003) + ord) land max_int
+  let charge_slice_entry _ = ()
 
-let emit_slice_enter c ctxs ord =
-  let st = c.st in
-  if st.capture then begin
-    let ctx = ctxs.(ord) in
-    emit st
-      (Obs.Trace.Slice_enter
-         {
-           nest = c.nest_id;
-           ord;
-           key = slice_key c ctxs ord;
-           lo = ctx.Ir.Ctx.lo;
-           hi = ctx.Ir.Ctx.hi;
-         })
-  end
+  let charge_lst_store _ = ()
 
-let emit_iter_exec c ctxs ord ~lo ~hi =
-  let st = c.st in
-  if st.capture && hi > lo then
-    emit st (Obs.Trace.Iter_exec { nest = c.nest_id; ord; key = slice_key c ctxs ord; lo; hi })
+  let charge_serial st ~work ~bytes:_ = add_work st work
 
-let rec run_slice : 'e. 'e nest_handle -> task_state -> Ir.Ctx.set -> int -> status =
- fun c ts ctxs ord ->
-  match c.st.live_slices with
-  | Some live when c.nest.Compiled.infos.(ord).Compiled.doall ->
-      (* Slices never migrate workers mid-run (a task executes on the
-         worker that started it), so registration and removal hit the
-         same stack. A [Pause_now] unwind skips the removal on purpose:
-         the checkpoint reads the still-registered activations. *)
-      let w = wid c.st in
-      live.(w) <-
-        {
-          ck_key = slice_key c ctxs ord;
-          ck_nest = Printf.sprintf "%s#%d" c.nest.Compiled.source_name ord;
-          ck_ctx = ctxs.(ord);
-        }
-        :: live.(w);
-      let r = run_slice_body c ts ctxs ord in
-      (match live.(w) with _ :: rest -> live.(w) <- rest | [] -> ());
-      r
-  | _ -> run_slice_body c ts ctxs ord
+  let charge_batch st ~worker ~work ~bytes:_ ~chunked:_ ~polled:_ = add_work_on st worker work
 
-and run_slice_body : 'e. 'e nest_handle -> task_state -> Ir.Ctx.set -> int -> status =
- fun c ts ctxs ord ->
-  let info = c.nest.Compiled.infos.(ord) in
-  let ctx = ctxs.(ord) in
-  if not info.Compiled.doall then begin
-    (* Bounds were set by the caller; run the subtree serially. *)
-    let acc = ref 0 in
-    while ctx.Ir.Ctx.lo < ctx.Ir.Ctx.hi do
-      List.iter
-        (fun seg ->
-          match seg with
-          | Ir.Nest.Stmt s -> acc := !acc + s.Ir.Nest.exec c.env ctxs ctx.Ir.Ctx.lo
-          | Ir.Nest.Nested child -> serial_loop c ctxs child acc)
-        info.Compiled.loop.Ir.Nest.body;
-      ctx.Ir.Ctx.lo <- ctx.Ir.Ctx.lo + 1
-    done;
-    add_work c.st !acc;
-    Done
-  end
-  else if info.Compiled.is_leaf then run_leaf c ts ctxs info
-  else run_general c ts ctxs info
+  let charge_latch _ ~bytes:_ = ()
 
-and run_leaf : 'e. 'e nest_handle -> task_state -> Ir.Ctx.set -> 'e Compiled.loop_info -> status
-    =
- fun c ts ctxs info ->
-  let st = c.st in
-  let ord = info.Compiled.ordinal in
-  let ctx = ctxs.(ord) in
-  let w = wid st in
-  let ac =
-    match info.Compiled.chunk with
-    | Compiled.Adaptive -> Some (ac_for st ~worker:w ~nest_id:c.nest_id ~ord)
-    | Compiled.Static _ | Compiled.No_chunking -> None
-  in
-  if not st.cfg.Rt_config.chunk_transferring then ts.residual.(ord) <- 0;
-  let result = ref None in
-  let handle_beat () =
-    (match ac with
-    | Some a when st.capture -> (
-        match Sched.Adaptive_chunking.on_heartbeat_full a with
-        | Some d ->
-            emit st
-              (Obs.Trace.Chunk_update
-                 {
-                   key = ctxs.(c.nest.Compiled.root).Ir.Ctx.lo;
-                   chunk = d.Sched.Adaptive_chunking.new_chunk;
-                 });
-            emit st
-              (Obs.Trace.Chunk_decision
-                 {
-                   key = slice_key c ctxs ord;
-                   old_chunk = d.Sched.Adaptive_chunking.old_chunk;
-                   min_polls = d.Sched.Adaptive_chunking.min_polls;
-                   chunk = d.Sched.Adaptive_chunking.new_chunk;
-                 })
-        | None -> ())
-    | Some a -> ignore (Sched.Adaptive_chunking.on_heartbeat a)
-    | None -> ());
-    if may_promote st ts then promote c ts ctxs info else None
-  in
-  while !result = None && ctx.Ir.Ctx.lo < ctx.Ir.Ctx.hi do
-    let s =
-      match info.Compiled.chunk with
-      | Compiled.No_chunking -> 1
-      | Compiled.Static s -> s
-      | Compiled.Adaptive -> Sched.Adaptive_chunking.chunk_size (Option.get ac)
-    in
-    if ts.residual.(ord) <= 0 then ts.residual.(ord) <- s;
-    let start = ctx.Ir.Ctx.lo in
-    let todo = Stdlib.min ts.residual.(ord) (ctx.Ir.Ctx.hi - start) in
-    let acc = ref 0 in
-    for k = 0 to todo - 1 do
-      ctx.Ir.Ctx.lo <- start + k;
-      exec_leaf_iteration c ctxs info (start + k) acc
-    done;
-    emit_iter_exec c ctxs ord ~lo:start ~hi:(start + todo);
-    add_work st !acc;
-    (* ctx.lo is the last executed iteration: the latch sees it, the
-       leftover task resumes at lo + 1. *)
-    ts.residual.(ord) <- ts.residual.(ord) - todo;
-    if ts.residual.(ord) = 0 then begin
-      (match ac with Some a -> Sched.Adaptive_chunking.on_poll a | None -> ());
-      let beat = consume st w ~count_poll:true || st.cfg.Rt_config.force_promotion in
-      if beat then begin
-        match handle_beat () with
-        | Some s -> result := Some s
-        | None -> ctx.Ir.Ctx.lo <- ctx.Ir.Ctx.lo + 1
-      end
-      else ctx.Ir.Ctx.lo <- ctx.Ir.Ctx.lo + 1
-    end
-    else
-      (* Partial chunk: the invocation ends here and the residual transfers
-         to the next invocation of this leaf in this task. *)
-      ctx.Ir.Ctx.lo <- ctx.Ir.Ctx.lo + 1
-  done;
-  match !result with Some s -> s | None -> Done
+  let charge_promotion _ = ()
 
-and run_general :
-    'e. 'e nest_handle -> task_state -> Ir.Ctx.set -> 'e Compiled.loop_info -> status =
- fun c ts ctxs info ->
-  let st = c.st in
-  let ctx = ctxs.(info.Compiled.ordinal) in
-  let result = ref None in
-  while !result = None && ctx.Ir.Ctx.lo < ctx.Ir.Ctx.hi do
-    let iter = ctx.Ir.Ctx.lo in
-    match run_segments c ts ctxs info info.Compiled.loop.Ir.Nest.body iter with
-    | Seg_promoted j when j = info.Compiled.ordinal -> result := Some Done
-    | Seg_promoted j -> result := Some (Promoted j)
-    | Seg_ok ->
-        (* Emitted before the latch so a promotion splitting this loop
-           cannot lose the completed iteration. *)
-        emit_iter_exec c ctxs info.Compiled.ordinal ~lo:iter ~hi:(iter + 1);
-        let beat = consume st (wid st) ~count_poll:false || st.cfg.Rt_config.force_promotion in
-        if beat && may_promote st ts then begin
-          match promote c ts ctxs info with
-          | Some s -> result := Some s
-          | None -> ctx.Ir.Ctx.lo <- iter + 1
-        end
-        else ctx.Ir.Ctx.lo <- iter + 1
-  done;
-  match !result with Some s -> s | None -> Done
+  let charge_reduction _ _ = ()
 
-and run_segments :
-    'e.
-    'e nest_handle ->
-    task_state ->
-    Ir.Ctx.set ->
-    'e Compiled.loop_info ->
-    'e Ir.Nest.segment list ->
-    int ->
-    seg_result =
- fun c ts ctxs _info segs iter ->
-  let st = c.st in
-  let rec go = function
-    | [] -> Seg_ok
-    | Ir.Nest.Stmt s :: rest ->
-        add_work st (s.Ir.Nest.exec c.env ctxs iter);
-        go rest
-    | Ir.Nest.Nested child :: rest ->
-        let cinfo = c.nest.Compiled.infos.(child.Ir.Nest.ordinal) in
-        if cinfo.Compiled.doall then begin
-          let lo, hi = child.Ir.Nest.bounds c.env ctxs in
-          Ir.Ctx.set_slice ctxs.(child.Ir.Nest.ordinal) ~lo ~hi;
-          (match child.Ir.Nest.init with
-          | Some f -> f c.env ctxs.(child.Ir.Nest.ordinal).Ir.Ctx.locals
-          | None -> ());
-          emit_slice_enter c ctxs child.Ir.Nest.ordinal;
-          match run_slice c ts ctxs child.Ir.Nest.ordinal with
-          | Done -> go rest
-          | Promoted j -> Seg_promoted j
-        end
-        else begin
-          let acc = ref 0 in
-          serial_loop c ctxs child acc;
-          add_work st !acc;
-          go rest
-        end
-  in
-  go segs
+  let combine_in_task = false
+end
 
-(* The promotion handler: policy-chosen split of the current context
-   chain, task creation through the shared core, clone-optimized join.
-   One native-only difference from the executor: reduction halves are
-   combined on the owner after the join (in spawn order) instead of
-   inside each spawned task — two tasks mutating the parent's locals
-   concurrently would race; the join's acquire publishes their writes. *)
-and promote :
-    'e. 'e nest_handle -> task_state -> Ir.Ctx.set -> 'e Compiled.loop_info -> status option =
- fun c ts ctxs cur ->
-  let st = c.st in
-  let ts_forbidden = ts.forbidden in
-  let statically_splittable o =
-    c.nest.Compiled.infos.(o).Compiled.doall
-    && (o = cur.Compiled.ordinal
-       || Compiled.find_leftover c.nest ~li:cur.Compiled.ordinal ~lj:o <> None)
-  in
-  let splittable o = statically_splittable o && Ir.Ctx.remaining ctxs.(o) >= 1 in
-  let chain = Sched.Policy.owned_suffix ~forbidden:ts_forbidden cur.Compiled.chain_from_root in
-  match Sched.Policy.choose_target ~policy:st.cfg.Rt_config.policy ~splittable chain with
-  | None -> None
-  | Some tgt ->
-      if not (spend_promotion st) then None
-      else begin
-        Atomic.incr st.promotions;
-        if st.capture then
-          emit st
-            (Obs.Trace.Promote_choice
-               {
-                 cur = cur.Compiled.ordinal;
-                 tgt;
-                 chain =
-                   List.map
-                     (fun o -> (o, statically_splittable o, Ir.Ctx.remaining ctxs.(o)))
-                     chain;
-               });
-        let tinfo = c.nest.Compiled.infos.(tgt) in
-        emit st (Obs.Trace.promotion tinfo.Compiled.depth);
-        let tctx = ctxs.(tgt) in
-        let rem_lo = tctx.Ir.Ctx.lo + 1 and rem_hi = tctx.Ir.Ctx.hi in
-        tctx.Ir.Ctx.hi <- tctx.Ir.Ctx.lo + 1;
-        let mid = Sched.Policy.split_point ~lo:rem_lo ~hi:rem_hi in
-        let join = C.new_join st.core in
-        let reduction = tinfo.Compiled.loop.Ir.Nest.reduction in
-        let spawned = ref [] in
-        let spawn_slice lo hi =
-          if hi > lo then begin
-            let nctxs = Ir.Ctx.copy_set ctxs in
-            Ir.Ctx.refresh_subtree nctxs ~ordinals:tinfo.Compiled.subtree
-              ~specs:c.nest.Compiled.specs;
-            Ir.Ctx.set_slice nctxs.(tgt) ~lo ~hi;
-            (match tinfo.Compiled.loop.Ir.Nest.init with
-            | Some f -> f c.env nctxs.(tgt).Ir.Ctx.locals
-            | None -> ());
-            spawned := nctxs :: !spawned;
-            C.add_pending join;
-            C.push_task st.core
-              (C.mk_task st.core (fun () ->
-                   let ts' = fresh_task_state c in
-                   ts'.forbidden <- Option.value ~default:(-1) tinfo.Compiled.parent;
-                   (match run_slice c ts' nctxs tgt with Done | Promoted _ -> ());
-                   C.finish_join st.core join))
-          end
-        in
-        spawn_slice rem_lo mid;
-        spawn_slice mid rem_hi;
-        (if tgt <> cur.Compiled.ordinal then
-           match Compiled.find_leftover c.nest ~li:cur.Compiled.ordinal ~lj:tgt with
-           | None ->
-               raise
-                 (Internal_error
-                    (Printf.sprintf "missing leftover task for pair (%d, %d)" cur.Compiled.ordinal
-                       tgt))
-           | Some leftover -> (
-               let lctxs = Ir.Ctx.copy_set ctxs in
-               match st.cfg.Rt_config.leftover with
-               | Rt_config.Spawn ->
-                   C.add_pending join;
-                   C.push_task st.core
-                     (C.mk_task st.core (fun () ->
-                          run_leftover c ~no_promote:false lctxs leftover;
-                          C.finish_join st.core join))
-               | Rt_config.Inline -> run_leftover c ~no_promote:false lctxs leftover));
-        C.join_wait st.core join;
-        (match reduction with
-        | Some combine ->
-            List.iter
-              (fun nctxs -> combine tctx.Ir.Ctx.locals nctxs.(tgt).Ir.Ctx.locals)
-              (List.rev !spawned)
-        | None -> ());
-        Some (if tgt = cur.Compiled.ordinal then Done else Promoted tgt)
-      end
-
-and run_leftover : 'e. 'e nest_handle -> no_promote:bool -> Ir.Ctx.set -> Compiled.leftover -> unit
-    =
- fun c ~no_promote ctxs leftover ->
-  let st = c.st in
-  if st.capture then emit st Obs.Trace.Leftover_run;
-  let ts = fresh_task_state c in
-  ts.no_promote <- no_promote;
-  ts.forbidden <- leftover.Compiled.lj;
-  let steps = Array.of_list leftover.Compiled.steps in
-  let is_call = function
-    | Compiled.Call_slice o -> Some o
-    | Compiled.Increase_iv _ | Compiled.Tail_work _ -> None
-  in
-  let exec step =
-    match step with
-    | Compiled.Increase_iv o ->
-        ctxs.(o).Ir.Ctx.lo <- ctxs.(o).Ir.Ctx.lo + 1;
-        Sched.Leftover_walk.Next
-    | Compiled.Call_slice o -> (
-        match run_slice c ts ctxs o with
-        | Done -> Sched.Leftover_walk.Next
-        | Promoted j when j = o -> Sched.Leftover_walk.Next
-        | Promoted j -> Sched.Leftover_walk.Skip_past j)
-    | Compiled.Tail_work { of_; after } -> (
-        let info = c.nest.Compiled.infos.(of_) in
-        let segs = Compiled.tail_of info ~after in
-        match run_segments c ts ctxs info segs ctxs.(of_).Ir.Ctx.lo with
-        | Seg_ok ->
-            emit_iter_exec c ctxs of_ ~lo:ctxs.(of_).Ir.Ctx.lo ~hi:(ctxs.(of_).Ir.Ctx.lo + 1);
-            Sched.Leftover_walk.Next
-        | Seg_promoted j -> Sched.Leftover_walk.Skip_past j)
-  in
-  try Sched.Leftover_walk.run ~steps ~is_call ~exec
-  with Sched.Leftover_walk.Missing_call j ->
-    raise (Internal_error (Printf.sprintf "leftover skip: no Call_slice %d" j))
-
-let exec_nest st (compiled : 'e Pipeline.program) (env : 'e) nest =
-  let rec find i = function
-    | [] -> raise (Internal_error "exec of a nest the program did not declare")
-    | (src, cn) :: rest -> if src == nest then (i, cn) else find (i + 1) rest
-  in
-  let nest_id, cn = find 0 compiled.Pipeline.nests in
-  st.exec_epoch <- st.exec_epoch + 1;
-  let c = { st; nest = cn; nest_id; env } in
-  let n = Ir.Nesting_tree.size cn.Compiled.tree in
-  let ctxs = Array.init n (fun o -> Ir.Ctx.make ~ordinal:o ~spec:cn.Compiled.specs.(o)) in
-  let root = cn.Compiled.root in
-  let rinfo = cn.Compiled.infos.(root) in
-  let lo, hi = rinfo.Compiled.loop.Ir.Nest.bounds env ctxs in
-  Ir.Ctx.set_slice ctxs.(root) ~lo ~hi;
-  (match rinfo.Compiled.loop.Ir.Nest.init with
-  | Some f -> f env ctxs.(root).Ir.Ctx.locals
-  | None -> ());
-  if rinfo.Compiled.doall then emit_slice_enter c ctxs root;
-  let ts = fresh_task_state c in
-  (match run_slice c ts ctxs root with
-  | Done -> ()
-  | Promoted _ -> raise (Internal_error "root slice reported an ancestor promotion"));
-  match rinfo.Compiled.loop.Ir.Nest.commit with Some f -> f env ctxs | None -> ()
+module I = Hbc_core.Interp.Make (Hooks)
 
 let run_program ?(request = Run_request.default) ?(beat = Wall_us 100.0) (cfg : Rt_config.t)
     (compiled : 'e Pipeline.program) : Sim.Run_result.t =
@@ -639,20 +228,7 @@ let run_program ?(request = Run_request.default) ?(beat = Wall_us 100.0) (cfg : 
   let program = compiled.Pipeline.source in
   let env = program.Ir.Program.make_env () in
   let capture = Obs.Trace.Sink.enabled request.Run_request.trace in
-  (* On resume the request's sink is muted until the replay passes the
-     pause boundary: the observer already saw every earlier event during
-     the original episodes, so the per-episode streams tile the
-     uninterrupted stream exactly once. Fault counters are NOT gated —
-     the replay re-derives them from zero, like the simulator's counting
-     sink. *)
-  let resuming = Option.is_some request.Run_request.resume_from in
-  let gate = ref (not resuming) in
-  let observer =
-    if resuming && capture then
-      Obs.Trace.Sink.fn (fun ~time ~worker ev ->
-          if !gate then Obs.Trace.Sink.emit request.Run_request.trace ~time ~worker ev)
-    else request.Run_request.trace
-  in
+  let gate, observer = Hbc_core.Interp.gated_observer request in
   let b = Domains_backend.create ~workers:n ~trace:observer ~capture in
   (* Injected-fault accounting: the injector's own sink counts each kind
      into atomics (the untraced chaos path has no mutex to rely on) and
@@ -683,83 +259,40 @@ let run_program ?(request = Run_request.default) ?(beat = Wall_us 100.0) (cfg : 
       in
       Domains_backend.set_injector b (Sim.Fault_injector.create plan ~num_workers:n ~trace:sink ())
   | Some _ | None -> ());
-  let core = C.create b in
   let st =
     {
       cfg;
       b;
-      core;
       beat;
       next_beat = Array.make n 0.0;
       polls = Array.make n 0;
       progress = Array.make n 0;
-      ac = Array.init n (fun _ -> Hashtbl.create 8);
       work = Array.make n 0;
-      promotions = Atomic.make 0;
-      promo_left =
-        Atomic.make
-          (match request.Run_request.resume_from with
-          | Some ck -> (
-              (* The replay restarts from zero under the first episode's
-                 grant; this episode's own grant applies at the boundary. *)
-              match ck.Sim.Checkpoint_state.granted with
-              | Some g -> Stdlib.max 0 g
-              | None -> Stdlib.max_int)
-          | None -> (
-              match request.Run_request.promotion_budget with
-              | Some bud -> Stdlib.max 0 bud
-              | None -> Stdlib.max_int));
-      promo_disabled = Atomic.make false;
       capture;
       chaos = Sim.Fault_injector.active (Domains_backend.injector b);
       stall_left = Array.make n 0;
       since_beat = Array.make n 0;
       downgraded = Array.make n false;
       downgrades = Atomic.make 0;
-      live_slices = (if pausing then Some (Array.make n []) else None);
       next_mark = Stdlib.max_int;
       on_mark = (fun () -> ());
-      exec_epoch = 0;
     }
   in
+  let ist = I.create st cfg request in
+  let core = I.core ist in
   (match beat with
   | Wall_us us ->
       let t0 = Unix.gettimeofday () +. (us *. 1e-6) in
       Array.iteri (fun i _ -> st.next_beat.(i) <- t0) st.next_beat
   | Every_polls _ -> ());
-  (* Observational state at a pause boundary. Every field is a pure
-     function of the single-worker deterministic dispatch history, so an
-     uninterrupted replay reaching the same boundary re-derives the same
-     bytes — that is the resume-divergence check. *)
-  let checkpoint_now ~at_cycle ~episode ~granted ~regrants =
-    let live = match st.live_slices with Some l -> l | None -> [||] in
-    let slices =
-      List.concat
-        (List.init (Array.length live) (fun w ->
-             (* stacks are LIFO; serialize bottom-to-top for a stable order *)
-             List.rev_map
-               (fun e ->
-                 {
-                   Sim.Checkpoint_state.sl_worker = w;
-                   sl_task = e.ck_key;
-                   sl_nest = e.ck_nest;
-                   sl_lo = e.ck_ctx.Ir.Ctx.lo;
-                   sl_hi = e.ck_ctx.Ir.Ctx.hi;
-                 })
-               live.(w)))
-    in
+  (* The boundary state is a pure function of the single-worker
+     deterministic dispatch history; progress counts stand in for clocks. *)
+  let machine () =
     {
-      Sim.Checkpoint_state.at_cycle;
-      episode;
-      rng_state = Int64.of_int (Domains_backend.rng_word b ~worker:0);
-      next_task_id = C.next_task_id core;
+      Hbc_core.Interp.rng_state = Int64.of_int (Domains_backend.rng_word b ~worker:0);
       work_cycles = Array.fold_left ( + ) 0 st.work;
-      promotions_used = Atomic.get st.promotions;
-      granted;
-      regrants;
       clocks = Array.copy st.progress;
       deques = Array.init n (fun w -> Domains_backend.deque_task_ids b ~worker:w);
-      slices;
     }
   in
   (* Boundary agenda: an ascending list of (progress, action) marks that
@@ -785,37 +318,21 @@ let run_program ?(request = Run_request.default) ?(beat = Wall_us 100.0) (cfg : 
       | None -> ())
   | Some ck ->
       let verify () =
-        let derived =
-          checkpoint_now ~at_cycle:ck.Sim.Checkpoint_state.at_cycle
-            ~episode:ck.Sim.Checkpoint_state.episode ~granted:ck.Sim.Checkpoint_state.granted
-            ~regrants:ck.Sim.Checkpoint_state.regrants
-        in
-        if not (Sim.Checkpoint_state.equal derived ck) then
-          raise
-            (Resume_diverged
-               (Printf.sprintf "replayed state %s does not match checkpoint %s"
-                  (Sim.Checkpoint_state.digest derived)
-                  (Sim.Checkpoint_state.digest ck)))
-        else begin
-          (* The replay reproduced the paused state exactly: open the
-             gate, apply this episode's grant (None keeps the remaining
-             balance, which is what byte-identical continuation needs),
-             and run for real. *)
-          gate := true;
-          (match request.Run_request.promotion_budget with
-          | Some g ->
-              Atomic.set st.promo_left (Stdlib.max 0 g);
-              applied := Stdlib.max 0 g
-          | None -> applied := -1);
-          match request.Run_request.pause_at with
-          | Some p when p > ck.Sim.Checkpoint_state.at_cycle ->
-              arm [ (p, fun () -> raise Pause_now) ]
-          | Some _ | None -> ()
-        end
+        match I.resume_mismatch ist (machine ()) ck with
+        | Some reason -> raise (Resume_diverged reason)
+        | None -> (
+            (* The replay reproduced the paused state exactly: open the
+               gate, apply this episode's grant and run for real. *)
+            gate := true;
+            applied := I.apply_grant ist request;
+            match request.Run_request.pause_at with
+            | Some p when p > ck.Sim.Checkpoint_state.at_cycle ->
+                arm [ (p, fun () -> raise Pause_now) ]
+            | Some _ | None -> ())
       in
       arm
         (List.map
-           (fun (cyc, g) -> (cyc, fun () -> if g >= 0 then Atomic.set st.promo_left g))
+           (fun (cyc, g) -> (cyc, fun () -> if g >= 0 then I.set_promo_left ist g))
            ck.Sim.Checkpoint_state.regrants
         @ [ (ck.Sim.Checkpoint_state.at_cycle, verify) ]));
   (* Watchdog rung 2, sampled on the monitor domain: a busy worker whose
@@ -837,11 +354,9 @@ let run_program ?(request = Run_request.default) ?(beat = Wall_us 100.0) (cfg : 
             let p = st.progress.(w) in
             if Domains_backend.is_busy b ~worker:w && p = last.(w) then begin
               stuck.(w) <- stuck.(w) + 1;
-              if stuck.(w) = stuck_after && not (Atomic.get st.promo_disabled) then begin
-                Atomic.set st.promo_disabled true;
+              if stuck.(w) = stuck_after && I.disable_promotions ist then begin
                 Atomic.incr st.downgrades;
-                Domains_backend.critical b (fun () ->
-                    Domains_backend.emit b Obs.Trace.Mechanism_downgrade)
+                emit st Obs.Trace.Mechanism_downgrade
               end
             end
             else stuck.(w) <- 0;
@@ -889,7 +404,7 @@ let run_program ?(request = Run_request.default) ?(beat = Wall_us 100.0) (cfg : 
              Ir.Program.exec =
                (fun nest ->
                  driver_segment_ends ();
-                 exec_nest st compiled env nest;
+                 I.exec_nest ist compiled env nest;
                  mark := Domains_backend.now b);
              advance = (fun cyc -> add_work st cyc);
            }
@@ -902,20 +417,9 @@ let run_program ?(request = Run_request.default) ?(beat = Wall_us 100.0) (cfg : 
   | Pause_now ->
       (* The unwind skipped the live-registry pops and mutated nothing the
          checkpoint reads, so the boundary state is captured here intact. *)
-      let p = Option.get request.Run_request.pause_at in
+      let at_cycle = Option.get request.Run_request.pause_at in
       termination :=
-        Sim.Run_result.Paused
-          (match request.Run_request.resume_from with
-          | None ->
-              checkpoint_now ~at_cycle:p ~episode:1 ~granted:request.Run_request.promotion_budget
-                ~regrants:[]
-          | Some ck ->
-              checkpoint_now ~at_cycle:p
-                ~episode:(ck.Sim.Checkpoint_state.episode + 1)
-                ~granted:ck.Sim.Checkpoint_state.granted
-                ~regrants:
-                  (ck.Sim.Checkpoint_state.regrants
-                  @ [ (ck.Sim.Checkpoint_state.at_cycle, !applied) ]))
+        Sim.Run_result.Paused (I.paused ist (machine ()) request ~applied:!applied ~at_cycle)
   | Resume_diverged reason -> termination := Sim.Run_result.Guard_aborted ("resume-divergence: " ^ reason));
   (match (request.Run_request.resume_from, !termination) with
   | Some ck, Sim.Run_result.Finished when not !gate ->
@@ -927,7 +431,7 @@ let run_program ?(request = Run_request.default) ?(beat = Wall_us 100.0) (cfg : 
   let elapsed_us = int_of_float ((Unix.gettimeofday () -. t_start) *. 1e6) in
   let metrics = Sim.Metrics.create () in
   metrics.Sim.Metrics.work_cycles <- Array.fold_left ( + ) 0 st.work;
-  metrics.Sim.Metrics.promotions <- Atomic.get st.promotions;
+  metrics.Sim.Metrics.promotions <- I.promotions ist;
   metrics.Sim.Metrics.faults_beats_dropped <- Atomic.get f_drops;
   metrics.Sim.Metrics.faults_steals_failed <- Atomic.get f_steals;
   metrics.Sim.Metrics.faults_stalls <- Atomic.get f_stalls;
@@ -948,6 +452,3 @@ let run_program ?(request = Run_request.default) ?(beat = Wall_us 100.0) (cfg : 
     trace = Obs.Trace.Sink.captured request.Run_request.trace;
     sanitizer = None;
   }
-
-let run ?request ?beat cfg program =
-  run_program ?request ?beat cfg (Pipeline.compile_program ~chunk:cfg.Rt_config.chunk program)

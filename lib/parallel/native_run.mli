@@ -1,15 +1,15 @@
-(** The compiled-nest interpreter on real OCaml 5 domains.
+(** The heartbeat runtime on real OCaml 5 domains.
 
-    The second instantiation of the scheduler core: the same
-    {!Sched.Policy} promotion choice, {!Sched.Adaptive_chunking} rule,
-    {!Sched.Leftover_walk} and deque/steal/join discipline
-    ([Sched.Core.Make (Domains_backend)]) that the virtual-time
-    {!Hbc_core.Executor} runs — driven by wall-clock heartbeats and real
-    parallelism instead of simulated time. Traced runs emit the same
-    capture-gated {!Obs.Trace} events at the same operation boundaries,
-    so {!Sanitizer.Checker} validates native streams with its full
-    invariant set, and fingerprints cross-check against simulator runs
-    of the same program.
+    The shared compiled-nest interpreter ({!Hbc_core.Interp}) over the
+    domains backend: the same {!Sched.Policy} promotion choice,
+    {!Sched.Adaptive_chunking} rule, {!Sched.Leftover_walk} and
+    deque/steal/join discipline ([Sched.Core.Make (Domains_backend)]) that
+    the virtual-time {!Hbc_core.Executor} runs — driven by wall-clock or
+    poll-count heartbeats and real parallelism instead of simulated time.
+    Traced runs emit the same capture-gated {!Obs.Trace} events at the
+    same operation boundaries, so {!Sanitizer.Checker} validates native
+    streams with its full invariant set, and fingerprints cross-check
+    against simulator runs of the same program.
 
     {b Chaos.} A backend-portable fault plan ({!Sim.Fault_plan.portable})
     arms seed-deterministic fault injection on the domains backend:
@@ -34,7 +34,7 @@
     once. *)
 
 exception Internal_error of string
-(** Alias of {!Hbc_core.Executor.Internal_error}: a runtime invariant
+(** Alias of {!Hbc_core.Interp.Internal_error}: a runtime invariant
     broke (a bug, not a user error). *)
 
 (** When a native worker observes a heartbeat. *)
@@ -70,11 +70,3 @@ val run_program :
     plan has simulator-only kinds ({!Sim.Fault_plan.simulator_only}), or
     when [pause_at]/[resume_from] is requested under a wall-clock beat
     or with more than one worker. *)
-
-val run :
-  ?request:Hbc_core.Run_request.t ->
-  ?beat:beat_source ->
-  Hbc_core.Rt_config.t ->
-  'e Ir.Program.t ->
-  Sim.Run_result.t
-(** Compile (with the chunk mode from the config) and run. *)

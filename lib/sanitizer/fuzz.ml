@@ -515,17 +515,11 @@ let run_case c =
   in
   Hbc_core.Executor.set_seeded_bug c.bug;
   let run () =
-    try
-      Ok
-        (match c.native_beat with
-        | Some nb ->
-            (* Real domains: the sanitizer consumes the backend-linearized
-               stream; the virtual-time cap does not apply (wall time is
-               bounded by the workload scale). *)
-            Hb_parallel.Native_run.run ~request
-              ~beat:(Hb_parallel.Native_run.Every_polls nb)
-              rt p
-        | None -> Hbc_core.Executor.run ~request rt p)
+    (* On real domains the sanitizer consumes the backend-linearized
+       stream; the virtual-time cap does not apply (wall time is bounded by
+       the workload scale). *)
+    let beat = Option.map (fun nb -> Hb_parallel.Native_run.Every_polls nb) c.native_beat in
+    try Ok (Sched_run.run ~request ?beat (Sched_run.Hbc rt) p)
     with e -> Error (Printexc.to_string e)
   in
   let result = Fun.protect ~finally:(fun () -> Hbc_core.Executor.set_seeded_bug None) run in

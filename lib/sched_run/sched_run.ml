@@ -14,6 +14,13 @@ let hbc = Hbc Hbc_core.Rt_config.hbc
 
 let hybrid = Hybrid { hbc = Hbc_core.Rt_config.hbc; omp = Baselines.Openmp.dynamic () }
 
+(* Compile with the chunk mode from the config, then run on the backend. *)
+let heartbeat ~request ~backend ?beat cfg program =
+  let compiled = Hbc_core.Pipeline.compile_program ~chunk:cfg.Hbc_core.Rt_config.chunk program in
+  match backend with
+  | Sched.Policy.Sim -> Hbc_core.Executor.run_program ~request cfg compiled
+  | Sched.Policy.Domains -> Hb_parallel.Native_run.run_program ~request ?beat cfg compiled
+
 let run ?(request = Hbc_core.Run_request.default) ?backend ?beat engine
     (program : 'e Ir.Program.t) : Sim.Run_result.t =
   let backend = Option.value backend ~default:request.Hbc_core.Run_request.backend in
@@ -21,12 +28,8 @@ let run ?(request = Hbc_core.Run_request.default) ?backend ?beat engine
      result provenance stay truthful even when the label overrode it. *)
   let request = { request with Hbc_core.Run_request.backend } in
   match (backend, engine) with
-  | Sched.Policy.Sim, Hbc cfg -> Hbc_core.Executor.run ~request cfg program
-  | Sched.Policy.Domains, Hbc cfg -> Hb_parallel.Native_run.run ~request ?beat cfg program
-  | Sched.Policy.Sim, Tpal { chunk } ->
-      Hbc_core.Executor.run ~request (Hbc_core.Rt_config.tpal ~chunk) program
-  | Sched.Policy.Domains, Tpal { chunk } ->
-      Hb_parallel.Native_run.run ~request ?beat (Hbc_core.Rt_config.tpal ~chunk) program
+  | _, Hbc cfg -> heartbeat ~request ~backend ?beat cfg program
+  | _, Tpal { chunk } -> heartbeat ~request ~backend ?beat (Hbc_core.Rt_config.tpal ~chunk) program
   | Sched.Policy.Sim, Openmp cfg -> Baselines.Openmp.run_program ~request cfg program
   | (Sched.Policy.Sim | Sched.Policy.Domains), Serial ->
       (* The sequential reference has no scheduler; it is backend-neutral. *)

@@ -1,11 +1,12 @@
 (** The backend-agnostic run facade: one entry point over every executor
     front end and both scheduler backends.
 
-    [Executor.run] (virtual time), [Native_run.run] (OCaml 5 domains) and
-    the [Baselines] executors all produce a {!Sim.Run_result.t} from an
-    {!Ir.Program.t} and a {!Hbc_core.Run_request.t}; this module is the
-    total dispatch over (engine × backend) so harnesses, the CLI and
-    tests pick a combination instead of an entry point. The heartbeat
+    [Executor.run_program] (virtual time), [Native_run.run_program]
+    (OCaml 5 domains) and the [Baselines] executors all produce a
+    {!Sim.Run_result.t} from a program and a {!Hbc_core.Run_request.t};
+    this module compiles heartbeat programs and is the total dispatch
+    over (engine × backend) so harnesses, the CLI and tests pick a
+    combination instead of an entry point. The heartbeat
     engines ([Hbc], [Tpal]) run on either backend — the same
     [Sched.Core] policy functor instantiated over {!Sim_backend} or
     [Domains_backend]. The OpenMP-model baselines are virtual-time

@@ -266,7 +266,7 @@ let job_rt cfg (p : pending) =
   let rt_base =
     match cfg.service with
     | Hbc -> cfg.rt
-    | Tpal { chunk } -> Baselines.Tpal.config ~chunk
+    | Tpal { chunk } -> Hbc_core.Rt_config.tpal ~chunk
     | Omp _ -> cfg.rt
   in
   { rt_base with Hbc_core.Rt_config.workers = p.workers; seed = p.jseed }
@@ -289,7 +289,7 @@ let run_job cfg serial_cache (p : pending) ~fault_plan ~grant ~checker ~pause_at
   in
   let run () =
     match cfg.service with
-    | Hbc | Tpal _ -> Hbc_core.Executor.run ~request rt prog
+    | Hbc | Tpal _ -> Sched_run.run ~request (Sched_run.Hbc rt) prog
     | Omp ocfg ->
         Baselines.Openmp.run_program ~request
           { ocfg with Baselines.Openmp.workers = p.workers; seed = p.jseed }

@@ -13,7 +13,7 @@ let rt = { Hbc_core.Rt_config.default with workers = 8; seed = 1 }
 
 let program () = Workloads.Spmv.powerlaw ~scale:0.02
 
-let run ?request () = Hbc_core.Executor.run ?request rt (program ())
+let run ?request () = Sched_run.run ?request (Sched_run.Hbc rt) (program ())
 
 let ck_of (r : Sim.Run_result.t) =
   match r.Sim.Run_result.termination with

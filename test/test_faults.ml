@@ -23,7 +23,7 @@ let rt_with ?(mechanism = Hbc_core.Rt_config.Software_polling) ?chunk () =
 let run_entry ?plan ?max_cycles ?trace entry ~scale rt =
   let request = Hbc_core.Run_request.make ?fault_plan:plan ?max_cycles ?trace () in
   let (Ir.Program.Any p) = entry.Workloads.Registry.make scale in
-  Hbc_core.Executor.run ~request rt p
+  Sched_run.run ~request (Sched_run.Hbc rt) p
 
 (* Capture only the watchdog's downgrade events. *)
 let downgrade_sink () =

@@ -85,7 +85,7 @@ let mtx_drives_spmv () =
             Workloads.Io_formats.read_matrix_market path)
       in
       let seq = Baselines.Serial_exec.run_program program in
-      let hbc = Hbc_core.Executor.run { Hbc_core.Rt_config.default with workers = 8 } program in
+      let hbc = Sched_run.run (Sched_run.Hbc { Hbc_core.Rt_config.default with workers = 8 }) program in
       check_bool "valid run from file input" true (Sim.Run_result.fingerprints_close seq hbc))
 
 let edge_list_roundtrip () =
@@ -143,7 +143,7 @@ let gantt_order_independent () =
 let timeline_recorded () =
   let p = Workloads.Spmv.random ~scale:0.05 in
   let request = Hbc_core.Run_request.make ~trace:(interval_sink ()) () in
-  let r = Hbc_core.Executor.run ~request { Hbc_core.Rt_config.default with workers = 8 } p in
+  let r = Sched_run.run ~request (Sched_run.Hbc { Hbc_core.Rt_config.default with workers = 8 }) p in
   let tl = Obs.Trace_query.intervals r.Sim.Run_result.trace in
   check_bool "intervals recorded" true (List.length tl > 1);
   List.iter
@@ -157,7 +157,7 @@ let timeline_recorded () =
 
 let timeline_off_by_default () =
   let p = Workloads.Spmv.random ~scale:0.05 in
-  let r = Hbc_core.Executor.run { Hbc_core.Rt_config.default with workers = 8 } p in
+  let r = Sched_run.run (Sched_run.Hbc { Hbc_core.Rt_config.default with workers = 8 }) p in
   check_int "no intervals" 0 (List.length r.Sim.Run_result.trace)
 
 (* --------------------------- ablations ---------------------------- *)
@@ -191,10 +191,11 @@ let ablation_policy_renders () =
 let innermost_policy_correct_but_finer () =
   let p = Workloads.Spmv.powerlaw ~scale:0.1 in
   let seq = Baselines.Serial_exec.run_program p in
-  let outer = Hbc_core.Executor.run { Hbc_core.Rt_config.default with workers = 8 } p in
+  let outer = Sched_run.run (Sched_run.Hbc { Hbc_core.Rt_config.default with workers = 8 }) p in
   let inner =
-    Hbc_core.Executor.run
-      { Hbc_core.Rt_config.default with workers = 8; policy = Hbc_core.Rt_config.Innermost_first }
+    Sched_run.run
+      (Sched_run.Hbc
+         { Hbc_core.Rt_config.default with workers = 8; policy = Hbc_core.Rt_config.Innermost_first })
       p
   in
   check_bool "innermost-first still correct" true (Sim.Run_result.fingerprints_close seq inner);

@@ -19,10 +19,9 @@ let serial () = Baselines.Serial_exec.run_program (prog ())
 let cfg workers = { Hbc_core.Rt_config.default with workers }
 
 let run_native ?request ?(beat = 16) workers =
-  Hb_parallel.Native_run.run
-    ?request
+  Sched_run.run ?request ~backend:Sched.Policy.Domains
     ~beat:(Hb_parallel.Native_run.Every_polls beat)
-    (cfg workers) (prog ())
+    (Sched_run.Hbc (cfg workers)) (prog ())
 
 (* A plan exercising every portable kind at once, hard enough that a run
    without the watchdog and monitor backstops would crawl or strand. *)
@@ -95,9 +94,10 @@ let capability_errors_are_precise () =
       in
       run_native ~request 2);
   expect_invalid "pause under a wall-clock beat" (fun () ->
-      Hb_parallel.Native_run.run
+      Sched_run.run
         ~request:(Hbc_core.Run_request.make ~pause_at:1_000 ())
-        ~beat:(Hb_parallel.Native_run.Wall_us 50.0) (cfg 1) (prog ()));
+        ~backend:Sched.Policy.Domains ~beat:(Hb_parallel.Native_run.Wall_us 50.0)
+        (Sched_run.Hbc (cfg 1)) (prog ()));
   expect_invalid "pause with more than one worker" (fun () ->
       run_native ~request:(Hbc_core.Run_request.make ~pause_at:1_000 ()) 2)
 
@@ -172,7 +172,8 @@ let watchdog_downgrades_under_stalls () =
   let cfg = { (cfg 2) with Hbc_core.Rt_config.watchdog_k = 2 } in
   let request = Hbc_core.Run_request.make ~fault_plan:plan ~trace:sink () in
   let r =
-    Hb_parallel.Native_run.run ~request ~beat:(Hb_parallel.Native_run.Every_polls 8) cfg (prog ())
+    Sched_run.run ~request ~backend:Sched.Policy.Domains
+      ~beat:(Hb_parallel.Native_run.Every_polls 8) (Sched_run.Hbc cfg) (prog ())
   in
   check_bool "watchdog tripped" true (Sim.Metrics.downgrade_count r.Sim.Run_result.metrics > 0);
   check_bool "downgrade visible in the trace" true (r.Sim.Run_result.trace <> []);

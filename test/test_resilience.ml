@@ -246,7 +246,9 @@ let engine_budget_is_structured () =
   let entry = Workloads.Registry.find "spmv-random" in
   let (Ir.Program.Any p) = entry.Workloads.Registry.make 0.05 in
   match
-    Hbc_core.Executor.run ~request { Hbc_core.Rt_config.default with workers = 4; seed = 1 } p
+    Sched_run.run ~request
+      (Sched_run.Hbc { Hbc_core.Rt_config.default with workers = 4; seed = 1 })
+      p
   with
   | r ->
       check_bool "terminated by budget" true

@@ -113,7 +113,7 @@ let fingerprints_match ?(tol = 1e-9) a b =
   Sim.Run_result.fingerprints_close ~tol a b
 
 let run_hbc ?(cfg = Hbc_core.Rt_config.default) ?request p =
-  Hbc_core.Executor.run ?request cfg p
+  Sched_run.run ?request (Sched_run.Hbc cfg) p
 
 (* --------------------- executor vs sequential --------------------- *)
 

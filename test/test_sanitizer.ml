@@ -90,7 +90,7 @@ let deque_state_after_failed_steal () =
 (* Sanitized executor runs.                                            *)
 (* ------------------------------------------------------------------ *)
 
-let run_sanitized ?bug ?(workers = 4) ?(scale = 0.03) name =
+let run_sanitized ?bug ?(backend = Sched.Policy.Sim) ?(workers = 4) ?(scale = 0.03) name =
   let entry = Workloads.Registry.find name in
   let (Ir.Program.Any p) = entry.Workloads.Registry.make scale in
   let seq = Baselines.Serial_exec.run_program p in
@@ -98,15 +98,21 @@ let run_sanitized ?bug ?(workers = 4) ?(scale = 0.03) name =
   let rt = { Hbc_core.Rt_config.default with workers } in
   let san = Sanitizer.Checker.create (Sanitizer.Checker.config_of_rt rt) in
   let request =
-    Hbc_core.Run_request.make ~max_cycles:cap ~trace:(Sanitizer.Checker.sink san) ~sanitize:true
-      ()
+    Hbc_core.Run_request.make ~backend ~max_cycles:cap ~trace:(Sanitizer.Checker.sink san)
+      ~sanitize:true ()
   in
   Hbc_core.Executor.set_seeded_bug bug;
   let result =
     Fun.protect
       ~finally:(fun () -> Hbc_core.Executor.set_seeded_bug None)
       (fun () ->
-        try Ok (Hbc_core.Executor.run ~request rt p) with e -> Error (Printexc.to_string e))
+        (* The beat applies to domains runs only: one every 16 polls makes a
+           single-worker native schedule reproducible. *)
+        try
+          Ok
+            (Sched_run.run ~request ~beat:(Hb_parallel.Native_run.Every_polls 16)
+               (Sched_run.Hbc rt) p)
+        with e -> Error (Printexc.to_string e))
   in
   Sanitizer.Checker.finish san;
   (san, result)
@@ -116,15 +122,25 @@ let has_invariant san inv =
     (fun (v : Sanitizer.Checker.violation) -> v.Sanitizer.Checker.invariant = inv)
     (Sanitizer.Checker.violations san)
 
+(* The seeded bugs planted by the shared interpreter are caught on both
+   backends: the simulator at P=4 and real domains at P=1. *)
+let both_backends = [ (Sched.Policy.Sim, 4); (Sched.Policy.Domains, 1) ]
+
 (* Seeded bug 1: a leftover task pushed twice must surface as a
    work-conservation overlap (some iterations execute twice). *)
 let catches_duplicate_leftover () =
-  let san, _ =
-    run_sanitized ~bug:Hbc_core.Executor.Duplicate_leftover "spmv-powerlaw"
-  in
-  Alcotest.(check bool) "violations found" false (Sanitizer.Checker.ok san);
-  Alcotest.(check bool) "work conservation flagged" true
-    (has_invariant san Sanitizer.Checker.Work_conservation)
+  List.iter
+    (fun (backend, workers) ->
+      let tag = Sched.Policy.backend_kind_to_string backend in
+      let san, _ =
+        run_sanitized ~bug:Hbc_core.Executor.Duplicate_leftover ~backend ~workers "spmv-powerlaw"
+      in
+      Alcotest.(check bool) (tag ^ " violations found") false (Sanitizer.Checker.ok san);
+      Alcotest.(check bool)
+        (tag ^ " work conservation flagged")
+        true
+        (has_invariant san Sanitizer.Checker.Work_conservation))
+    both_backends
 
 (* Seeded bug 2: a stolen task dropped on the floor is both a lost
    iteration range (work conservation) and a taken-but-never-executed task
@@ -143,15 +159,21 @@ let catches_lost_stolen_task () =
 (* Seeded bug 3: promoting the innermost loop under the outer-loop-first
    policy is flagged per promotion, while results stay correct. *)
 let catches_inner_promotion () =
-  let san, result =
-    run_sanitized ~bug:Hbc_core.Executor.Promote_innermost "spmv-powerlaw"
-  in
-  (match result with
-  | Ok r -> Alcotest.(check bool) "run still finishes" false r.Sim.Run_result.dnf
-  | Error e -> Alcotest.failf "run crashed: %s" e);
-  Alcotest.(check bool) "violations found" false (Sanitizer.Checker.ok san);
-  Alcotest.(check bool) "policy violation flagged" true
-    (has_invariant san Sanitizer.Checker.Promotion_policy)
+  List.iter
+    (fun (backend, workers) ->
+      let tag = Sched.Policy.backend_kind_to_string backend in
+      let san, result =
+        run_sanitized ~bug:Hbc_core.Executor.Promote_innermost ~backend ~workers "spmv-powerlaw"
+      in
+      (match result with
+      | Ok r -> Alcotest.(check bool) (tag ^ " run still finishes") false r.Sim.Run_result.dnf
+      | Error e -> Alcotest.failf "%s run crashed: %s" tag e);
+      Alcotest.(check bool) (tag ^ " violations found") false (Sanitizer.Checker.ok san);
+      Alcotest.(check bool)
+        (tag ^ " policy violation flagged")
+        true
+        (has_invariant san Sanitizer.Checker.Promotion_policy))
+    both_backends
 
 (* The sanitizer is an observer: enabling it must not change one byte of
    the result, at any worker count, and must report zero violations on the
@@ -162,13 +184,13 @@ let clean_run_zero_violations_and_identical () =
       let entry = Workloads.Registry.find "spmv-powerlaw" in
       let (Ir.Program.Any p) = entry.Workloads.Registry.make 0.03 in
       let rt = { Hbc_core.Rt_config.default with workers } in
-      let plain = Hbc_core.Executor.run rt p in
+      let plain = Sched_run.run (Sched_run.Hbc rt) p in
       let (Ir.Program.Any p2) = entry.Workloads.Registry.make 0.03 in
       let san = Sanitizer.Checker.create (Sanitizer.Checker.config_of_rt rt) in
       let request =
         Hbc_core.Run_request.make ~trace:(Sanitizer.Checker.sink san) ~sanitize:true ()
       in
-      let sanitized = Hbc_core.Executor.run ~request rt p2 in
+      let sanitized = Sched_run.run ~request (Sched_run.Hbc rt) p2 in
       Sanitizer.Checker.finish san;
       let tag = Printf.sprintf "P=%d" workers in
       Alcotest.(check bool) (tag ^ " zero violations") true (Sanitizer.Checker.ok san);

@@ -266,7 +266,7 @@ let mandelbrot_pixels_match () =
   let view = Workloads.Mandelbrot.input2 ~scale:0.15 in
   let p = Workloads.Mandelbrot.program_of_view ~name:"px" view in
   let seq = run_seq p in
-  let hbc = Hbc_core.Executor.run { Hbc_core.Rt_config.default with workers = 8 } p in
+  let hbc = Sched_run.run (Sched_run.Hbc { Hbc_core.Rt_config.default with workers = 8 }) p in
   Alcotest.(check (float 0.0)) "bit-identical pixels" seq.Sim.Run_result.fingerprint
     hbc.Sim.Run_result.fingerprint
 

@@ -413,13 +413,13 @@ let zero_promotion_budget_runs_serial () =
   let serial = Baselines.Serial_exec.run_program p in
   let rt = { Hbc_core.Rt_config.default with Hbc_core.Rt_config.workers = 4; seed = 3 } in
   let r =
-    Hbc_core.Executor.run ~request:(Hbc_core.Run_request.make ~promotion_budget:0 ()) rt p
+    Sched_run.run ~request:(Hbc_core.Run_request.make ~promotion_budget:0 ()) (Sched_run.Hbc rt) p
   in
   check Alcotest.int "no promotions at zero budget" 0 r.Sim.Run_result.metrics.Sim.Metrics.promotions;
   check Alcotest.bool "still the right answer" true (Sim.Run_result.fingerprints_close serial r);
   (* and a metered run spends at most its budget *)
   let r2 =
-    Hbc_core.Executor.run ~request:(Hbc_core.Run_request.make ~promotion_budget:3 ()) rt p
+    Sched_run.run ~request:(Hbc_core.Run_request.make ~promotion_budget:3 ()) (Sched_run.Hbc rt) p
   in
   check Alcotest.bool "budgeted run bounded" true
     (r2.Sim.Run_result.metrics.Sim.Metrics.promotions <= 3);

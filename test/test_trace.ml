@@ -15,7 +15,7 @@ let program () = Workloads.Spmv.powerlaw ~scale:0.05
 
 let rt = { Hbc_core.Rt_config.default with workers }
 
-let run ?request () = Hbc_core.Executor.run ?request rt (program ())
+let run ?request () = Sched_run.run ?request (Sched_run.Hbc rt) (program ())
 
 let run_traced () =
   run ~request:(Hbc_core.Run_request.make ~trace:(Obs.Trace.Sink.stream ()) ()) ()

@@ -130,7 +130,7 @@ let benchmark_case (entry : Workloads.Registry.entry) =
       let seq = Baselines.Serial_exec.run_program p in
       check_bool "nonzero work" true (seq.Sim.Run_result.work_cycles > 0);
       let hbc =
-        Hbc_core.Executor.run { Hbc_core.Rt_config.default with workers = 16 } p
+        Sched_run.run (Sched_run.Hbc { Hbc_core.Rt_config.default with workers = 16 }) p
       in
       check_bool "hbc output matches"
         true
@@ -138,8 +138,9 @@ let benchmark_case (entry : Workloads.Registry.entry) =
       let omp = Baselines.Openmp.run_program (Baselines.Openmp.dynamic ~workers:16 ()) p in
       check_bool "omp output matches" true (Sim.Run_result.fingerprints_close ~tol:1e-7 seq omp);
       let tpal =
-        Hbc_core.Executor.run
-          { (Hbc_core.Rt_config.tpal ~chunk:entry.Workloads.Registry.tpal_chunk) with workers = 16 }
+        Sched_run.run
+          (Sched_run.Hbc
+             { (Hbc_core.Rt_config.tpal ~chunk:entry.Workloads.Registry.tpal_chunk) with workers = 16 })
           p
       in
       check_bool "tpal output matches" true (Sim.Run_result.fingerprints_close ~tol:1e-7 seq tpal))
