@@ -162,6 +162,9 @@ let golden_sim_cases =
     ("floyd-warshall", "floyd-warshall", Hbc_core.Compiled.Adaptive);
     ("kmeans", "kmeans", Hbc_core.Compiled.Adaptive);
     ("spmv-powerlaw/no-chunking", "spmv-powerlaw", Hbc_core.Compiled.No_chunking);
+    (* six nests, each re-executed every CG iteration: pins the adaptive
+       chunking state carried across [exec_nest] calls of the same nest *)
+    ("cg", "cg", Hbc_core.Compiled.Adaptive);
   ]
 
 let golden_sim_expected =
@@ -178,6 +181,9 @@ let golden_sim_expected =
     "spmv-powerlaw/no-chunking P=1 makespan=3173908 overhead=2618568 promotions=105 steals=0 trace=cf6701063d6887edf58a85db88aaada5";
     "spmv-powerlaw/no-chunking P=4 makespan=853496 overhead=2688976 promotions=108 steals=26 trace=7892a0591d87b85439b708dc6a52c338";
     "spmv-powerlaw/no-chunking P=16 makespan=320327 overhead=2867533 promotions=109 steals=81 trace=5d5fc17eeb0292160d1a224061a842fd";
+    "cg P=1 makespan=1862072 overhead=503912 promotions=62 steals=0 trace=c302b9f50e9f22a41b4bd8a08d84c92d";
+    "cg P=4 makespan=1207035 overhead=1367255 promotions=86 steals=62 trace=65fcb9a07f63a842485e681db4c980f6";
+    "cg P=16 makespan=1308575 overhead=2809202 promotions=121 steals=136 trace=0a7dee5820f5c7c1fb4c51177b313b94";
   ]
 
 let golden_sim_pin () =
@@ -207,12 +213,13 @@ let golden_native_expected =
     "spmv-powerlaw promotions=20 work=555340 leftovers=13 chunk_decisions=10";
     "floyd-warshall promotions=28 work=11252800 leftovers=23 chunk_decisions=14";
     "kmeans promotions=30 work=813984 leftovers=0 chunk_decisions=14";
+    "cg promotions=96 work=1358160 leftovers=18 chunk_decisions=49";
   ]
 
 let golden_native_pin () =
   Alcotest.(check (list string))
     "domains golden rows (P=1, Every_polls 16)" golden_native_expected
-    (List.map golden_native_row [ "spmv-powerlaw"; "floyd-warshall"; "kmeans" ])
+    (List.map golden_native_row [ "spmv-powerlaw"; "floyd-warshall"; "kmeans"; "cg" ])
 
 (* ------------------- sim vs domains parity ------------------------ *)
 
