@@ -34,13 +34,13 @@ let sample () =
 let run ~name ?(det_alloc = true) f =
   let ctx = { acc = [] } in
   let minor0, major0 = sample () in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   f ctx;
-  let t1 = Unix.gettimeofday () in
+  let t1 = Monotonic_clock.now () in
   let minor1, major1 = sample () in
   let minor = minor1 -. minor0 in
   let major = major1 -. major0 in
   (if det_alloc then det else adv) ctx "alloc_minor_words" minor;
   adv ctx "alloc_major_words" major;
-  adv ctx "wall_ns" ((t1 -. t0) *. 1e9);
+  adv ctx "wall_ns" (Int64.to_float (Int64.sub t1 t0));
   { Report.probe = name; metrics = List.rev ctx.acc }

@@ -137,9 +137,12 @@ let micro_checkpoint_capture () =
    poll-count heartbeats, untraced (the backend's lock-free fast path —
    identity critical sections, no-op emission). Single-worker scheduling
    is fully deterministic (the owner pops its own spawned halves in
-   order), so promotions and body work gate; real time is advisory. *)
+   order), so promotions and body work gate; real time is advisory. No
+   effect fibers run here and slice entry allocates nothing beyond the
+   program's own bounds tuples, so the minor words repeat exactly and gate
+   too: a per-slice closure or hash key shows up as a det regression. *)
 let micro_domains_dispatch () =
-  Probe.run ~name:"micro/domains-dispatch" ~det_alloc:false (fun ctx ->
+  Probe.run ~name:"micro/domains-dispatch" (fun ctx ->
       let entry = Workloads.Registry.find "spmv-powerlaw" in
       let rt = { Hbc_core.Rt_config.default with workers = 1; seed } in
       let (Ir.Program.Any p) = entry.Workloads.Registry.make tiny_scale in

@@ -30,7 +30,7 @@ module Hooks = struct
 
   let metrics h = h.sb.Sim_backend.metrics
 
-  let add_work h c =
+  let add_work h ~worker:_ c =
     (metrics h).Sim.Metrics.work_cycles <- (metrics h).Sim.Metrics.work_cycles + c;
     if c > 0 then Sim.Engine.advance h.sb.Sim_backend.eng c
 
@@ -57,7 +57,7 @@ module Hooks = struct
 
   let charge_lst_store h = Sim_backend.overhead h.sb "lst-store" (cost h).Sim.Cost_model.lst_store_cost
 
-  let charge_serial h ~work ~bytes = advance_mixed h ~work ~bytes []
+  let charge_serial h ~worker:_ ~work ~bytes = advance_mixed h ~work ~bytes []
 
   let charge_batch h ~worker ~work ~bytes ~chunked ~polled =
     advance_mixed h ~work ~bytes
@@ -154,7 +154,7 @@ let run_program ?(request = Run_request.default) (cfg : Rt_config.t)
       let cpu =
         {
           Ir.Program.exec = (fun nest -> I.exec_nest st compiled env nest);
-          advance = (fun cyc -> Hooks.add_work h cyc);
+          advance = (fun cyc -> Hooks.add_work h ~worker:0 cyc);
         }
       in
       let t0 = Sim.Engine.now eng in

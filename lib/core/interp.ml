@@ -25,13 +25,16 @@ type seg_result = Seg_ok | Seg_promoted of int
    accumulate the body cost of one serial region (a leaf batch or a
    non-DOALL subtree) between two charges; regions never interleave within
    a task, so one pair per task suffices and the hot path allocates no
-   accumulator. *)
+   accumulator. [worker] is the worker executing the task, read once when
+   the task starts: a task runs to completion on the worker that started
+   it, so slice entries, polls and charges never look it up again. *)
 type task_state = {
   residual : int array;
   mutable no_promote : bool;
   mutable forbidden : int;
   mutable work : int;
   mutable bytes : int;
+  worker : int;
 }
 
 (* Live-slice registry for checkpoint capture, armed only when the request
@@ -53,13 +56,13 @@ module type HOOKS = sig
 
   val poll : t -> worker:int -> count_poll:bool -> bool
 
-  val add_work : t -> int -> unit
+  val add_work : t -> worker:int -> int -> unit
 
   val charge_slice_entry : t -> unit
 
   val charge_lst_store : t -> unit
 
-  val charge_serial : t -> work:int -> bytes:int -> unit
+  val charge_serial : t -> worker:int -> work:int -> bytes:int -> unit
 
   val charge_batch : t -> worker:int -> work:int -> bytes:int -> chunked:bool -> polled:bool -> unit
 
@@ -104,8 +107,9 @@ module Make (H : HOOKS) = struct
     cfg : Rt_config.t;
     sc : S.t;
     capture : bool;
-    ac : (int * int, Sched.Adaptive_chunking.t) Hashtbl.t array;
-        (* per worker, keyed (nest_id, ord) — worker-private, no lock *)
+    mutable ac : Sched.Adaptive_chunking.t array array array;
+        (* [nest_id].(worker).(ord), filled when the nest first executes and
+           kept across its re-executions; a worker touches only its own row *)
     live_slices : live_slice list array option;
     promotions : int Atomic.t;
     promo_left : int Atomic.t;
@@ -117,7 +121,13 @@ module Make (H : HOOKS) = struct
     mutable exec_epoch : int;  (* bumped per exec_nest call, part of slice keys *)
   }
 
-  type 'e nest_handle = { st : t; nest : 'e Compiled.nest; nest_id : int; env : 'e }
+  type 'e nest_handle = {
+    st : t;
+    nest : 'e Compiled.nest;
+    nest_id : int;
+    env : 'e;
+    ac : Sched.Adaptive_chunking.t array array;  (* [worker].(ord): [st.ac.(nest_id)] *)
+  }
 
   let create h cfg (request : Run_request.t) =
     let b = H.backend h in
@@ -144,7 +154,7 @@ module Make (H : HOOKS) = struct
       cfg;
       sc = S.create b;
       capture = H.B.capture b;
-      ac = Array.init n (fun _ -> Hashtbl.create 8);
+      ac = [||];
       live_slices = (if pausing then Some (Array.make n []) else None);
       promotions = Atomic.make 0;
       promo_left = Atomic.make grant;
@@ -181,6 +191,7 @@ module Make (H : HOOKS) = struct
     && Atomic.get t.promo_left > 0
     && not (Atomic.get t.promo_disabled)
 
+  (* Called on the worker that runs the task, when the task starts. *)
   let fresh_task_state c =
     {
       residual = Array.make (Ir.Nesting_tree.size c.nest.Compiled.tree) 0;
@@ -188,20 +199,23 @@ module Make (H : HOOKS) = struct
       forbidden = -1;
       work = 0;
       bytes = 0;
+      worker = wid c.st;
     }
 
-  let ac_for t ~worker ~nest_id ~ord =
-    let tbl = t.ac.(worker) in
-    let key = (nest_id, ord) in
-    match Hashtbl.find_opt tbl key with
-    | Some a -> a
-    | None ->
-        let a =
-          Sched.Adaptive_chunking.create ~target_polls:t.cfg.Rt_config.ac_target_polls
-            ~window:t.cfg.Rt_config.ac_window ()
-        in
-        Hashtbl.add tbl key a;
-        a
+  (* A nest's adaptive-chunking slots, one per (worker, ordinal), created
+     the first time the nest executes. Nests execute one at a time from the
+     driver, so growing the table needs no lock. *)
+  let ac_slots (t : t) ~nest_id (cn : _ Compiled.nest) =
+    let known = Array.length t.ac in
+    if nest_id >= known then
+      t.ac <- Array.init (nest_id + 1) (fun i -> if i < known then t.ac.(i) else [||]);
+    if Array.length t.ac.(nest_id) = 0 then
+      t.ac.(nest_id) <-
+        Array.init (H.B.num_workers (H.backend t.h)) (fun _ ->
+            Array.init (Array.length cn.Compiled.infos) (fun _ ->
+                Sched.Adaptive_chunking.create ~target_polls:t.cfg.Rt_config.ac_target_polls
+                  ~window:t.cfg.Rt_config.ac_window ()));
+    t.ac.(nest_id)
 
   (* Sequential execution for non-DOALL (pruned) loops and leaf iterations:
      pure work and memory traffic, accumulated into [ts] and charged by the
@@ -265,7 +279,7 @@ module Make (H : HOOKS) = struct
            worker that started it), so registration and removal hit the
            same stack. A pause unwind skips the removal on purpose: the
            checkpoint reads the still-registered activations. *)
-        let w = wid c.st in
+        let w = ts.worker in
         live.(w) <-
           {
             ck_key = slice_key c ctxs ord;
@@ -289,7 +303,7 @@ module Make (H : HOOKS) = struct
       ts.work <- 0;
       ts.bytes <- (ctx.Ir.Ctx.hi - ctx.Ir.Ctx.lo) * l.Ir.Nest.bytes_per_iter;
       serial_iters c ts ctxs ctx l.Ir.Nest.body;
-      H.charge_serial c.st.h ~work:ts.work ~bytes:ts.bytes;
+      H.charge_serial c.st.h ~worker:ts.worker ~work:ts.work ~bytes:ts.bytes;
       Done
     end
     else if info.Compiled.is_leaf then run_leaf c ts ctxs info
@@ -302,164 +316,176 @@ module Make (H : HOOKS) = struct
   and run_leaf : 'e. 'e nest_handle -> task_state -> Ir.Ctx.set -> 'e Compiled.loop_info -> status
       =
    fun c ts ctxs info ->
+    if not c.st.cfg.Rt_config.chunk_transferring then ts.residual.(info.Compiled.ordinal) <- 0;
+    leaf_batches c ts ctxs info c.ac.(ts.worker).(info.Compiled.ordinal)
+
+  (* One batch, then a tail call for the next: the loop carries no state
+     beyond the context and [ts], so a batch allocates nothing. [ac] is
+     read only by [Adaptive] leaves. *)
+  and leaf_batches :
+      'e.
+      'e nest_handle ->
+      task_state ->
+      Ir.Ctx.set ->
+      'e Compiled.loop_info ->
+      Sched.Adaptive_chunking.t ->
+      status =
+   fun c ts ctxs info ac ->
     let t = c.st in
     let ord = info.Compiled.ordinal in
     let ctx = ctxs.(ord) in
-    let w = wid t in
-    let ac =
-      match info.Compiled.chunk with
-      | Compiled.Adaptive -> Some (ac_for t ~worker:w ~nest_id:c.nest_id ~ord)
-      | Compiled.Static _ | Compiled.No_chunking -> None
-    in
-    let chunked =
-      match info.Compiled.chunk with
-      | Compiled.No_chunking -> false
-      | Compiled.Static _ | Compiled.Adaptive -> true
-    in
-    let bytes_per_iter = info.Compiled.loop.Ir.Nest.bytes_per_iter in
-    if not t.cfg.Rt_config.chunk_transferring then ts.residual.(ord) <- 0;
-    let result = ref None in
-    let handle_beat () =
-      (* A detected heartbeat: let AC close its interval, then promote. *)
-      (match ac with
-      | Some a when t.capture -> (
-          (* Capturing runs pay for the full decision record so the
-             sanitizer can replay the update rule; plain runs take the
-             alloc-free path. *)
-          match Sched.Adaptive_chunking.on_heartbeat_full a with
-          | Some d ->
-              H.emit t.h
-                (Obs.Trace.Chunk_update
-                   {
-                     key = ctxs.(c.nest.Compiled.root).Ir.Ctx.lo;
-                     chunk = d.Sched.Adaptive_chunking.new_chunk;
-                   });
-              H.emit t.h
-                (Obs.Trace.Chunk_decision
-                   {
-                     key = slice_key c ctxs ord;
-                     old_chunk = d.Sched.Adaptive_chunking.old_chunk;
-                     min_polls = d.Sched.Adaptive_chunking.min_polls;
-                     chunk = d.Sched.Adaptive_chunking.new_chunk;
-                   })
-          | None -> ())
-      | Some a -> (
-          match Sched.Adaptive_chunking.on_heartbeat a with
-          | Some chunk ->
-              H.emit t.h
-                (Obs.Trace.Chunk_update { key = ctxs.(c.nest.Compiled.root).Ir.Ctx.lo; chunk })
-          | None -> ())
-      | None -> ());
-      if may_promote t ts then promote c ts ctxs info else None
-    in
-    while !result = None && ctx.Ir.Ctx.lo < ctx.Ir.Ctx.hi do
-      let s =
-        match info.Compiled.chunk with
-        | Compiled.No_chunking -> 1
-        | Compiled.Static s -> s
-        | Compiled.Adaptive -> Sched.Adaptive_chunking.chunk_size (Option.get ac)
-      in
-      if ts.residual.(ord) <= 0 then ts.residual.(ord) <- s;
+    if ctx.Ir.Ctx.lo >= ctx.Ir.Ctx.hi then Done
+    else begin
+      if ts.residual.(ord) <= 0 then
+        ts.residual.(ord) <-
+          (match info.Compiled.chunk with
+          | Compiled.No_chunking -> 1
+          | Compiled.Static s -> s
+          | Compiled.Adaptive -> Sched.Adaptive_chunking.chunk_size ac);
       let start = ctx.Ir.Ctx.lo in
       let todo = Stdlib.min ts.residual.(ord) (ctx.Ir.Ctx.hi - start) in
       ts.work <- 0;
-      ts.bytes <- todo * bytes_per_iter;
+      ts.bytes <- todo * info.Compiled.loop.Ir.Nest.bytes_per_iter;
       for k = 0 to todo - 1 do
         ctx.Ir.Ctx.lo <- start + k;
         exec_segs c ts ctxs (start + k) info.Compiled.loop.Ir.Nest.body
       done;
       emit_iter_exec c ctxs ord ~lo:start ~hi:(start + todo);
       (* ctx.lo is the last executed iteration: the latch sees it, the
-         leftover task resumes at lo + 1. *)
+         leftover task resumes at lo + 1. A partial chunk ends the
+         invocation without a poll; the residual transfers to the next
+         invocation of this leaf in this task. *)
       ts.residual.(ord) <- ts.residual.(ord) - todo;
       let polled = ts.residual.(ord) = 0 in
-      H.charge_batch t.h ~worker:w ~work:ts.work ~bytes:ts.bytes ~chunked ~polled;
-      if polled then begin
-        (match ac with Some a -> Sched.Adaptive_chunking.on_poll a | None -> ());
-        let beat =
-          H.poll t.h ~worker:w ~count_poll:true || t.cfg.Rt_config.force_promotion
-        in
-        if beat then begin
-          match handle_beat () with
-          | Some s -> result := Some s
-          | None -> ctx.Ir.Ctx.lo <- ctx.Ir.Ctx.lo + 1
-        end
-        else ctx.Ir.Ctx.lo <- ctx.Ir.Ctx.lo + 1
-      end
-      else
-        (* Partial chunk: the invocation ends here and the residual
-           transfers to the next invocation of this leaf in this task. *)
-        ctx.Ir.Ctx.lo <- ctx.Ir.Ctx.lo + 1
-    done;
-    match !result with Some s -> s | None -> Done
+      let chunked =
+        match info.Compiled.chunk with
+        | Compiled.No_chunking -> false
+        | Compiled.Static _ | Compiled.Adaptive -> true
+      in
+      H.charge_batch t.h ~worker:ts.worker ~work:ts.work ~bytes:ts.bytes ~chunked ~polled;
+      let beat =
+        polled
+        && begin
+             (match info.Compiled.chunk with
+             | Compiled.Adaptive -> Sched.Adaptive_chunking.on_poll ac
+             | Compiled.Static _ | Compiled.No_chunking -> ());
+             H.poll t.h ~worker:ts.worker ~count_poll:true || t.cfg.Rt_config.force_promotion
+           end
+      in
+      match if beat then leaf_beat c ts ctxs info ac else None with
+      | Some s -> s
+      | None ->
+          ctx.Ir.Ctx.lo <- ctx.Ir.Ctx.lo + 1;
+          leaf_batches c ts ctxs info ac
+    end
 
+  (* A heartbeat detected at a leaf poll: let AC close its interval, then
+     promote. *)
+  and leaf_beat :
+      'e.
+      'e nest_handle ->
+      task_state ->
+      Ir.Ctx.set ->
+      'e Compiled.loop_info ->
+      Sched.Adaptive_chunking.t ->
+      status option =
+   fun c ts ctxs info ac ->
+    let t = c.st in
+    (match info.Compiled.chunk with
+    | Compiled.Adaptive when t.capture -> (
+        (* Capturing runs pay for the full decision record so the
+           sanitizer can replay the update rule; plain runs take the
+           alloc-free path. *)
+        match Sched.Adaptive_chunking.on_heartbeat_full ac with
+        | Some d ->
+            H.emit t.h
+              (Obs.Trace.Chunk_update
+                 {
+                   key = ctxs.(c.nest.Compiled.root).Ir.Ctx.lo;
+                   chunk = d.Sched.Adaptive_chunking.new_chunk;
+                 });
+            H.emit t.h
+              (Obs.Trace.Chunk_decision
+                 {
+                   key = slice_key c ctxs info.Compiled.ordinal;
+                   old_chunk = d.Sched.Adaptive_chunking.old_chunk;
+                   min_polls = d.Sched.Adaptive_chunking.min_polls;
+                   chunk = d.Sched.Adaptive_chunking.new_chunk;
+                 })
+        | None -> ())
+    | Compiled.Adaptive -> (
+        match Sched.Adaptive_chunking.on_heartbeat ac with
+        | Some chunk ->
+            H.emit t.h (Obs.Trace.Chunk_update { key = ctxs.(c.nest.Compiled.root).Ir.Ctx.lo; chunk })
+        | None -> ())
+    | Compiled.Static _ | Compiled.No_chunking -> ());
+    if may_promote t ts then promote c ts ctxs info else None
+
+  (* One iteration of a non-leaf DOALL loop per call, then a tail call. *)
   and run_general :
       'e. 'e nest_handle -> task_state -> Ir.Ctx.set -> 'e Compiled.loop_info -> status =
    fun c ts ctxs info ->
     let t = c.st in
-    let ctx = ctxs.(info.Compiled.ordinal) in
-    let result = ref None in
-    while !result = None && ctx.Ir.Ctx.lo < ctx.Ir.Ctx.hi do
+    let ord = info.Compiled.ordinal in
+    let ctx = ctxs.(ord) in
+    if ctx.Ir.Ctx.lo >= ctx.Ir.Ctx.hi then Done
+    else begin
       let iter = ctx.Ir.Ctx.lo in
       match run_segments c ts ctxs info.Compiled.loop.Ir.Nest.body iter with
-      | Seg_promoted j when j = info.Compiled.ordinal -> result := Some Done
-      | Seg_promoted j -> result := Some (Promoted j)
-      | Seg_ok ->
+      | Seg_promoted j -> if j = ord then Done else Promoted j
+      | Seg_ok -> (
           (* The iteration completed in full inside this task; emitted
              before the latch so a promotion splitting this loop cannot
              lose it. *)
-          emit_iter_exec c ctxs info.Compiled.ordinal ~lo:iter ~hi:(iter + 1);
+          emit_iter_exec c ctxs ord ~lo:iter ~hi:(iter + 1);
           (* Latch of a non-leaf DOALL loop: promotion-handler call guarded
              by a branch; the heartbeat visibility itself is the leaf poll's
              (or the interrupt flag), so the check does not count as a poll.
              The iteration's own memory traffic is booked here too. *)
           H.charge_latch t.h ~bytes:info.Compiled.loop.Ir.Nest.bytes_per_iter;
           let beat =
-            H.poll t.h ~worker:(wid t) ~count_poll:false || t.cfg.Rt_config.force_promotion
+            H.poll t.h ~worker:ts.worker ~count_poll:false || t.cfg.Rt_config.force_promotion
           in
-          if beat && may_promote t ts then begin
-            match promote c ts ctxs info with
-            | Some s -> result := Some s
-            | None -> ctx.Ir.Ctx.lo <- iter + 1
-          end
-          else ctx.Ir.Ctx.lo <- iter + 1
-    done;
-    match !result with Some s -> s | None -> Done
+          match if beat && may_promote t ts then promote c ts ctxs info else None with
+          | Some s -> s
+          | None ->
+              ctx.Ir.Ctx.lo <- iter + 1;
+              run_general c ts ctxs info)
+    end
 
   and run_segments :
       'e. 'e nest_handle -> task_state -> Ir.Ctx.set -> 'e Ir.Nest.segment list -> int -> seg_result
       =
    fun c ts ctxs segs iter ->
-    let t = c.st in
-    let rec go = function
-      | [] -> Seg_ok
-      | Ir.Nest.Stmt s :: rest ->
-          H.add_work t.h (s.Ir.Nest.exec c.env ctxs iter);
-          go rest
-      | Ir.Nest.Nested child :: rest ->
-          let o = child.Ir.Nest.ordinal in
-          if c.nest.Compiled.infos.(o).Compiled.doall then begin
-            let lo, hi = child.Ir.Nest.bounds c.env ctxs in
-            Ir.Ctx.set_slice ctxs.(o) ~lo ~hi;
-            (* A fresh invocation (re)establishes the child's locals; a
-               slice resumed by a leftover task keeps its partial state
-               instead. *)
-            (match child.Ir.Nest.init with
-            | Some f -> f c.env ctxs.(o).Ir.Ctx.locals
-            | None -> ());
-            emit_slice_enter c ctxs o;
-            H.charge_lst_store t.h;
-            match run_slice c ts ctxs o with Done -> go rest | Promoted j -> Seg_promoted j
-          end
-          else begin
-            ts.work <- 0;
-            ts.bytes <- 0;
-            serial_loop c ts ctxs child;
-            H.charge_serial t.h ~work:ts.work ~bytes:ts.bytes;
-            go rest
-          end
-    in
-    go segs
+    match segs with
+    | [] -> Seg_ok
+    | Ir.Nest.Stmt s :: rest ->
+        H.add_work c.st.h ~worker:ts.worker (s.Ir.Nest.exec c.env ctxs iter);
+        run_segments c ts ctxs rest iter
+    | Ir.Nest.Nested child :: rest ->
+        let o = child.Ir.Nest.ordinal in
+        if c.nest.Compiled.infos.(o).Compiled.doall then begin
+          let lo, hi = child.Ir.Nest.bounds c.env ctxs in
+          Ir.Ctx.set_slice ctxs.(o) ~lo ~hi;
+          (* A fresh invocation (re)establishes the child's locals; a
+             slice resumed by a leftover task keeps its partial state
+             instead. *)
+          (match child.Ir.Nest.init with
+          | Some f -> f c.env ctxs.(o).Ir.Ctx.locals
+          | None -> ());
+          emit_slice_enter c ctxs o;
+          H.charge_lst_store c.st.h;
+          match run_slice c ts ctxs o with
+          | Done -> run_segments c ts ctxs rest iter
+          | Promoted j -> Seg_promoted j
+        end
+        else begin
+          ts.work <- 0;
+          ts.bytes <- 0;
+          serial_loop c ts ctxs child;
+          H.charge_serial c.st.h ~worker:ts.worker ~work:ts.work ~bytes:ts.bytes;
+          run_segments c ts ctxs rest iter
+        end
 
   (* The promotion handler: policy-chosen split of the current context
      chain, task creation through the shared core, clone-optimized join.
@@ -628,7 +654,7 @@ module Make (H : HOOKS) = struct
     in
     let nest_id, cn = find 0 compiled.Pipeline.nests in
     t.exec_epoch <- t.exec_epoch + 1;
-    let c = { st = t; nest = cn; nest_id; env } in
+    let c = { st = t; nest = cn; nest_id; env; ac = ac_slots t ~nest_id cn } in
     let n = Ir.Nesting_tree.size cn.Compiled.tree in
     let ctxs = Array.init n (fun o -> Ir.Ctx.make ~ordinal:o ~spec:cn.Compiled.specs.(o)) in
     let root = cn.Compiled.root in

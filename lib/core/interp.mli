@@ -35,7 +35,13 @@ val seeded_bug : seeded_bug option ref
 val set_seeded_bug : seeded_bug option -> unit
 
 (** What a backend supplies. Every hook is called per leaf batch, per
-    latch, per beat or per promotion — never per iteration. *)
+    latch, per beat or per promotion — never per iteration.
+
+    A hook's [~worker] is the worker executing the calling task. The
+    interpreter reads it once, when the task starts ([B.worker_id]), and
+    passes it down: a task runs to completion on the worker that started
+    it (joins help by running other tasks nested inside it, never by
+    moving it), so a hook never needs to look the worker up itself. *)
 module type HOOKS = sig
   module B : Sched.Backend_intf.BACKEND
 
@@ -53,9 +59,9 @@ module type HOOKS = sig
       taken here. [count_poll] marks a real leaf poll; non-leaf latches
       only read the flag. *)
 
-  val add_work : t -> int -> unit
-  (** Body work outside any batch: statements of non-leaf loops and the
-      driver's serial code. *)
+  val add_work : t -> worker:int -> int -> unit
+  (** Body work outside any batch on [worker]: statements of non-leaf
+      loops. *)
 
   val charge_slice_entry : t -> unit
   (** A loop-slice call: outlined-function call plus closure load. *)
@@ -63,11 +69,11 @@ module type HOOKS = sig
   val charge_lst_store : t -> unit
   (** Storing a loop's bounds into its context before the slice call. *)
 
-  val charge_serial : t -> work:int -> bytes:int -> unit
-  (** A whole non-DOALL subtree, run serially. *)
+  val charge_serial : t -> worker:int -> work:int -> bytes:int -> unit
+  (** A whole non-DOALL subtree, run serially on [worker]. *)
 
   val charge_batch : t -> worker:int -> work:int -> bytes:int -> chunked:bool -> polled:bool -> unit
-  (** One leaf batch on the calling [worker]: its body work and memory traffic, the poll and
+  (** One leaf batch on [worker]: its body work and memory traffic, the poll and
       promotion branch when the batch ended in a poll ([polled]), and the
       chunking bookkeeping when the leaf is chunked ([chunked]; false for
       the every-iteration [No_chunking] mode). *)

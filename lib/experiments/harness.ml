@@ -118,10 +118,10 @@ let trial_key config ~bench ~tag ~signature =
 let wall_guard secs =
   let deadline = ref None in
   fun () ->
-    let now = Unix.gettimeofday () in
+    let now = Int64.to_int (Monotonic_clock.now ()) in
     match !deadline with
     | None ->
-        deadline := Some (now +. secs);
+        deadline := Some (now + int_of_float (secs *. 1e9));
         None
     | Some d ->
         if now > d then Some (Printf.sprintf "wall-clock budget %.1fs exceeded" secs) else None

@@ -11,16 +11,16 @@ type pool = {
   core : C.t;
   n : int;
   mutable domains : unit Domain.t list;
-  hb_interval : float;  (* seconds *)
+  hb_interval : int;  (* monotonic ns *)
   promo_count : int Atomic.t;
-  next_beat : float array;
+  next_beat : int array;
   ac : Sched.Adaptive_chunking.t array;  (* per-member adaptive chunking *)
   mutable closed : bool;
 }
 
 let initial_chunk = 32
 
-let now () = Unix.gettimeofday ()
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
 let my_index pool = Domains_backend.worker_id pool.b
 
@@ -37,17 +37,16 @@ let create ?(heartbeat_us = 100.0) ~num_domains () =
       core = C.create b;
       n;
       domains = [];
-      hb_interval = heartbeat_us *. 1e-6;
+      hb_interval = int_of_float (heartbeat_us *. 1e3);
       promo_count = Atomic.make 0;
-      next_beat = Array.make n 0.0;
+      next_beat = Array.make n 0;
       ac =
         Array.init n (fun _ ->
             Sched.Adaptive_chunking.create ~initial_chunk ~target_polls:8 ~window:2 ());
       closed = false;
     }
   in
-  let t0 = now () +. pool.hb_interval in
-  Array.iteri (fun i _ -> pool.next_beat.(i) <- t0) pool.next_beat;
+  Array.fill pool.next_beat 0 n (now_ns () + pool.hb_interval);
   (* The caller is worker 0; n-1 extra domains scavenge until shutdown.
      The monitor bounds how long a parked member can be stranded by a
      wakeup that raced its spin-to-park transition. *)
@@ -81,9 +80,9 @@ let promotions pool = Atomic.get pool.promo_count
    the simulated runtime (Sec. 5.1). *)
 let poll_beat pool i =
   Sched.Adaptive_chunking.on_poll pool.ac.(i);
-  let t = now () in
+  let t = now_ns () in
   if t >= pool.next_beat.(i) then begin
-    pool.next_beat.(i) <- t +. pool.hb_interval;
+    pool.next_beat.(i) <- t + pool.hb_interval;
     ignore (Sched.Adaptive_chunking.on_heartbeat pool.ac.(i));
     true
   end
@@ -96,21 +95,26 @@ let chunk_size_of pool ~member = Sched.Adaptive_chunking.chunk_size pool.ac.(mem
 (* Heartbeat-promoted execution of [lo, hi): run chunks sequentially; on a
    beat, hand the upper half of the remaining range to the scheduler as a
    core task and continue on the lower half, joining (with help-stealing,
-   via the core's join_wait) at the end. *)
+   via the core's join_wait) at the end. A task stays on the member that
+   started it, so [i] is looked up once per task. *)
 let rec run_range : 'a. pool -> ('a -> int -> 'a) -> ('a -> 'a -> 'a) -> 'a -> 'a -> int -> int -> 'a
     =
- fun pool body combine init acc lo hi ->
-  let i = my_index pool in
-  let l = ref lo and acc = ref acc in
-  let result = ref None in
-  while !result = None && !l < hi do
-    let c = Stdlib.min (current_chunk pool i) (hi - !l) in
-    for k = !l to !l + c - 1 do
+ fun pool body combine init acc lo hi -> range_chunks pool (my_index pool) body combine init acc lo hi
+
+(* One chunk, then a tail call for the next: no per-chunk allocation. *)
+and range_chunks :
+      'a. pool -> int -> ('a -> int -> 'a) -> ('a -> 'a -> 'a) -> 'a -> 'a -> int -> int -> 'a =
+ fun pool i body combine init acc l hi ->
+  if l >= hi then acc
+  else begin
+    let c = Stdlib.min (current_chunk pool i) (hi - l) in
+    let acc = ref acc in
+    for k = l to l + c - 1 do
       acc := body !acc k
     done;
-    l := !l + c;
-    if hi - !l > 1 && poll_beat pool i then begin
-      let mid = Sched.Policy.split_point ~lo:!l ~hi in
+    let l = l + c in
+    if hi - l > 1 && poll_beat pool i then begin
+      let mid = Sched.Policy.split_point ~lo:l ~hi in
       let slot = ref None in
       let join = C.new_join pool.core in
       Atomic.incr pool.promo_count;
@@ -119,14 +123,14 @@ let rec run_range : 'a. pool -> ('a -> int -> 'a) -> ('a -> 'a -> 'a) -> 'a -> '
         (C.mk_task pool.core (fun () ->
              slot := Some (run_range pool body combine init init mid hi);
              C.finish_join pool.core join));
-      let left = run_range pool body combine init !acc !l mid in
+      let left = range_chunks pool i body combine init !acc l mid in
       C.join_wait pool.core join;
       (* join_wait's pending read is the acquire matching finish_join's
          release, so the slot write is visible here. *)
-      result := Some (combine left (Option.get !slot))
+      combine left (Option.get !slot)
     end
-  done;
-  match !result with Some r -> r | None -> !acc
+    else range_chunks pool i body combine init !acc l hi
+  end
 
 let parallel_for pool ~lo ~hi body =
   if hi > lo then run_range pool (fun () k -> body k) (fun () () -> ()) () () lo hi

@@ -65,7 +65,7 @@ type run_state = {
   cfg : Rt_config.t;
   b : Domains_backend.t;
   beat : beat_source;
-  next_beat : float array;  (* per worker, Wall_us only *)
+  next_beat : int array;  (* per worker, monotonic ns, Wall_us only *)
   polls : int array;  (* per worker, Every_polls only *)
   progress : int array;
       (* per-worker scheduling-point counter (every consume call), always
@@ -85,16 +85,16 @@ type run_state = {
   mutable on_mark : unit -> unit;
 }
 
-let wid (st : run_state) = Domains_backend.worker_id st.b
-
 (* Untraced runs skip the critical section entirely, so emission costs
    nothing on the lock-free fast path. *)
 let emit (st : run_state) ev =
   if st.capture then Domains_backend.critical st.b (fun () -> Domains_backend.emit st.b ev)
 
-let add_work_on (st : run_state) w c = if c > 0 then st.work.(w) <- st.work.(w) + c
+let add_work (st : run_state) ~worker c = if c > 0 then st.work.(worker) <- st.work.(worker) + c
 
-let add_work (st : run_state) c = add_work_on st (wid st) c
+(* Monotonic wall-clock nanoseconds: beats and makespan never see the
+   wall clock step. *)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
 (* A beat reached [w]'s boundary under chaos on a non-downgraded worker:
    decide delivery. An injected stall window or a drop suppresses it;
@@ -152,9 +152,9 @@ let consume (st : run_state) w ~count_poll =
         end
         else false
     | Wall_us us ->
-        let t = Unix.gettimeofday () in
+        let t = now_ns () in
         if t >= st.next_beat.(w) then begin
-          st.next_beat.(w) <- t +. (us *. 1e-6);
+          st.next_beat.(w) <- t + int_of_float (us *. 1e3);
           true
         end
         else false
@@ -178,9 +178,9 @@ module Hooks = struct
 
   let charge_lst_store _ = ()
 
-  let charge_serial st ~work ~bytes:_ = add_work st work
+  let charge_serial st ~worker ~work ~bytes:_ = add_work st ~worker work
 
-  let charge_batch st ~worker ~work ~bytes:_ ~chunked:_ ~polled:_ = add_work_on st worker work
+  let charge_batch st ~worker ~work ~bytes:_ ~chunked:_ ~polled:_ = add_work st ~worker work
 
   let charge_latch _ ~bytes:_ = ()
 
@@ -264,7 +264,7 @@ let run_program ?(request = Run_request.default) ?(beat = Wall_us 100.0) (cfg : 
       cfg;
       b;
       beat;
-      next_beat = Array.make n 0.0;
+      next_beat = Array.make n 0;
       polls = Array.make n 0;
       progress = Array.make n 0;
       work = Array.make n 0;
@@ -282,8 +282,7 @@ let run_program ?(request = Run_request.default) ?(beat = Wall_us 100.0) (cfg : 
   let core = I.core ist in
   (match beat with
   | Wall_us us ->
-      let t0 = Unix.gettimeofday () +. (us *. 1e-6) in
-      Array.iteri (fun i _ -> st.next_beat.(i) <- t0) st.next_beat
+      Array.fill st.next_beat 0 n (now_ns () + int_of_float (us *. 1e3))
   | Every_polls _ -> ());
   (* The boundary state is a pure function of the single-worker
      deterministic dispatch history; progress counts stand in for clocks. *)
@@ -372,7 +371,7 @@ let run_program ?(request = Run_request.default) ?(beat = Wall_us 100.0) (cfg : 
             Domains_backend.register ~worker:(i + 1);
             C.scavenge core))
   in
-  let t_start = Unix.gettimeofday () in
+  let t_start = now_ns () in
   let termination = ref Sim.Run_result.Finished in
   (try
      Fun.protect
@@ -406,7 +405,7 @@ let run_program ?(request = Run_request.default) ?(beat = Wall_us 100.0) (cfg : 
                  driver_segment_ends ();
                  I.exec_nest ist compiled env nest;
                  mark := Domains_backend.now b);
-             advance = (fun cyc -> add_work st cyc);
+             advance = (fun cyc -> add_work st ~worker:0 cyc);
            }
          in
          program.Ir.Program.driver env cpu;
@@ -428,7 +427,7 @@ let run_program ?(request = Run_request.default) ?(beat = Wall_us 100.0) (cfg : 
           (Printf.sprintf "resume-divergence: run finished before the boundary at cycle %d"
              ck.Sim.Checkpoint_state.at_cycle)
   | _ -> ());
-  let elapsed_us = int_of_float ((Unix.gettimeofday () -. t_start) *. 1e6) in
+  let elapsed_us = (now_ns () - t_start) / 1000 in
   let metrics = Sim.Metrics.create () in
   metrics.Sim.Metrics.work_cycles <- Array.fold_left ( + ) 0 st.work;
   metrics.Sim.Metrics.promotions <- I.promotions ist;
