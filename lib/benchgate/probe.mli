@@ -10,7 +10,7 @@
     - [alloc_major_words]: words allocated directly in the major heap
       ([major_words - promoted_words] delta) — always {!Report.Advisory};
       runtime-internal major allocations make it jitter by a few words;
-    - [wall_ns]: elapsed wall-clock time, {!Report.Advisory} only.
+    - [wall_ns]: elapsed monotonic wall-clock time, {!Report.Advisory} only.
 
     The body receives a context to report its own metrics through {!det} /
     {!adv}; context metrics appear in declaration order, then the automatic

@@ -39,7 +39,9 @@ exception Internal_error of string
 
 (** When a native worker observes a heartbeat. *)
 type beat_source =
-  | Wall_us of float  (** interval timer, microseconds (the paper's mechanism) *)
+  | Wall_us of float
+      (** interval timer, microseconds of the monotonic clock (the paper's
+          mechanism) *)
   | Every_polls of int
       (** deterministic poll-count proxy: a beat every [n] leaf polls on a
           worker. With one worker the schedule is fully reproducible —
@@ -58,8 +60,8 @@ val run_program :
     [promotion_budget], portable [fault_plan]s and
     [pause_at]/[resume_from] (single worker, [Every_polls]) apply.
 
-    The result reuses the simulator's record: [makespan] is wall-clock
-    microseconds (comparable only between native runs), [work_cycles]
+    The result reuses the simulator's record: [makespan] is monotonic
+    wall-clock microseconds (comparable only between native runs), [work_cycles]
     and [metrics.work_cycles] sum the per-worker body work,
     [metrics.promotions] counts splits, the [metrics.faults_*] counters
     count injected chaos events ([faults_stall_cycles] carries the
