@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo health check: build, full test suite, a tiny-scale smoke run of the
+# Repo health check: build, full test suite, the recursive fork-join
+# example (checked against its references), a tiny-scale smoke run of the
 # fault-injection sweep (exits non-zero on any output-validation failure),
 # a perf-gate report + bench-diff smoke, and (unless skipped) a
 # kill-and-resume exercise of the campaign journal.
@@ -15,6 +16,11 @@ TMP="${TMPDIR:-/tmp}"
 
 dune build
 dune runtest
+
+# --- fork-join example: exits non-zero when fib or max-subarray differs
+# from its sequential reference ---
+dune exec examples/recursive_fork_join.exe > /dev/null
+echo "check.sh: fork-join example OK"
 
 dune exec bin/hbc_repro.exe -- fault-sweep --scale 0.04 --workers 8
 

@@ -51,20 +51,31 @@ let rec max_subarray ctx (data : float array) lo hi =
   end
 
 let report name (r : FJ.result) =
+  let promoted = r.FJ.metrics.Sim.Metrics.promotions in
   Printf.printf
     "%-14s work %9d cy | makespan %8d cy | speedup %5.1fx | forks: %d sequential, %d promoted (%.2f%% promoted)\n"
     name r.FJ.work_cycles r.FJ.makespan
     (Float.of_int r.FJ.work_cycles /. Float.of_int r.FJ.makespan)
-    r.FJ.sequential_forks r.FJ.promoted_forks
+    r.FJ.sequential_forks promoted
     (100.0
-    *. Float.of_int r.FJ.promoted_forks
-    /. Float.of_int (Stdlib.max 1 (r.FJ.sequential_forks + r.FJ.promoted_forks)))
+    *. Float.of_int promoted
+    /. Float.of_int (Stdlib.max 1 (r.FJ.sequential_forks + promoted)))
+
+let rec fib_ref n = if n < 2 then n else fib_ref (n - 1) + fib_ref (n - 2)
+
+(* Exit non-zero on a wrong answer, so a run of this example is a check. *)
+let expect what ok =
+  if not ok then begin
+    Printf.eprintf "recursive_fork_join: %s differs from its reference\n" what;
+    exit 1
+  end
 
 let () =
   let result = ref 0 in
   let r = FJ.run (fun ctx -> result := fib ctx 24) in
   Printf.printf "fib 24 = %d\n" !result;
   report "fib" r;
+  expect "fib 24" (!result = fib_ref 24);
 
   let n = 200_000 in
   let rng = Sim.Sim_rng.create 99 in
@@ -80,6 +91,7 @@ let () =
     data;
   Printf.printf "\nmax-subarray best = %.4f (Kadane reference %.4f)\n" !best !kadane;
   report "max-subarray" r2;
+  expect "max-subarray" (Float.abs (!best -. !kadane) <= 1e-9 *. Float.max 1.0 (Float.abs !kadane));
   print_endline
     "\nNote the promoted-fork percentage: heartbeat scheduling materializes a tiny,\n\
      bounded fraction of the logical forks, with no manual cutoff in the code."

@@ -11,14 +11,14 @@ let set_seeded_bug = Interp.set_seeded_bug
 
 (* The simulator's side of the shared interpreter: events are stamped with
    virtual time, every hook charges the cost model's cycles into the engine
-   with per-kind attribution, memory traffic is booked on the shared bus,
+   with per-kind attribution, memory traffic is booked on the backend's bus,
    beats come from the heartbeat mechanism, and reduction halves combine
    inside their spawned task (the engine is single-fibered, so there is no
    race, and the byte pins depend on that timing). *)
 module Hooks = struct
   module B = Sim_backend
 
-  type t = { sb : Sim_backend.t; bus : Sim.Membus.t; transfer_cost : int }
+  type t = { sb : Sim_backend.t; transfer_cost : int }
 
   let backend h = h.sb
 
@@ -30,21 +30,7 @@ module Hooks = struct
 
   let metrics h = h.sb.Sim_backend.metrics
 
-  let add_work h ~worker:_ c =
-    (metrics h).Sim.Metrics.work_cycles <- (metrics h).Sim.Metrics.work_cycles + c;
-    if c > 0 then Sim.Engine.advance h.sb.Sim_backend.eng c
-
-  (* Work plus overheads in a single advance (hot path: one event per
-     batch). Memory traffic is booked on the shared bus; time past the
-     compute cost is a bandwidth stall. *)
-  let advance_mixed h ~work ~bytes parts =
-    let m = metrics h and eng = h.sb.Sim_backend.eng in
-    let compute = List.fold_left (fun acc (_, c) -> acc + c) work parts in
-    let total = Sim.Membus.serve h.bus ~now:(Sim.Engine.now eng) ~compute ~bytes in
-    if total > 0 then Sim.Engine.advance eng total;
-    m.Sim.Metrics.work_cycles <- m.Sim.Metrics.work_cycles + work;
-    List.iter (fun (k, c) -> if c > 0 then Sim.Metrics.add_overhead m k c) parts;
-    if total > compute then Sim.Metrics.add_overhead m "membus" (total - compute)
+  let add_work h ~worker:_ c = Sim_backend.add_work h.sb c
 
   let charge_slice_entry h =
     let outline = (cost h).Sim.Cost_model.outline_call_cost
@@ -57,10 +43,10 @@ module Hooks = struct
 
   let charge_lst_store h = Sim_backend.overhead h.sb "lst-store" (cost h).Sim.Cost_model.lst_store_cost
 
-  let charge_serial h ~worker:_ ~work ~bytes = advance_mixed h ~work ~bytes []
+  let charge_serial h ~worker:_ ~work ~bytes = Sim_backend.advance_mixed h.sb ~work ~bytes []
 
   let charge_batch h ~worker ~work ~bytes ~chunked ~polled =
-    advance_mixed h ~work ~bytes
+    Sim_backend.advance_mixed h.sb ~work ~bytes
       (if chunked && not polled then [ ("chunking", 2); ("chunk-transfer", h.transfer_cost) ]
        else begin
          let poll = ("poll", Heartbeat.poll_cost h.sb.Sim_backend.hb ~worker)
@@ -70,7 +56,7 @@ module Hooks = struct
        end)
 
   let charge_latch h ~bytes =
-    advance_mixed h ~work:0 ~bytes
+    Sim_backend.advance_mixed h.sb ~work:0 ~bytes
       [ ("promotion-branch", (cost h).Sim.Cost_model.promotion_branch_cost) ]
 
   let charge_promotion h =
@@ -111,7 +97,6 @@ let run_program ?(request = Run_request.default) (cfg : Rt_config.t)
   let h =
     {
       Hooks.sb;
-      bus = Sim.Membus.create ~bytes_per_cycle:cfg.Rt_config.cost.Sim.Cost_model.dram_bytes_per_cycle;
       transfer_cost =
         (if cfg.Rt_config.chunk_transferring then cfg.Rt_config.cost.Sim.Cost_model.chunk_transfer_cost
          else 0);

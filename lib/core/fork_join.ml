@@ -1,131 +1,60 @@
-type task = { run : unit -> unit }
+(* Recursive fork-join under heartbeat scheduling. Only the latent-fork
+   bookkeeping lives here; deques, steals, wakeups, join help and
+   scavenging are the shared scheduler core over the simulator backend,
+   the same code that runs the loop interpreter. *)
+
+module S = Sched.Core.Make (Sim_backend)
 
 (* One latent fork: [promote] turns its deferred branch into a stealable
-   task; [None] once promoted or completed inline. *)
+   task; [None] once promoted. *)
 type frame = { mutable promote : (unit -> unit) option }
 
-type fj_state = {
+type ctx = {
   cfg : Rt_config.t;
-  eng : Sim.Engine.t;
-  hb : Heartbeat.t;
-  metrics : Sim.Metrics.t;
-  deques : task Sim.Deque.t array;
-  bus : Sim.Membus.t;
-  mutable last_pusher : int;
+  sb : Sim_backend.t;
+  sc : S.t;
   fork_countdown : int array;  (* per worker: forks until the next poll *)
   frames : frame list ref array;  (* per worker: latent forks, newest first *)
-  mutable finished : bool;
-  mutable promoted_forks : int;
   mutable sequential_forks : int;
 }
-
-type ctx = { st : fj_state }
 
 type result = {
   makespan : int;
   work_cycles : int;
   metrics : Sim.Metrics.t;
-  promoted_forks : int;
   sequential_forks : int;
 }
 
-let cm st = st.cfg.Rt_config.cost
+let advance ctx c = Sim_backend.add_work ctx.sb c
 
-let wid st = Sim.Engine.worker_id st.eng
-
-let overhead st kind c =
-  if c > 0 then begin
-    Sim.Engine.advance st.eng c;
-    Sim.Metrics.add_overhead st.metrics kind c
-  end
-
-let advance ctx c =
-  let st = ctx.st in
-  st.metrics.Sim.Metrics.work_cycles <- st.metrics.Sim.Metrics.work_cycles + c;
-  if c > 0 then Sim.Engine.advance st.eng c
-
-let advance_bytes ctx ~compute ~bytes =
-  let st = ctx.st in
-  st.metrics.Sim.Metrics.work_cycles <- st.metrics.Sim.Metrics.work_cycles + compute;
-  let total = Sim.Membus.serve st.bus ~now:(Sim.Engine.now st.eng) ~compute ~bytes in
-  if total > 0 then Sim.Engine.advance st.eng total;
-  if total > compute then Sim.Metrics.add_overhead st.metrics "membus" (total - compute)
-
-let wake_one st =
-  let n = Array.length st.deques in
-  let start = Sim.Sim_rng.int (Sim.Engine.rng st.eng) n in
-  let rec find k =
-    if k < n then begin
-      let w = (start + k) mod n in
-      if Sim.Engine.is_parked st.eng w then Sim.Engine.unpark st.eng w else find (k + 1)
-    end
-  in
-  find 0
-
-let push_task st task =
-  Sim.Deque.push_bottom st.deques.(wid st) task;
-  st.last_pusher <- wid st;
-  st.metrics.Sim.Metrics.tasks_spawned <- st.metrics.Sim.Metrics.tasks_spawned + 1;
-  overhead st "promotion" (cm st).Sim.Cost_model.deque_push_cost;
-  wake_one st
-
-let try_steal st =
-  let n = Array.length st.deques in
-  let w = wid st in
-  let probe v =
-    st.metrics.Sim.Metrics.steal_attempts <- st.metrics.Sim.Metrics.steal_attempts + 1;
-    overhead st "steal" (cm st).Sim.Cost_model.steal_attempt_cost;
-    match Sim.Deque.steal st.deques.(v) with
-    | Some t ->
-        st.metrics.Sim.Metrics.steals <- st.metrics.Sim.Metrics.steals + 1;
-        overhead st "steal" (cm st).Sim.Cost_model.steal_success_cost;
-        Some t
-    | None -> None
-  in
-  let rec attempt k =
-    if k = 0 || n = 1 then None
-    else begin
-      let v = Sim.Sim_rng.int (Sim.Engine.rng st.eng) n in
-      if v = w then attempt (k - 1)
-      else match probe v with Some t -> Some t | None -> attempt (k - 1)
-    end
-  in
-  if n > 1 && st.last_pusher <> w && not (Sim.Deque.is_empty st.deques.(st.last_pusher)) then
-    match probe st.last_pusher with Some t -> Some t | None -> attempt 8
-  else attempt 8
+let advance_bytes ctx ~compute ~bytes = Sim_backend.advance_mixed ctx.sb ~work:compute ~bytes []
 
 (* A task executes with its own latent-fork stack: promotions must never
    reach the frames of whatever invocation the worker interrupted. *)
-let with_fresh_frames st f =
-  let w = wid st in
-  let saved = !(st.frames.(w)) in
-  st.frames.(w) := [];
-  Fun.protect ~finally:(fun () -> st.frames.(w) := saved) f
-
-let run_task st task =
-  Heartbeat.set_busy st.hb ~worker:(wid st) true;
-  with_fresh_frames st task.run;
-  Heartbeat.set_busy st.hb ~worker:(wid st) false
+let with_fresh_frames ctx f =
+  let w = Sim_backend.worker_id ctx.sb in
+  let saved = !(ctx.frames.(w)) in
+  ctx.frames.(w) := [];
+  Fun.protect ~finally:(fun () -> ctx.frames.(w) := saved) f
 
 (* Outermost-first promotion: activate the OLDEST latent fork — the largest
    piece of deferred work, the recursive analogue of the loop runtime's
    outer-loop-first policy. *)
-let promote_oldest st =
-  let w = wid st in
+let promote_oldest ctx =
+  let w = Sim_backend.worker_id ctx.sb in
   let rec oldest_latent acc = function
     | [] -> acc
     | f :: rest -> oldest_latent (if f.promote <> None then Some f else acc) rest
   in
-  match oldest_latent None !(st.frames.(w)) with
-  | None -> false
+  match oldest_latent None !(ctx.frames.(w)) with
+  | None -> ()
   | Some frame ->
       let p = Option.get frame.promote in
       frame.promote <- None;
-      st.promoted_forks <- st.promoted_forks + 1;
-      Sim.Metrics.promotion_at_level st.metrics 0;
-      overhead st "promotion" (cm st).Sim.Cost_model.promotion_handler_cost;
-      p ();
-      true
+      Sim_backend.emit ctx.sb (Obs.Trace.Promotion { level = 0 });
+      Sim_backend.overhead ctx.sb "promotion"
+        ctx.sb.Sim_backend.cost.Sim.Cost_model.promotion_handler_cost;
+      p ()
 
 (* fork2: the heart of heartbeat scheduling for recursion. A fork is a
    promotion-ready point; the branches run sequentially unless a heartbeat
@@ -134,119 +63,93 @@ let forks_per_poll = 16
 
 let fork2 : 'a 'b. ctx -> (ctx -> 'a) -> (ctx -> 'b) -> 'a * 'b =
  fun ctx f g ->
-  let st = ctx.st in
-  let costs = cm st in
-  let w = wid st in
+  let sb = ctx.sb and sc = ctx.sc in
+  let w = Sim_backend.worker_id sb in
   (* Like the loop chunking transformation, the TSC poll is amortized over a
      fixed fork budget; the remaining forks only pay the guard branch. *)
-  overhead st "promotion-branch" costs.Sim.Cost_model.promotion_branch_cost;
-  st.fork_countdown.(w) <- st.fork_countdown.(w) - 1;
-  if st.fork_countdown.(w) <= 0 then begin
-    st.fork_countdown.(w) <- forks_per_poll;
-    let poll = Heartbeat.poll_cost st.hb ~worker:w in
-    if poll > 0 then overhead st "poll" poll;
-    st.metrics.Sim.Metrics.polls <- st.metrics.Sim.Metrics.polls + 1;
-    if Heartbeat.consume st.hb ~worker:w ~count_poll:false && st.cfg.Rt_config.promotion then
-      ignore (promote_oldest st)
+  Sim_backend.overhead sb "promotion-branch"
+    sb.Sim_backend.cost.Sim.Cost_model.promotion_branch_cost;
+  ctx.fork_countdown.(w) <- ctx.fork_countdown.(w) - 1;
+  if ctx.fork_countdown.(w) <= 0 then begin
+    ctx.fork_countdown.(w) <- forks_per_poll;
+    let hb = sb.Sim_backend.hb in
+    Sim_backend.overhead sb "poll" (Heartbeat.poll_cost hb ~worker:w);
+    if Heartbeat.consume hb ~worker:w ~count_poll:true && ctx.cfg.Rt_config.promotion then
+      promote_oldest ctx
   end;
   (* Register this fork as latent parallelism and run the first branch; a
      later heartbeat (possibly deep inside [f]) may promote our deferred
      second branch into a real task. *)
-  let cell = ref None in
-  let pending = ref 0 in
-  let owner = w in
+  let cell = ref None and join = ref None in
   let frame = { promote = None } in
   frame.promote <-
     Some
       (fun () ->
-        pending := 1;
-        push_task st
-          {
-            run =
-              (fun () ->
-                cell := Some (g ctx);
-                pending := 0;
-                if Sim.Engine.worker_id st.eng <> owner then begin
-                  st.metrics.Sim.Metrics.join_slow_paths <-
-                    st.metrics.Sim.Metrics.join_slow_paths + 1;
-                  overhead st "join" costs.Sim.Cost_model.join_slow_path_cost
-                end;
-                Sim.Engine.unpark st.eng owner);
-          });
-  st.frames.(w) := frame :: !(st.frames.(w));
+        let j = S.new_join sc in
+        S.add_pending j;
+        join := Some j;
+        S.push_task sc
+          (S.mk_task sc (fun () ->
+               with_fresh_frames ctx (fun () -> cell := Some (g ctx));
+               S.finish_join sc j)));
+  ctx.frames.(w) := frame :: !(ctx.frames.(w));
   let a = f ctx in
   (* Unregister: we are back at this fork's join point. *)
-  (st.frames.(w) :=
-     match !(st.frames.(w)) with
+  (ctx.frames.(w) :=
+     match !(ctx.frames.(w)) with
      | top :: rest when top == frame -> rest
      | other -> List.filter (fun fr -> fr != frame) other);
-  match frame.promote with
-  | Some _ ->
+  match !join with
+  | None ->
       (* Fast path: never promoted; run the second branch inline with zero
          synchronization. *)
-      frame.promote <- None;
-      st.sequential_forks <- st.sequential_forks + 1;
-      let b = g ctx in
-      (a, b)
-  | None ->
+      ctx.sequential_forks <- ctx.sequential_forks + 1;
+      (a, g ctx)
+  | Some j ->
       (* Slow path: the branch became a task; help until it completes. *)
-      while !pending > 0 do
-        match Sim.Deque.pop_bottom st.deques.(wid st) with
-        | Some t ->
-            overhead st "join" costs.Sim.Cost_model.deque_pop_cost;
-            with_fresh_frames st t.run
-        | None -> (
-            match try_steal st with
-            | Some t -> with_fresh_frames st t.run
-            | None -> if !pending > 0 then Sim.Engine.park st.eng)
-      done;
+      S.join_wait sc j;
       (a, Option.get !cell)
 
-let scavenge st w =
-  while not st.finished do
-    match Sim.Deque.pop_bottom st.deques.(w) with
-    | Some t -> run_task st t
-    | None -> (
-        match try_steal st with
-        | Some t -> run_task st t
-        | None -> if not st.finished then Sim.Engine.park st.eng)
-  done
-
 let run ?(cfg = Rt_config.default) main =
-  let eng = Sim.Engine.create ~seed:cfg.Rt_config.seed ~num_workers:cfg.Rt_config.workers () in
+  let workers = cfg.Rt_config.workers in
+  let eng = Sim.Engine.create ~seed:cfg.Rt_config.seed ~num_workers:workers () in
   let metrics = Sim.Metrics.create () in
-  let hb = Heartbeat.create cfg eng metrics in
-  let st =
+  let trace = Sim.Metrics.counting_sink metrics in
+  let inj = Sim.Fault_injector.inactive ~num_workers:workers in
+  let hb = Heartbeat.create ~injector:inj ~trace cfg eng metrics in
+  let sb =
+    Sim_backend.create ~eng ~cost:cfg.Rt_config.cost ~metrics ~trace ~capture:false ~inj ~hb
+      ~workers ~bug:None
+  in
+  let sc = S.create sb in
+  let ctx =
     {
       cfg;
-      eng;
-      hb;
-      metrics;
-      deques = Array.init cfg.Rt_config.workers (fun _ -> Sim.Deque.create ());
-      bus = Sim.Membus.create ~bytes_per_cycle:cfg.Rt_config.cost.Sim.Cost_model.dram_bytes_per_cycle;
-      last_pusher = 0;
-      fork_countdown = Array.make cfg.Rt_config.workers 0;
-      frames = Array.init cfg.Rt_config.workers (fun _ -> ref []);
-      finished = false;
-      promoted_forks = 0;
+      sb;
+      sc;
+      fork_countdown = Array.make workers 0;
+      frames = Array.init workers (fun _ -> ref []);
       sequential_forks = 0;
     }
   in
   Heartbeat.start hb;
   Sim.Engine.run eng (fun w ->
       if w = 0 then begin
+        (* The root counts as task depth, as the loop driver does, so tasks
+           run while joining never clear worker 0's busy flag. *)
+        (S.depth sc).(0) <- 1;
         Heartbeat.set_busy hb ~worker:0 true;
-        main { st };
+        main ctx;
+        (S.depth sc).(0) <- 0;
         Heartbeat.set_busy hb ~worker:0 false;
-        st.finished <- true;
+        S.set_finished sc;
         Heartbeat.stop hb;
         Sim.Engine.unpark_all eng
       end
-      else scavenge st w);
+      else S.scavenge sc);
   {
     makespan = Sim.Engine.max_time eng;
     work_cycles = metrics.Sim.Metrics.work_cycles;
     metrics;
-    promoted_forks = st.promoted_forks;
-    sequential_forks = st.sequential_forks;
+    sequential_forks = ctx.sequential_forks;
   }

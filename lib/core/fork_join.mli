@@ -8,8 +8,11 @@
     heartbeat interval of useful work, independent of the recursion's
     granularity.
 
-    Runs on the same simulated machine, scheduler, and heartbeat mechanisms
-    as the loop runtime. *)
+    Runs on the same simulated machine, heartbeat mechanisms and scheduler
+    as the loop runtime: promoted branches are tasks of the shared
+    work-stealing core ([Sched.Core.Make (Sim_backend)]), so deques, the
+    steal protocol, wakeups, join help and cost charging are the loop
+    interpreter's own. *)
 
 type ctx
 (** Execution context handed to the recursive computation. *)
@@ -25,13 +28,12 @@ val advance_bytes : ctx -> compute:int -> bytes:int -> unit
 type result = {
   makespan : int;
   work_cycles : int;
-  metrics : Sim.Metrics.t;
-  promoted_forks : int;
-  sequential_forks : int;
+  metrics : Sim.Metrics.t;  (** [promotions] counts the promoted forks *)
+  sequential_forks : int;  (** forks whose second branch ran inline *)
 }
 
 val run : ?cfg:Rt_config.t -> (ctx -> unit) -> result
 (** Execute a recursive computation under heartbeat scheduling; worker 0
-    runs the root, promotions feed the work-stealing pool. The config's
-    mechanism must be [Software_polling] (the default); forks poll at entry
-    like PRPPTs. *)
+    runs the root, promotions feed the work-stealing pool. Every fork is a
+    promotion-ready point; one in every 16 checks for a beat under the
+    config's mechanism (any of the three), like a PRPPT poll. *)

@@ -1,7 +1,9 @@
 (* The virtual-time simulator as a {!Sched.Backend_intf.BACKEND}: worker
    identity and time come from the engine, deques are [Sim.Deque], costs
    advance the engine clock with per-kind metrics attribution, and idling
-   is engine parking behind the fault-aware exponential backoff. The
+   is engine parking behind the fault-aware exponential backoff. Body
+   work and its memory traffic are charged here too, on the one shared
+   memory bus, for every simulator client of the core. The
    engine is single-fibered, so [critical] is a plain call and emission
    order is exactly the historical executor's — the functor instantiation
    is byte-identical to the pre-refactor code. *)
@@ -14,6 +16,7 @@ type t = {
   capture : bool;  (* the request's sink wants payload events *)
   inj : Sim.Fault_injector.t;
   hb : Heartbeat.t;
+  bus : Sim.Membus.t;  (* shared DRAM bandwidth; body traffic queues here *)
   deques : Sched.Task.t Sim.Deque.t array;
   steal_fails : int array;  (* consecutive dry steal rounds, drives backoff *)
   bug : Interp.seeded_bug option;  (* armed seeded scheduler bug (tests/fuzzer) *)
@@ -29,6 +32,7 @@ let create ~eng ~cost ~metrics ~trace ~capture ~inj ~hb ~workers ~bug =
     capture;
     inj;
     hb;
+    bus = Sim.Membus.create ~bytes_per_cycle:cost.Sim.Cost_model.dram_bytes_per_cycle;
     deques = Array.init workers (fun _ -> Sim.Deque.create ());
     steal_fails = Array.make workers 0;
     bug;
@@ -53,6 +57,22 @@ let overhead b kind c =
     Sim.Engine.advance b.eng c;
     Sim.Metrics.add_overhead b.metrics kind c
   end
+
+let add_work b c =
+  b.metrics.Sim.Metrics.work_cycles <- b.metrics.Sim.Metrics.work_cycles + c;
+  if c > 0 then Sim.Engine.advance b.eng c
+
+(* Work plus overheads in a single advance (hot path: one event per
+   batch). Memory traffic is booked on the shared bus; time past the
+   compute cost is a bandwidth stall. *)
+let advance_mixed b ~work ~bytes parts =
+  let m = b.metrics in
+  let compute = List.fold_left (fun acc (_, c) -> acc + c) work parts in
+  let total = Sim.Membus.serve b.bus ~now:(Sim.Engine.now b.eng) ~compute ~bytes in
+  if total > 0 then Sim.Engine.advance b.eng total;
+  m.Sim.Metrics.work_cycles <- m.Sim.Metrics.work_cycles + work;
+  List.iter (fun (k, c) -> if c > 0 then Sim.Metrics.add_overhead m k c) parts;
+  if total > compute then Sim.Metrics.add_overhead m "membus" (total - compute)
 
 let push b task = Sim.Deque.push_bottom b.deques.(worker_id b) task
 

@@ -4,9 +4,12 @@
     Worker identity and time come from {!Sim.Engine}; deques are
     {!Sim.Deque}; overhead charges advance the engine clock with per-kind
     metrics attribution; idling is engine parking behind the fault-aware
-    exponential backoff. The engine is single-fibered, so [critical] is a
-    plain call and [Sched.Core.Make (Sim_backend)] reproduces the
-    pre-functor executor byte for byte (pinned by golden tests). *)
+    exponential backoff. Body work and memory traffic are charged here
+    too ({!add_work}, {!advance_mixed}), so the loop interpreter and
+    {!Fork_join} share one memory bus and one charging path. The engine
+    is single-fibered, so [critical] is a plain call and
+    [Sched.Core.Make (Sim_backend)] reproduces the pre-functor executor
+    byte for byte (pinned by golden tests). *)
 
 type t = {
   eng : Sim.Engine.t;
@@ -16,6 +19,7 @@ type t = {
   capture : bool;  (** the request's sink wants payload events *)
   inj : Sim.Fault_injector.t;
   hb : Heartbeat.t;
+  bus : Sim.Membus.t;  (** shared DRAM bandwidth, sized from [cost] *)
   deques : Sched.Task.t Sim.Deque.t array;
   steal_fails : int array;
   bug : Interp.seeded_bug option;
@@ -89,3 +93,11 @@ val charge_join_slow : t -> unit
 val overhead : t -> string -> int -> unit
 (** Charge overhead cycles: one engine advance, per-kind attribution
     (shared with the executor's interpreter hooks). *)
+
+val add_work : t -> int -> unit
+(** Charge cycles of body work: one engine advance, counted as work. *)
+
+val advance_mixed : t -> work:int -> bytes:int -> (string * int) list -> unit
+(** Body work plus per-kind overhead [parts] in a single engine advance,
+    with [bytes] of memory traffic served by the shared bus; time past the
+    compute cost is attributed to ["membus"]. *)
