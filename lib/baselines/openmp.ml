@@ -1,5 +1,3 @@
-exception Did_not_finish
-
 type schedule = Static | Dynamic of int | Guided of int
 
 type nested_mode = Outermost_only | All_doall
@@ -286,42 +284,20 @@ let run_program ?(request = Hbc_core.Run_request.default) cfg (prog : _ Ir.Progr
       last_seen = Array.make cfg.workers 0;
     }
   in
-  (match request.Hbc_core.Run_request.max_cycles with
-  | Some cap -> Sim.Engine.schedule_at eng ~time:cap (fun () -> raise Did_not_finish)
-  | None -> ());
-  (match request.Hbc_core.Run_request.cycle_budget with
-  | Some b -> Sim.Engine.set_budget eng b
-  | None -> ());
-  (match request.Hbc_core.Run_request.guard with
-  | Some g -> Sim.Engine.set_guard eng g
-  | None -> ());
-  let termination = ref Sim.Run_result.Finished in
-  (try
-     Sim.Engine.run eng (fun w ->
-         if w = 0 then begin
-           let cpu =
-             {
-               Ir.Program.exec = (fun nest -> exec_nest st prog env nest);
-               advance = (fun c -> add_work st c);
-             }
-           in
-           prog.Ir.Program.driver env cpu;
-           st.finished <- true;
-           Sim.Engine.unpark_all eng
-         end
-         else omp_worker st w)
-   with
-  | Did_not_finish -> termination := Sim.Run_result.Dnf
-  | Sim.Engine.Budget_exceeded { budget; time } ->
-      termination := Sim.Run_result.Budget_exceeded { budget; at = time }
-  | Sim.Engine.Guard_stop reason -> termination := Sim.Run_result.Guard_aborted reason);
-  {
-    Sim.Run_result.makespan = Sim.Engine.max_time eng;
-    work_cycles = metrics.Sim.Metrics.work_cycles;
-    fingerprint = prog.Ir.Program.fingerprint env;
-    dnf = (!termination = Sim.Run_result.Dnf);
-    termination = !termination;
-    metrics;
-    trace = Obs.Trace.Sink.captured request.Hbc_core.Run_request.trace;
-    sanitizer = None;
-  }
+  Hbc_core.Sim_backend.supervise eng metrics request
+    ~fingerprint:(fun () -> prog.Ir.Program.fingerprint env)
+    (fun () ->
+      Sim.Engine.run eng (fun w ->
+          if w = 0 then begin
+            let cpu =
+              {
+                Ir.Program.exec = (fun nest -> exec_nest st prog env nest);
+                advance = (fun c -> add_work st c);
+              }
+            in
+            prog.Ir.Program.driver env cpu;
+            st.finished <- true;
+            Sim.Engine.unpark_all eng
+          end
+          else omp_worker st w);
+      Sim.Run_result.Finished)

@@ -45,10 +45,13 @@ val guided : ?min_chunk:int -> ?workers:int -> unit -> config
 
 val run_program :
   ?request:Hbc_core.Run_request.t -> config -> 'e Ir.Program.t -> Sim.Run_result.t
-(** The request's fault plan is ignored — fault injection models heartbeat
-    machinery the OpenMP runtime does not have. Tracing records each
-    worker's parallel-region intervals ("omp-region"); the fine-grained
-    scheduler events have no OpenMP analogue. *)
+(** The request's caps ([max_cycles], [deadline], [cycle_budget], [guard])
+    apply exactly as for the heartbeat executor: both run inside
+    {!Hbc_core.Sim_backend.supervise}. Tracing records each worker's
+    parallel-region intervals ("omp-region"); the fine-grained scheduler
+    events have no OpenMP analogue. The fault plan, [promotion_budget] and
+    pause/resume are ignored: they model heartbeat machinery the OpenMP
+    runtime does not have. *)
 
 val signature : config -> string
 (** Hex content hash of the result-affecting fields (seed included), used by

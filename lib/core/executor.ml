@@ -1,5 +1,3 @@
-exception Did_not_finish
-
 exception Internal_error = Interp.Internal_error
 
 type seeded_bug = Interp.seeded_bug =
@@ -74,26 +72,9 @@ let run_program ?(request = Run_request.default) (cfg : Rt_config.t)
     (compiled : 'e Pipeline.program) : Sim.Run_result.t =
   let program = compiled.Pipeline.source in
   let env = program.Ir.Program.make_env () in
-  let eng = Sim.Engine.create ~seed:cfg.Rt_config.seed ~num_workers:cfg.Rt_config.workers () in
-  let metrics = Sim.Metrics.create () in
   let gate, observer = Interp.gated_observer request in
-  (* Every runtime event flows through one tee: the counting sink keeps
-     the scalar counters; the request's sink is whatever the caller wants
-     to observe (usually null). *)
-  let trace = Obs.Trace.Sink.tee (Sim.Metrics.counting_sink metrics) observer in
-  let inj =
-    Sim.Fault_injector.create
-      (Option.value request.Run_request.fault_plan ~default:Sim.Fault_plan.none)
-      ~num_workers:cfg.Rt_config.workers ~trace
-      ~now:(fun () -> Sim.Engine.now eng)
-      ()
-  in
-  let hb = Heartbeat.create ~injector:inj ~trace cfg eng metrics in
-  let capture = Obs.Trace.Sink.enabled request.Run_request.trace in
-  let sb =
-    Sim_backend.create ~eng ~cost:cfg.Rt_config.cost ~metrics ~trace ~capture ~inj ~hb
-      ~workers:cfg.Rt_config.workers ~bug:!Interp.seeded_bug
-  in
+  let sb = Sim_backend.create cfg request ~observer ~bug:!Interp.seeded_bug in
+  let eng = sb.Sim_backend.eng and hb = sb.Sim_backend.hb in
   let h =
     {
       Hooks.sb;
@@ -110,44 +91,19 @@ let run_program ?(request = Run_request.default) (cfg : Rt_config.t)
         (S.depth sc).(w)
         (if Heartbeat.is_downgraded hb ~worker:w then " downgraded" else ""));
   Heartbeat.start hb;
-  (* A per-job deadline is a second DNF-style cap: whichever of the two
-     fires first preempts the run, and the server maps a deadline-armed
-     DNF to its structured Deadline_exceeded outcome. *)
-  (match (request.Run_request.max_cycles, request.Run_request.deadline) with
-  | None, None -> ()
-  | caps ->
-      let cap =
-        match caps with
-        | Some a, Some b -> Stdlib.min a b
-        | Some a, None | None, Some a -> a
-        | None, None -> assert false
-      in
-      Sim.Engine.schedule_at eng ~time:cap (fun () -> raise Did_not_finish));
-  (match request.Run_request.cycle_budget with
-  | Some budget -> Sim.Engine.set_budget eng budget
-  | None -> ());
-  (match request.Run_request.guard with
-  | Some guard -> Sim.Engine.set_guard eng guard
-  | None -> ());
-  let termination = ref Sim.Run_result.Finished in
   let main w =
     if w = 0 then begin
-      (* The driver itself counts as task depth so inline tasks do not
-         clear worker 0's busy flag when they finish. *)
-      (S.depth sc).(0) <- 1;
-      Heartbeat.set_busy hb ~worker:0 true;
-      let cpu =
-        {
-          Ir.Program.exec = (fun nest -> I.exec_nest st compiled env nest);
-          advance = (fun cyc -> Hooks.add_work h ~worker:0 cyc);
-        }
-      in
-      let t0 = Sim.Engine.now eng in
-      program.Ir.Program.driver env cpu;
-      if capture && Sim.Engine.now eng > t0 then
-        Hooks.emit h (Obs.Trace.Interval { t0; kind = "driver" });
-      (S.depth sc).(0) <- 0;
-      Heartbeat.set_busy hb ~worker:0 false;
+      S.root sc (fun () ->
+          let cpu =
+            {
+              Ir.Program.exec = (fun nest -> I.exec_nest st compiled env nest);
+              advance = (fun cyc -> Hooks.add_work h ~worker:0 cyc);
+            }
+          in
+          let t0 = Sim.Engine.now eng in
+          program.Ir.Program.driver env cpu;
+          if sb.Sim_backend.capture && Sim.Engine.now eng > t0 then
+            Hooks.emit h (Obs.Trace.Interval { t0; kind = "driver" }));
       S.set_finished sc;
       Heartbeat.stop hb;
       Sim.Engine.unpark_all eng
@@ -157,7 +113,7 @@ let run_program ?(request = Run_request.default) (cfg : Rt_config.t)
   let machine () =
     {
       Interp.rng_state = Sim.Sim_rng.state (Sim.Engine.rng eng);
-      work_cycles = metrics.Sim.Metrics.work_cycles;
+      work_cycles = sb.Sim_backend.metrics.Sim.Metrics.work_cycles;
       clocks = Array.init cfg.Rt_config.workers (fun w -> Sim.Engine.clock_of eng w);
       deques =
         Array.map
@@ -165,75 +121,64 @@ let run_program ?(request = Run_request.default) (cfg : Rt_config.t)
           sb.Sim_backend.deques;
     }
   in
+  let termination = ref Sim.Run_result.Finished in
   let pause_if_stopped ~applied =
     if Sim.Engine.paused eng then
       let at_cycle = Option.get request.Run_request.pause_at in
       termination := Sim.Run_result.Paused (I.paused st (machine ()) request ~applied ~at_cycle)
   in
-  (try
-     match request.Run_request.resume_from with
-     | None ->
-         (match request.Run_request.pause_at with
-         | Some p -> Sim.Engine.set_pause_at eng p
-         | None -> ());
-         Sim.Engine.run eng main;
-         pause_if_stopped ~applied:(-1)
-     | Some ck ->
-         (* Effect fibers cannot be serialized, so resume replays the run
-            from cycle 0 — determinism makes the replay byte-exact — and
-            proves the re-derived boundary state matches the checkpoint
-            before continuing past it. *)
-         let ok = ref true in
-         let diverged reason =
-           ok := false;
-           termination := Sim.Run_result.Guard_aborted ("resume-divergence: " ^ reason)
-         in
-         let started = ref false in
-         let run_to cycle =
-           Sim.Engine.set_pause_at eng cycle;
-           if !started then Sim.Engine.continue_run eng
-           else begin
-             started := true;
-             Sim.Engine.run eng main
-           end;
-           if not (Sim.Engine.paused eng) then
-             diverged (Printf.sprintf "run finished before the boundary at cycle %d" cycle)
-         in
-         (* Re-apply the grant history so metered promotion decisions replay
-            exactly as in the original episodes. *)
-         List.iter
-           (fun (cycle, grant) ->
-             if !ok then begin
-               run_to cycle;
-               if !ok && grant >= 0 then I.set_promo_left st grant
-             end)
-           ck.Sim.Checkpoint_state.regrants;
-         if !ok then run_to ck.Sim.Checkpoint_state.at_cycle;
-         if !ok then
-           match I.resume_mismatch st (machine ()) ck with
-           | Some reason -> diverged reason
-           | None ->
-               (* The replay reproduced the paused state exactly: open the
-                  gate, apply this episode's grant and run for real. *)
-               gate := true;
-               let applied = I.apply_grant st request in
-               (match request.Run_request.pause_at with
-               | Some p when p > ck.Sim.Checkpoint_state.at_cycle -> Sim.Engine.set_pause_at eng p
-               | Some _ | None -> Sim.Engine.clear_pause eng);
-               Sim.Engine.continue_run eng;
-               pause_if_stopped ~applied
-   with
-  | Did_not_finish -> termination := Sim.Run_result.Dnf
-  | Sim.Engine.Budget_exceeded { budget; time } ->
-      termination := Sim.Run_result.Budget_exceeded { budget; at = time }
-  | Sim.Engine.Guard_stop reason -> termination := Sim.Run_result.Guard_aborted reason);
-  {
-    Sim.Run_result.makespan = Sim.Engine.max_time eng;
-    metrics;
-    fingerprint = program.Ir.Program.fingerprint env;
-    work_cycles = metrics.Sim.Metrics.work_cycles;
-    dnf = (!termination = Sim.Run_result.Dnf);
-    termination = !termination;
-    trace = Obs.Trace.Sink.captured request.Run_request.trace;
-    sanitizer = None;
-  }
+  Sim_backend.supervise eng sb.Sim_backend.metrics request
+    ~fingerprint:(fun () -> program.Ir.Program.fingerprint env)
+    (fun () ->
+      (match request.Run_request.resume_from with
+      | None ->
+          (match request.Run_request.pause_at with
+          | Some p -> Sim.Engine.set_pause_at eng p
+          | None -> ());
+          Sim.Engine.run eng main;
+          pause_if_stopped ~applied:(-1)
+      | Some ck ->
+          (* Effect fibers cannot be serialized, so resume replays the run
+             from cycle 0 — determinism makes the replay byte-exact — and
+             proves the re-derived boundary state matches the checkpoint
+             before continuing past it. *)
+          let ok = ref true in
+          let diverged reason =
+            ok := false;
+            termination := Sim.Run_result.Guard_aborted ("resume-divergence: " ^ reason)
+          in
+          let started = ref false in
+          let run_to cycle =
+            Sim.Engine.set_pause_at eng cycle;
+            if !started then Sim.Engine.continue_run eng
+            else begin
+              started := true;
+              Sim.Engine.run eng main
+            end;
+            if not (Sim.Engine.paused eng) then
+              diverged (Printf.sprintf "run finished before the boundary at cycle %d" cycle)
+          in
+          (* Re-apply the grant history so metered promotion decisions replay
+             exactly as in the original episodes. *)
+          List.iter
+            (fun (cycle, grant) ->
+              if !ok then begin
+                run_to cycle;
+                if !ok && grant >= 0 then I.set_promo_left st grant
+              end)
+            ck.Sim.Checkpoint_state.regrants;
+          if !ok then run_to ck.Sim.Checkpoint_state.at_cycle;
+          if !ok then
+            match I.resume_mismatch st (machine ()) ck with
+            | Some reason -> diverged reason
+            | None ->
+                (* The replay reproduced the paused state exactly: open the
+                   gate, apply this episode's grant and run for real. *)
+                gate := true;
+                let applied = I.apply_grant st request in
+                (match request.Run_request.pause_at with
+                | Some p when p > ck.Sim.Checkpoint_state.at_cycle -> Sim.Engine.set_pause_at eng p
+                | Some _ | None -> Sim.Engine.clear_pause eng);
+                Sim.Engine.continue_run eng;
+                pause_if_stopped ~applied);
+      !termination)

@@ -19,10 +19,6 @@
     this module supplies its virtual-time hooks (cost-model charging,
     heartbeat mechanisms, shared-bus traffic) and the driver. *)
 
-exception Did_not_finish
-(** Raised internally when the run exceeds [max_cycles]; reported as
-    [dnf = true] in the result. *)
-
 exception Internal_error of string
 (** Alias of {!Interp.Internal_error}: a runtime invariant broke (a bug,
     not a user error). *)

@@ -112,15 +112,7 @@ let fork2 : 'a 'b. ctx -> (ctx -> 'a) -> (ctx -> 'b) -> 'a * 'b =
 
 let run ?(cfg = Rt_config.default) main =
   let workers = cfg.Rt_config.workers in
-  let eng = Sim.Engine.create ~seed:cfg.Rt_config.seed ~num_workers:workers () in
-  let metrics = Sim.Metrics.create () in
-  let trace = Sim.Metrics.counting_sink metrics in
-  let inj = Sim.Fault_injector.inactive ~num_workers:workers in
-  let hb = Heartbeat.create ~injector:inj ~trace cfg eng metrics in
-  let sb =
-    Sim_backend.create ~eng ~cost:cfg.Rt_config.cost ~metrics ~trace ~capture:false ~inj ~hb
-      ~workers ~bug:None
-  in
+  let sb = Sim_backend.create cfg Run_request.default ~observer:Obs.Trace.Sink.null ~bug:None in
   let sc = S.create sb in
   let ctx =
     {
@@ -132,16 +124,11 @@ let run ?(cfg = Rt_config.default) main =
       sequential_forks = 0;
     }
   in
+  let eng = sb.Sim_backend.eng and hb = sb.Sim_backend.hb and metrics = sb.Sim_backend.metrics in
   Heartbeat.start hb;
   Sim.Engine.run eng (fun w ->
       if w = 0 then begin
-        (* The root counts as task depth, as the loop driver does, so tasks
-           run while joining never clear worker 0's busy flag. *)
-        (S.depth sc).(0) <- 1;
-        Heartbeat.set_busy hb ~worker:0 true;
-        main ctx;
-        (S.depth sc).(0) <- 0;
-        Heartbeat.set_busy hb ~worker:0 false;
+        S.root sc (fun () -> main ctx);
         S.set_finished sc;
         Heartbeat.stop hb;
         Sim.Engine.unpark_all eng

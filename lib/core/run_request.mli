@@ -6,7 +6,14 @@
     the trace sink events are recorded into. Every executor front end
     ({!Executor}, [Baselines.Openmp], [Baselines.Serial_exec]) takes the
     same record through one labelled constructor, so the harness and tests
-    no longer thread parallel optional arguments. *)
+    no longer thread parallel optional arguments.
+
+    Which front end honours which field: {!Executor} honours all of them.
+    [Baselines.Openmp] shares its cap envelope ({!Sim_backend.supervise}:
+    [max_cycles], [deadline], [cycle_budget], [guard]) and its [trace],
+    but ignores [fault_plan], [promotion_budget] and pause/resume.
+    [Baselines.Serial_exec] ignores the request. The domains runner
+    ignores the virtual-cycle caps. *)
 
 type t = {
   backend : Sched.Policy.backend_kind;

@@ -6,7 +6,8 @@
    memory bus, for every simulator client of the core. The
    engine is single-fibered, so [critical] is a plain call and emission
    order is exactly the historical executor's — the functor instantiation
-   is byte-identical to the pre-refactor code. *)
+   is byte-identical to the pre-refactor code. [create] and [supervise]
+   are the one envelope every simulated run is built and capped by. *)
 
 type t = {
   eng : Sim.Engine.t;
@@ -23,20 +24,62 @@ type t = {
   mutable bug_fired : bool;  (* [Lose_stolen_task] fires at most once per run *)
 }
 
-let create ~eng ~cost ~metrics ~trace ~capture ~inj ~hb ~workers ~bug =
+let create (cfg : Rt_config.t) (request : Run_request.t) ~observer ~bug =
+  let workers = cfg.Rt_config.workers and cost = cfg.Rt_config.cost in
+  let eng = Sim.Engine.create ~seed:cfg.Rt_config.seed ~num_workers:workers () in
+  let metrics = Sim.Metrics.create () in
+  let trace = Obs.Trace.Sink.tee (Sim.Metrics.counting_sink metrics) observer in
+  let inj =
+    Sim.Fault_injector.create
+      (Option.value request.Run_request.fault_plan ~default:Sim.Fault_plan.none)
+      ~num_workers:workers ~trace
+      ~now:(fun () -> Sim.Engine.now eng)
+      ()
+  in
   {
     eng;
     cost;
     metrics;
     trace;
-    capture;
+    capture = Obs.Trace.Sink.enabled request.Run_request.trace;
     inj;
-    hb;
+    hb = Heartbeat.create ~injector:inj ~trace cfg eng metrics;
     bus = Sim.Membus.create ~bytes_per_cycle:cost.Sim.Cost_model.dram_bytes_per_cycle;
     deques = Array.init workers (fun _ -> Sim.Deque.create ());
     steal_fails = Array.make workers 0;
     bug;
     bug_fired = false;
+  }
+
+exception Did_not_finish
+
+(* The request's caps around one run. A per-job deadline is a second
+   DNF-style cap: whichever of the two fires first preempts the run, and
+   the server maps a deadline-armed DNF to its Deadline_exceeded outcome. *)
+let supervise eng metrics (request : Run_request.t) ~fingerprint body =
+  (match (request.Run_request.max_cycles, request.Run_request.deadline) with
+  | Some a, Some b -> Some (Stdlib.min a b)
+  | cap, None | None, cap -> cap)
+  |> Option.iter (fun time -> Sim.Engine.schedule_at eng ~time (fun () -> raise Did_not_finish));
+  Option.iter (Sim.Engine.set_budget eng) request.Run_request.cycle_budget;
+  Option.iter (fun guard -> Sim.Engine.set_guard eng guard) request.Run_request.guard;
+  let termination =
+    match body () with
+    | termination -> termination
+    | exception Did_not_finish -> Sim.Run_result.Dnf
+    | exception Sim.Engine.Budget_exceeded { budget; time } ->
+        Sim.Run_result.Budget_exceeded { budget; at = time }
+    | exception Sim.Engine.Guard_stop reason -> Sim.Run_result.Guard_aborted reason
+  in
+  {
+    Sim.Run_result.makespan = Sim.Engine.max_time eng;
+    metrics;
+    fingerprint = fingerprint ();
+    work_cycles = metrics.Sim.Metrics.work_cycles;
+    dnf = termination = Sim.Run_result.Dnf;
+    termination;
+    trace = Obs.Trace.Sink.captured request.Run_request.trace;
+    sanitizer = None;
   }
 
 let num_workers b = Array.length b.deques

@@ -9,7 +9,8 @@
     {!Fork_join} share one memory bus and one charging path. The engine
     is single-fibered, so [critical] is a plain call and
     [Sched.Core.Make (Sim_backend)] reproduces the pre-functor executor
-    byte for byte (pinned by golden tests). *)
+    byte for byte (pinned by golden tests). {!create} and {!supervise}
+    are the one envelope every simulated run is built and capped by. *)
 
 type t = {
   eng : Sim.Engine.t;
@@ -29,16 +30,24 @@ type t = {
 }
 
 val create :
-  eng:Sim.Engine.t ->
-  cost:Sim.Cost_model.t ->
-  metrics:Sim.Metrics.t ->
-  trace:Obs.Trace.Sink.t ->
-  capture:bool ->
-  inj:Sim.Fault_injector.t ->
-  hb:Heartbeat.t ->
-  workers:int ->
-  bug:Interp.seeded_bug option ->
-  t
+  Rt_config.t -> Run_request.t -> observer:Obs.Trace.Sink.t -> bug:Interp.seeded_bug option -> t
+(** The machine for one run of [cfg]: engine, metrics, the counting sink
+    teed with [observer] (the request's sink, gated on resume), the
+    request's fault injector and the heartbeat. [capture] follows the
+    request's own sink. *)
+
+val supervise :
+  Sim.Engine.t ->
+  Sim.Metrics.t ->
+  Run_request.t ->
+  fingerprint:(unit -> float) ->
+  (unit -> Sim.Run_result.termination) ->
+  Sim.Run_result.t
+(** [supervise eng metrics request ~fingerprint body] arms the request's
+    DNF cap (the earlier of [max_cycles] and [deadline]), [cycle_budget]
+    and [guard] on [eng], then runs [body], which drives the engine and
+    says how the run ended. A fired cap ends it as [Dnf], the budget as
+    [Budget_exceeded], the guard as [Guard_aborted]. *)
 
 (** {2 BACKEND implementation} *)
 

@@ -385,11 +385,7 @@ let run_program ?(request = Run_request.default) ?(beat = Wall_us 100.0) (cfg : 
          List.iter Domain.join domains;
          Domains_backend.stop_monitor b)
        (fun () ->
-         (* The driver itself counts as task depth so inline tasks do not
-            clear worker 0's busy flag when they finish; busy is what the
-            rung-2 watchdog samples. *)
-         (C.depth core).(0) <- 1;
-         Domains_backend.set_busy b ~worker:0 ~busy:true;
+         C.root core @@ fun () ->
          (* Driver intervals cover only the serial segments between nests —
             while a nest runs, worker 0 records its own task intervals, and
             one interval spanning the whole run would overlap them. *)
@@ -409,9 +405,7 @@ let run_program ?(request = Run_request.default) ?(beat = Wall_us 100.0) (cfg : 
            }
          in
          program.Ir.Program.driver env cpu;
-         driver_segment_ends ();
-         (C.depth core).(0) <- 0;
-         Domains_backend.set_busy b ~worker:0 ~busy:false)
+         driver_segment_ends ())
    with
   | Pause_now ->
       (* The unwind skipped the live-registry pops and mutated nothing the

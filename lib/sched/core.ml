@@ -37,6 +37,15 @@ module Make (B : Backend_intf.BACKEND) = struct
 
   let depth t = t.depth
 
+  (* The driver counts as task depth, so tasks it runs inline (or while
+     joining) never clear worker 0's busy flag when they finish. *)
+  let root t f =
+    t.depth.(0) <- 1;
+    B.set_busy t.b ~worker:0 ~busy:true;
+    f ();
+    t.depth.(0) <- 0;
+    B.set_busy t.b ~worker:0 ~busy:false
+
   let finished t = Atomic.get t.finished
 
   let set_finished t = Atomic.set t.finished true

@@ -21,8 +21,13 @@ module Make (B : Backend_intf.BACKEND) : sig
   val backend : t -> B.t
 
   val depth : t -> int array
-  (** Per-worker task-nesting depth; drivers may claim depth directly so
-      inline tasks do not clear the busy flag (see the executor's main). *)
+  (** Per-worker task-nesting depth, for diagnostics. Only the core writes
+      it: {!run_task} per task and {!root} for the driver. *)
+
+  val root : t -> (unit -> unit) -> unit
+  (** [root core f] runs the driver [f] on worker 0 at task depth 1 with
+      its busy flag set, so tasks [f] runs inline or while joining never
+      clear the flag; both are cleared when [f] returns. *)
 
   val finished : t -> bool
 

@@ -319,6 +319,28 @@ let deadline_cuts_only_its_job () =
       end)
     r.Serve.Server.reports
 
+(* The OpenMP service runs inside the same simulated-run envelope as the
+   heartbeat service, so a deadline shorter than any job cuts every job. *)
+let omp_service_honours_deadlines () =
+  let tenants =
+    [| { tenant with Serve.Server.jobs = 4; scale = 0.01; deadline = Some (2_000, 2_000) } |]
+  in
+  let r =
+    run (fun c ->
+        {
+          c with
+          Serve.Server.tenants = tenants;
+          service = Serve.Server.Omp (Baselines.Openmp.dynamic ());
+        })
+  in
+  check Alcotest.int "four jobs" 4 (List.length r.Serve.Server.reports);
+  List.iter
+    (fun (_, o) ->
+      if o <> Serve.Server.Deadline_exceeded then
+        Alcotest.failf "omp job should deadline, got %s" (Serve.Server.outcome_name o))
+    (outcomes r);
+  check Alcotest.int "no violations" 0 (List.length r.Serve.Server.violations)
+
 (* Satellite regression: one job's cycle budget cannot kill a co-scheduled
    job — budgets are per-job engine watchdogs, not pool-global state. *)
 let budget_exhaustion_is_isolated () =
@@ -600,6 +622,7 @@ let suite =
     Alcotest.test_case "simultaneous arrivals ordered" `Quick simultaneous_arrivals_are_ordered;
     Alcotest.test_case "equal seeds byte-identical" `Quick equal_seeds_byte_identical;
     Alcotest.test_case "deadline cuts only its job" `Quick deadline_cuts_only_its_job;
+    Alcotest.test_case "omp service honours deadlines" `Quick omp_service_honours_deadlines;
     Alcotest.test_case "budget exhaustion isolated" `Quick budget_exhaustion_is_isolated;
     Alcotest.test_case "faulty tenant quarantined" `Quick faulty_tenant_trips_breaker;
     Alcotest.test_case "promotions never exceed grant" `Quick promotions_never_exceed_grant;
