@@ -5,10 +5,7 @@
     runtime overhead, perfect balance by construction); irregular programs
     run under the heartbeat runtime. The regularity classification comes
     from the program metadata — the same attribute the paper's Table 1
-    assigns per benchmark. *)
-
-val run_program :
-  ?hbc:Hbc_core.Rt_config.t -> ?omp:Openmp.config -> 'e Ir.Program.t -> Sim.Run_result.t
+    assigns per benchmark. [Sched_run]'s [Hybrid] engine runs the choice. *)
 
 val chosen : 'e Ir.Program.t -> [ `Heartbeat | `Static ]
-(** Which engine {!run_program} will pick. *)
+(** Which engine the hybrid picks for a program. *)

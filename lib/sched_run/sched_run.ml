@@ -21,7 +21,7 @@ let heartbeat ~request ~backend ?beat cfg program =
   | Sched.Policy.Sim -> Hbc_core.Executor.run_program ~request cfg compiled
   | Sched.Policy.Domains -> Hb_parallel.Native_run.run_program ~request ?beat cfg compiled
 
-let run ?(request = Hbc_core.Run_request.default) ?backend ?beat engine
+let rec run ?(request = Hbc_core.Run_request.default) ?backend ?beat engine
     (program : 'e Ir.Program.t) : Sim.Run_result.t =
   let backend = Option.value backend ~default:request.Hbc_core.Run_request.backend in
   (* The request carries the backend it actually ran on — journal keys and
@@ -35,7 +35,12 @@ let run ?(request = Hbc_core.Run_request.default) ?backend ?beat engine
       (* The sequential reference has no scheduler; it is backend-neutral. *)
       Baselines.Serial_exec.run_program ~request program
   | Sched.Policy.Sim, Hybrid { hbc; omp } ->
-      Baselines.Hybrid.run_program ~hbc ~omp program
+      let engine =
+        match Baselines.Hybrid.chosen program with
+        | `Static -> Openmp { omp with Baselines.Openmp.schedule = Baselines.Openmp.Static }
+        | `Heartbeat -> Hbc hbc
+      in
+      run ~request ~backend ?beat engine program
   | Sched.Policy.Domains, (Openmp _ | Hybrid _) ->
       invalid_arg
         "Sched_run.run: the OpenMP-model baselines are virtual-time simulations; run them on the \

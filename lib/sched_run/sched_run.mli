@@ -19,7 +19,10 @@ type engine =
   | Openmp of Baselines.Openmp.config  (** OpenMP-model baseline (sim only) *)
   | Serial  (** sequential reference; backend-neutral *)
   | Hybrid of { hbc : Hbc_core.Rt_config.t; omp : Baselines.Openmp.config }
-      (** regularity-dispatched heartbeat/static hybrid (sim only) *)
+      (** the Sec. 6.8 hybrid (sim only): regular programs run as
+          [Openmp] with [omp] under a static schedule, irregular ones as
+          [Hbc hbc] ({!Baselines.Hybrid.chosen}); either way under the
+          request *)
 
 val hbc : engine
 (** [Hbc Rt_config.hbc] — the paper's configuration. *)

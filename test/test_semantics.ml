@@ -276,8 +276,23 @@ let hybrid_picks_and_matches () =
   check_bool "regular -> static" true (Baselines.Hybrid.chosen regular = `Static);
   check_bool "irregular -> heartbeat" true (Baselines.Hybrid.chosen irregular = `Heartbeat);
   let seq = run_seq irregular in
-  let h = Baselines.Hybrid.run_program irregular in
+  let h = Sched_run.run Sched_run.hybrid irregular in
   check_bool "hybrid output valid" true (Sim.Run_result.fingerprints_close seq h)
+
+(* Both of the hybrid's arms run under the caller's request: a DNF cap far
+   below either program's makespan cuts the static and the heartbeat run. *)
+let hybrid_honours_request () =
+  let request = Hbc_core.Run_request.make ~max_cycles:1_000 () in
+  List.iter
+    (fun (label, Ir.Program.Any p) ->
+      let r = Sched_run.run ~request Sched_run.hybrid p in
+      Alcotest.(check string)
+        (label ^ " capped") "dnf"
+        (Sim.Run_result.termination_to_string r.Sim.Run_result.termination))
+    [
+      ("kmeans", Ir.Program.Any (Workloads.Kmeans.program ~scale));
+      ("spmv-powerlaw", Ir.Program.Any (Workloads.Spmv.powerlaw ~scale));
+    ]
 
 let suite =
   [
@@ -293,4 +308,5 @@ let suite =
     Alcotest.test_case "plus-reduce exact sum" `Quick plus_reduce_exact;
     Alcotest.test_case "mandelbrot pixels bit-identical" `Quick mandelbrot_pixels_match;
     Alcotest.test_case "hybrid scheduler picks and validates" `Quick hybrid_picks_and_matches;
+    Alcotest.test_case "hybrid honours the run request" `Quick hybrid_honours_request;
   ]
