@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Repo health check: build, full test suite, the recursive fork-join
-# example (checked against its references), a tiny-scale smoke run of the
-# fault-injection sweep (exits non-zero on any output-validation failure),
-# a perf-gate report + bench-diff smoke, and (unless skipped) a
-# kill-and-resume exercise of the campaign journal.
+# Repo health check: build, full test suite, the dune-file format gate, the
+# recursive fork-join example (checked against its references), a
+# tiny-scale smoke run of the fault-injection sweep (exits non-zero on any
+# output-validation failure), a perf-gate report + bench-diff smoke, and
+# (unless skipped) a kill-and-resume exercise of the campaign journal.
 #
 # Environment knobs:
 #   TMPDIR                  scratch directory (default /tmp)
@@ -16,6 +16,14 @@ TMP="${TMPDIR:-/tmp}"
 
 dune build
 dune runtest
+
+# --- dune-file format gate: the dune half of CI's `dune build @fmt`, which
+# needs no ocamlformat ---
+for f in $(git ls-files -- dune '*/dune'); do
+    dune format-dune-file "$f" | cmp -s - "$f" \
+        || { echo "check.sh: $f is not formatted (dune format-dune-file)" >&2; exit 1; }
+done
+echo "check.sh: dune files formatted"
 
 # --- fork-join example: exits non-zero when fib or max-subarray differs
 # from its sequential reference ---
