@@ -121,6 +121,28 @@ let chaos_deterministic_single_worker () =
   in
   check_bool "chaos run replays byte-for-byte at P=1" true (go () = go ())
 
+(* The same run against constants: pins the order of chaos draws, stall
+   windows and watchdog downgrades at beat boundaries, and where their
+   events land in the linearized trace. *)
+let chaos_golden_row () =
+  let request =
+    Hbc_core.Run_request.make ~fault_plan:heavy_plan ~trace:(Obs.Trace.Sink.stream ()) ()
+  in
+  let r = run_native ~request 1 in
+  let m = r.Sim.Run_result.metrics in
+  Alcotest.(check string)
+    "chaos row (P=1, Every_polls 16)"
+    "fingerprint=0x1.3c31a27627628p+18 work=23545 promotions=8 drops=5 steals_failed=0 stalls=1 \
+     stall_polls=18 wakeups=0 downgrades=1 trace=998d215b4ce46db0ea4be9eee6607adb"
+    (Printf.sprintf
+       "fingerprint=%h work=%d promotions=%d drops=%d steals_failed=%d stalls=%d stall_polls=%d \
+        wakeups=%d downgrades=%d trace=%s"
+       r.Sim.Run_result.fingerprint
+       r.Sim.Run_result.work_cycles m.Sim.Metrics.promotions m.Sim.Metrics.faults_beats_dropped
+       m.Sim.Metrics.faults_steals_failed m.Sim.Metrics.faults_stalls
+       m.Sim.Metrics.faults_stall_cycles m.Sim.Metrics.faults_wakeups_delayed
+       m.Sim.Metrics.downgrades (Test_sched.trace_digest r))
+
 let chaos_never_changes_results () =
   let seq = serial () in
   List.iter
@@ -279,6 +301,7 @@ let suite =
     Alcotest.test_case "injector: streams reproducible" `Quick injector_streams_reproducible;
     Alcotest.test_case "capability errors precise" `Quick capability_errors_are_precise;
     Alcotest.test_case "chaos: deterministic at P=1" `Slow chaos_deterministic_single_worker;
+    Alcotest.test_case "chaos: golden row at P=1" `Slow chaos_golden_row;
     Alcotest.test_case "chaos: never changes results" `Slow chaos_never_changes_results;
     Alcotest.test_case "chaos: suppressed wakeups recover" `Slow suppressed_wakeups_still_finish;
     Alcotest.test_case "watchdog: downgrades under stalls" `Slow watchdog_downgrades_under_stalls;
