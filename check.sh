@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Repo health check: build, full test suite, the dune-file format gate, the
-# recursive fork-join example (checked against its references), a
-# tiny-scale smoke run of the fault-injection sweep (exits non-zero on any
-# output-validation failure), a perf-gate report + bench-diff smoke, and
-# (unless skipped) a kill-and-resume exercise of the campaign journal.
+# recursive fork-join and native pool examples (checked against their
+# references), a tiny-scale smoke run of the fault-injection sweep (exits
+# non-zero on any output-validation failure), a perf-gate report +
+# bench-diff smoke, and (unless skipped) a kill-and-resume exercise of the
+# campaign journal.
 #
 # Environment knobs:
 #   TMPDIR                  scratch directory (default /tmp)
@@ -29,6 +30,11 @@ echo "check.sh: dune files formatted"
 # from its sequential reference ---
 dune exec examples/recursive_fork_join.exe > /dev/null
 echo "check.sh: fork-join example OK"
+
+# --- native pool example: exits non-zero when the P=4 reduction drifts
+# past rounding or the nested parallel_for corrupts its matrix ---
+dune exec examples/native_heartbeat.exe > /dev/null
+echo "check.sh: native pool example OK"
 
 dune exec bin/hbc_repro.exe -- fault-sweep --scale 0.04 --workers 8
 

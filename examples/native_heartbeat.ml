@@ -3,7 +3,9 @@
    On a single-core machine this demonstrates correctness; on a multicore it
    also yields speedup.
 
-   Run with: dune exec examples/native_heartbeat.exe *)
+   Run with: dune exec examples/native_heartbeat.exe
+   Exits 1 when the reduction or the matrix differs from its sequential
+   reference. *)
 
 module Hb_par = Hb_parallel.Hb_par
 
@@ -28,8 +30,11 @@ let () =
           ~combine:( +. )
       in
       let t_par = now_s () -. t0 in
-      Printf.printf "reduce: expected %.6f, got %.6f (|diff| %.2e)\n" expected total
-        (Float.abs (expected -. total));
+      (* Float addition is not associative, so split order may move the
+         last bits; anything beyond rounding is a lost or doubled range. *)
+      let rel_err = Float.abs (expected -. total) /. Float.abs expected in
+      Printf.printf "reduce: expected %.6f, got %.6f (relative error %.2e)\n" expected total
+        rel_err;
       Printf.printf "sequential %.1f ms, heartbeat %.1f ms, promotions %d on %d domains\n"
         (1000.0 *. t_seq) (1000.0 *. t_par) (Hb_par.promotions pool)
         (Hb_par.num_domains pool);
@@ -46,4 +51,5 @@ let () =
         done
       done;
       Printf.printf "nested parallel_for on %dx%d matrix: %s\n" rows cols
-        (if !ok then "all cells correct" else "CORRUPTED"))
+        (if !ok then "all cells correct" else "CORRUPTED");
+      if rel_err > 1e-9 || not !ok then exit 1)

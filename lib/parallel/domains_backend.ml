@@ -22,7 +22,7 @@
    [park_cond] under [park_mu]. Wakeups hand out tickets under the same
    mutex, so a wakeup that races the spin-to-park transition is banked
    rather than lost: the worker consumes the ticket instead of waiting.
-   The monitor domain ({!start_monitor}) broadcasts every
+   The monitor domain (started by {!start}) broadcasts every
    [park_timeout_s] as the robustness backstop — a wakeup the chaos
    layer suppressed (or a genuinely lost signal) strands a worker for at
    most one timeout, not forever. *)
@@ -233,6 +233,25 @@ let stop_monitor b =
       Atomic.set b.monitor_stop true;
       Domain.join d;
       b.monitor <- None
+
+(* --- pool lifecycle ------------------------------------------------ *)
+
+let start ?tick b ~work =
+  register ~worker:0;
+  start_monitor ?tick b;
+  List.init (b.n - 1) (fun i ->
+      Domain.spawn (fun () ->
+          register ~worker:(i + 1);
+          work ()))
+
+(* Wake every parked worker so it observes the caller's finished flag;
+   the monitor keeps broadcasting until after the joins, so a worker that
+   parks in the race window is freed within one timeout. Only then is the
+   monitor stopped. *)
+let stop b domains =
+  wake_all b;
+  List.iter Domain.join domains;
+  stop_monitor b
 
 let set_busy b ~worker ~busy = b.busy.(worker) <- busy
 

@@ -21,8 +21,8 @@
 type t
 
 val register : worker:int -> unit
-(** Bind the calling domain to a worker index (domain-local). The pool
-    registers the caller as worker 0 and each spawned domain as 1..n-1. *)
+(** Bind the calling domain to a worker index (domain-local); {!start}
+    does this for the pool. *)
 
 val create : workers:int -> trace:Obs.Trace.Sink.t -> capture:bool -> t
 
@@ -42,21 +42,18 @@ val deque_task_ids : t -> worker:int -> int list
 (** Task ids in [worker]'s deque, oldest (steal end) first. Quiescent
     snapshots only (the single-worker pause boundary). *)
 
-val wake_all : t -> unit
-(** Unconditionally wake every parked worker (never chaos-suppressed);
-    the shutdown path pairs this with the core's finished flag. *)
+val start : ?tick:(unit -> unit) -> t -> work:(unit -> unit) -> unit Domain.t list
+(** Start the pool: register the caller as worker 0, start the monitor
+    domain (when [workers > 1]) and spawn [workers - 1] domains, each
+    registered as worker 1..n-1 and running [work]. The monitor
+    broadcasts the park condition every bounded timeout, so a lost or
+    chaos-suppressed wakeup strands a worker for at most one period, and
+    calls [tick] once per period — the watchdog's sampling hook. *)
 
-val start_monitor : ?tick:(unit -> unit) -> t -> unit
-(** Spawn the monitor domain (no-op when [workers = 1] or already
-    running): broadcasts the park condition every bounded timeout so a
-    lost or chaos-suppressed wakeup strands a worker for at most one
-    period, and calls [tick] once per period — the watchdog's sampling
-    hook. *)
-
-val stop_monitor : t -> unit
-(** Stop and join the monitor domain, if running. Call only after the
-    worker domains have been joined — the monitor is what bounds their
-    park waits during shutdown races. *)
+val stop : t -> unit Domain.t list -> unit
+(** Shut down what {!start} started: wake every parked worker (never
+    chaos-suppressed), join the domains, then stop the monitor. Set the
+    core's finished flag first, so [work] returns. *)
 
 val is_busy : t -> worker:int -> bool
 (** The [set_busy] flag for [worker] — true while it runs inside an

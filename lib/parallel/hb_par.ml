@@ -10,61 +10,41 @@ type pool = {
   b : Domains_backend.t;
   core : C.t;
   n : int;
-  mutable domains : unit Domain.t list;
-  hb_interval : int;  (* monotonic ns *)
+  domains : unit Domain.t list;
+  beat : Beat.t;
   promo_count : int Atomic.t;
-  next_beat : int array;
   ac : Sched.Adaptive_chunking.t array;  (* per-member adaptive chunking *)
   mutable closed : bool;
 }
 
 let initial_chunk = 32
 
-let now_ns () = Int64.to_int (Monotonic_clock.now ())
-
 let my_index pool = Domains_backend.worker_id pool.b
-
-let worker pool i () =
-  Domains_backend.register ~worker:i;
-  C.scavenge pool.core
 
 let create ?(heartbeat_us = 100.0) ~num_domains () =
   let n = Stdlib.max 1 num_domains in
   let b = Domains_backend.create ~workers:n ~trace:Obs.Trace.Sink.null ~capture:false in
-  let pool =
-    {
-      b;
-      core = C.create b;
-      n;
-      domains = [];
-      hb_interval = int_of_float (heartbeat_us *. 1e3);
-      promo_count = Atomic.make 0;
-      next_beat = Array.make n 0;
-      ac =
-        Array.init n (fun _ ->
-            Sched.Adaptive_chunking.create ~initial_chunk ~target_polls:8 ~window:2 ());
-      closed = false;
-    }
+  let core = C.create b in
+  let { Hbc_core.Rt_config.ac_target_polls = target_polls; ac_window = window; watchdog_k; _ } =
+    Hbc_core.Rt_config.default
   in
-  Array.fill pool.next_beat 0 n (now_ns () + pool.hb_interval);
-  (* The caller is worker 0; n-1 extra domains scavenge until shutdown.
-     The monitor bounds how long a parked member can be stranded by a
-     wakeup that raced its spin-to-park transition. *)
-  Domains_backend.register ~worker:0;
-  Domains_backend.start_monitor b;
-  pool.domains <- List.init (n - 1) (fun i -> Domain.spawn (worker pool (i + 1)));
-  pool
+  let beat =
+    Beat.create (Wall_us heartbeat_us) ~workers:n
+      ~injector:(Sim.Fault_injector.inactive ~num_workers:n)
+      ~watchdog_k ~on_downgrade:ignore
+  in
+  let ac =
+    Array.init n (fun _ -> Sched.Adaptive_chunking.create ~initial_chunk ~target_polls ~window ())
+  in
+  (* The caller is worker 0; n-1 extra domains scavenge until shutdown. *)
+  let domains = Domains_backend.start b ~work:(fun () -> C.scavenge core) in
+  { b; core; n; domains; beat; promo_count = Atomic.make 0; ac; closed = false }
 
 let shutdown pool =
   if not pool.closed then begin
     pool.closed <- true;
     C.set_finished pool.core;
-    (* Members may be parked: hand every one a wake ticket so the
-       finished flag is observed. *)
-    Domains_backend.wake_all pool.b;
-    List.iter Domain.join pool.domains;
-    pool.domains <- [];
-    Domains_backend.stop_monitor pool.b
+    Domains_backend.stop pool.b pool.domains
   end
 
 let with_pool ?heartbeat_us ~num_domains f =
@@ -75,22 +55,16 @@ let num_domains pool = pool.n
 
 let promotions pool = Atomic.get pool.promo_count
 
-(* Poll the clock: true when a heartbeat interval elapsed on this member.
-   Polls and beats also drive the member's adaptive chunking, exactly as in
-   the simulated runtime (Sec. 5.1). *)
+(* True when a beat landed on this member. Polls and beats also drive the
+   member's adaptive chunking, exactly as in the simulated runtime
+   (Sec. 5.1). *)
 let poll_beat pool i =
   Sched.Adaptive_chunking.on_poll pool.ac.(i);
-  let t = now_ns () in
-  if t >= pool.next_beat.(i) then begin
-    pool.next_beat.(i) <- t + pool.hb_interval;
-    ignore (Sched.Adaptive_chunking.on_heartbeat pool.ac.(i));
-    true
-  end
-  else false
+  let beat = Beat.consume pool.beat i ~count_poll:true in
+  if beat then ignore (Sched.Adaptive_chunking.on_heartbeat pool.ac.(i));
+  beat
 
 let current_chunk pool i = Sched.Adaptive_chunking.chunk_size pool.ac.(i)
-
-let chunk_size_of pool ~member = Sched.Adaptive_chunking.chunk_size pool.ac.(member)
 
 (* Heartbeat-promoted execution of [lo, hi): run chunks sequentially; on a
    beat, hand the upper half of the remaining range to the scheduler as a

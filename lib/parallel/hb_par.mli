@@ -4,8 +4,8 @@
     scheduler core ([Sched.Core.Make (Domains_backend)] — the same
     promotion split, deque discipline, steals and joins the virtual-time
     executor instantiates over {!Sim_backend}) whose [parallel_for] polls
-    a monotonic clock at chunk boundaries and, when a heartbeat interval
-    has elapsed, promotes the remaining iterations by splitting them at
+    {!Beat} at chunk boundaries and, when a heartbeat interval has
+    elapsed, promotes the remaining iterations by splitting them at
     {!Sched.Policy.split_point} and pushing the upper half as a stealable
     core task — all parallelism is latent until a heartbeat materializes
     it, so tight loops run at near-sequential speed.
@@ -21,8 +21,8 @@
 type pool
 
 val create : ?heartbeat_us:float -> num_domains:int -> unit -> pool
-(** Spawn [num_domains - 1] worker domains (the caller participates as the
-    last member). [heartbeat_us] defaults to 100 (the paper's rate). *)
+(** Spawn [num_domains - 1] worker domains (the caller participates as
+    member 0). [heartbeat_us] defaults to 100 (the paper's rate). *)
 
 val shutdown : pool -> unit
 (** Join all worker domains. Idempotent. *)
@@ -42,7 +42,3 @@ val num_domains : pool -> int
 
 val promotions : pool -> int
 (** Promotions performed since pool creation (observability/tests). *)
-
-val chunk_size_of : pool -> member:int -> int
-(** Current adaptive chunk size of a pool member (Sec. 5.1 running natively;
-    observability/tests). *)

@@ -13,14 +13,14 @@
 
     {b Chaos.} A backend-portable fault plan ({!Sim.Fault_plan.portable})
     arms seed-deterministic fault injection on the domains backend:
-    dropped beats and poll-counted stalls are drawn at beat boundaries,
-    steal refusals inside the steal protocol, wakeup suppressions on the
-    park/wake path. The injection {e decision sequences} are reproducible
-    from [(plan seed, P)]; results never change — only performance. A
-    starvation watchdog bounds the damage: a worker missing
-    [cfg.watchdog_k] consecutive beats downgrades itself to polling
-    fallback, and a monitor-sampled progress check disables further
-    promotions when a busy worker stops progressing; both emit
+    dropped beats and poll-counted stalls are drawn at beat boundaries
+    ({!Beat}), steal refusals inside the steal protocol, wakeup
+    suppressions on the park/wake path. The injection {e decision
+    sequences} are reproducible from [(plan seed, P)]; results never
+    change — only performance. A starvation watchdog bounds the damage:
+    a worker missing [cfg.watchdog_k] consecutive beats downgrades itself
+    to polling fallback, and a monitor-sampled progress check disables
+    further promotions when a busy worker stops progressing; both emit
     {!Obs.Trace.Mechanism_downgrade}.
 
     {b Pause/resume.} Under [Every_polls] with one worker, [pause_at]
@@ -37,15 +37,8 @@ exception Internal_error of string
 (** Alias of {!Hbc_core.Interp.Internal_error}: a runtime invariant
     broke (a bug, not a user error). *)
 
-(** When a native worker observes a heartbeat. *)
-type beat_source =
-  | Wall_us of float
-      (** interval timer, microseconds of the monotonic clock (the paper's
-          mechanism) *)
-  | Every_polls of int
-      (** deterministic poll-count proxy: a beat every [n] leaf polls on a
-          worker. With one worker the schedule is fully reproducible —
-          benchgate, CI smoke and pause/resume use this. *)
+type beat_source = Beat.source = Wall_us of float | Every_polls of int
+(** See {!Beat.source}. *)
 
 val run_program :
   ?request:Hbc_core.Run_request.t ->
