@@ -282,7 +282,7 @@ let run_cmd =
               | _ -> fail ())
           | [ "wall"; us ] -> (
               match float_of_string_opt us with
-              | Some us when us > 0.0 -> Hb_parallel.Native_run.Wall_us us
+              | Some us when Float.is_finite us && us > 0.0 -> Hb_parallel.Native_run.Wall_us us
               | _ -> fail ())
           | _ -> fail ())
         beat_s

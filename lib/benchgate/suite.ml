@@ -157,11 +157,21 @@ let micro_domains_dispatch () =
 (* The chaos-era guarantee on the untraced native fast path: with no
    injector attached and no sink enabled, the backend hooks the scheduler
    hits per scheduling point — steal-veto check, wake probe, emission,
-   critical section, charge — are single loads/stores and must allocate
-   NOTHING. The loop's minor words are measured directly and gated as a
-   deterministic metric, so the baseline pins them at zero and any draw,
-   closure or boxing added to the hot path fails the gate. *)
+   critical section, charge, and the beat checks of a wall-clock leaf
+   poll, latch and poll-count leaf poll — are single loads/stores and
+   must allocate NOTHING. The loop's minor words are measured directly
+   and gated as a deterministic metric, so the baseline pins them at zero
+   and any draw, closure or boxing added to the hot path fails the gate.
+   The beat states are built outside the probe, so its whole-probe
+   allocation count is unchanged by them. *)
 let micro_native_untraced_overhead () =
+  let beat source =
+    Hb_parallel.Beat.create source ~workers:1
+      ~injector:(Sim.Fault_injector.inactive ~num_workers:1)
+      ~watchdog_k:Hbc_core.Rt_config.default.Hbc_core.Rt_config.watchdog_k ~on_downgrade:ignore
+  in
+  (* A 1 us wall beat makes the loop raise and take pending flags too. *)
+  let wall = beat (Wall_us 1.0) and polls = beat (Every_polls 4) in
   Probe.run ~name:"micro/native-untraced-overhead" (fun ctx ->
       let b =
         Hb_parallel.Domains_backend.create ~workers:1 ~trace:Obs.Trace.Sink.null ~capture:false
@@ -176,7 +186,10 @@ let micro_native_untraced_overhead () =
         Hb_parallel.Domains_backend.emit b Obs.Trace.Mechanism_downgrade;
         Hb_parallel.Domains_backend.critical b ignore;
         Hb_parallel.Domains_backend.charge_push b;
-        Hb_parallel.Domains_backend.charge_steal_attempt b
+        Hb_parallel.Domains_backend.charge_steal_attempt b;
+        ignore (Hb_parallel.Beat.consume wall 0 ~count_poll:true);
+        ignore (Hb_parallel.Beat.consume wall 0 ~count_poll:false);
+        ignore (Hb_parallel.Beat.consume polls 0 ~count_poll:true)
       done;
       let hot_words = int_of_float (Gc.minor_words () -. w0) in
       Probe.deti ctx "rounds" rounds;

@@ -9,6 +9,7 @@ type source = Wall_us of float | Every_polls of int
 type t = {
   source : source;
   next_beat : int array;  (* per worker, monotonic ns, Wall_us only *)
+  pending : bool array;  (* per worker, Wall_us only: a leaf poll saw the deadline pass *)
   polls : int array;  (* per worker, Every_polls only *)
   progress : int array;
       (* per-worker scheduling-point counter, bumped on every [consume].
@@ -29,11 +30,17 @@ let now_ns () = Int64.to_int (Monotonic_clock.now ())
 let interval_ns us = int_of_float (us *. 1e3)
 
 let create source ~workers ~injector ~watchdog_k ~on_downgrade =
+  (match source with
+  | Every_polls n when n < 1 -> invalid_arg (Printf.sprintf "Beat.create: Every_polls %d" n)
+  | Wall_us us when not (Float.is_finite us && us > 0.0) ->
+      invalid_arg (Printf.sprintf "Beat.create: Wall_us %g" us)
+  | Every_polls _ | Wall_us _ -> ());
   let n = Stdlib.max 1 workers in
   let first = match source with Wall_us us -> now_ns () + interval_ns us | Every_polls _ -> 0 in
   {
     source;
     next_beat = Array.make n first;
+    pending = Array.make n false;
     polls = Array.make n 0;
     progress = Array.make n 0;
     next_mark = Stdlib.max_int;
@@ -100,11 +107,17 @@ let consume t w ~count_poll =
         end
         else false
     | Wall_us us ->
-        let now = now_ns () in
-        if now >= t.next_beat.(w) then begin
-          t.next_beat.(w) <- now + interval_ns us;
-          true
-        end
-        else false
+        (* A leaf poll that sees the deadline pass only flags the beat; the
+           next check delivers it, usually the enclosing loop's latch. *)
+        let taken = t.pending.(w) in
+        if taken then t.pending.(w) <- false
+        else if count_poll then begin
+          let now = now_ns () in
+          if now >= t.next_beat.(w) then begin
+            t.next_beat.(w) <- now + interval_ns us;
+            t.pending.(w) <- true
+          end
+        end;
+        taken
   in
   boundary && ((not t.chaos) || t.downgraded.(w) || chaos_beat t w)

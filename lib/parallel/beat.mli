@@ -2,13 +2,13 @@
     decides whether it observed a beat. {!Native_run} and {!Hb_par} both
     poll through {!consume}.
 
-    Per worker, a beat state holds the next-beat deadline or poll count,
-    a progress counter bumped on every poll, and — when an active
-    {!Sim.Fault_injector} is attached — the portable chaos draws (dropped
-    beats, poll-counted stall windows) and watchdog rung 1: a worker
-    whose beats are suppressed [watchdog_k] times in a row downgrades to
-    polling fallback, from then on every beat lands, and [on_downgrade]
-    is called once. Draws come from the injector's per-worker seeded
+    Per worker, a beat state holds the next-beat deadline and pending
+    flag or the poll count, a progress counter bumped on every poll, and
+    — when an active {!Sim.Fault_injector} is attached — the portable
+    chaos draws (dropped beats, poll-counted stall windows) and watchdog
+    rung 1: a worker whose beats are suppressed [watchdog_k] times in a
+    row downgrades to polling fallback, from then on every beat lands,
+    and [on_downgrade] is called once. Draws come from the injector's per-worker seeded
     streams, so at one worker under [Every_polls] the whole decision
     sequence repeats exactly. *)
 
@@ -16,7 +16,10 @@
 type source =
   | Wall_us of float
       (** interval timer, microseconds of the monotonic clock (the paper's
-          mechanism) *)
+          mechanism). Only leaf polls read the clock: a leaf poll that
+          sees the deadline pass re-arms it and raises the worker's
+          pending flag, and the worker's next check — latch or leaf
+          poll — delivers the beat. *)
   | Every_polls of int
       (** deterministic poll-count proxy: a beat every [n] leaf polls on a
           worker. With one worker the schedule is fully reproducible —
@@ -36,14 +39,20 @@ val create :
   on_downgrade:(unit -> unit) ->
   t
 (** [Wall_us] deadlines start one interval from now. An inactive
-    [injector] disables chaos and the watchdog. *)
+    [injector] disables chaos and the watchdog.
+    @raise Invalid_argument for [Every_polls n] with [n < 1] or a
+    [Wall_us] period that is not positive and finite. *)
 
 val consume : t -> int -> count_poll:bool -> bool
 (** [consume t w ~count_poll]: one heartbeat check on worker [w]; true
-    when a beat is delivered. A leaf poll counts toward [Every_polls]
-    and stall windows ([count_poll]); a non-leaf latch only reads the
-    flag. Allocation-free; fires the armed mark when [w]'s progress
-    reaches it. *)
+    when a beat is delivered. A leaf poll ([count_poll]) counts toward
+    [Every_polls] and stall windows and, under [Wall_us], is the only
+    check that reads the clock: when the deadline has passed it raises
+    [w]'s pending flag and returns false. Any check on [w] that finds
+    the flag raised clears it and delivers the beat, so a non-leaf latch
+    is a flag read and takes the beat the leaf poll below it saw. The
+    chaos draws and watchdog rung 1 act at delivery. Allocation-free;
+    fires the armed mark when [w]'s progress reaches it. *)
 
 val progress : t -> worker:int -> int
 (** [worker]'s count of {!consume} calls: the pause-boundary clock at

@@ -5,10 +5,12 @@
     promotion split, deque discipline, steals and joins the virtual-time
     executor instantiates over {!Sim_backend}) whose [parallel_for] polls
     {!Beat} at chunk boundaries and, when a heartbeat interval has
-    elapsed, promotes the remaining iterations by splitting them at
-    {!Sched.Policy.split_point} and pushing the upper half as a stealable
-    core task — all parallelism is latent until a heartbeat materializes
-    it, so tight loops run at near-sequential speed.
+    elapsed (seen at one boundary, taken at the next: a loop here has no
+    latch to take it sooner), promotes the remaining iterations by
+    splitting them at {!Sched.Policy.split_point} and pushing the upper
+    half as a stealable core task — all parallelism is latent until a
+    heartbeat materializes it, so tight loops run at near-sequential
+    speed.
 
     For running {e compiled programs} (nests, leftover tasks, traced and
     sanitized runs) natively, use {!Native_run} — or the backend-agnostic

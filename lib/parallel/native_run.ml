@@ -6,7 +6,9 @@
    ([Sched.Core.Make (Domains_backend)]) are the simulator's, line for
    line. What is native is only what the hooks cover: real time is simply
    spent, so every cost charge except body work is a no-op; beats come
-   from [Beat], the native beat layer [Hb_par] polls too; reduction
+   from [Beat], the native beat layer [Hb_par] polls too, where under
+   wall-clock beats only a leaf poll reads the clock and the enclosing
+   loop's latch usually takes the beat it flagged; reduction
    halves combine on the owner after the join, since spawned tasks run
    concurrently. Traced runs emit the same capture-gated
    [Obs.Trace] events at the same operation boundaries as the simulator,

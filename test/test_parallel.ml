@@ -83,6 +83,57 @@ let shutdown_idempotent () =
   Hb_par.shutdown pool;
   check_bool "ok" true true
 
+(* ------------------------- the beat layer -------------------------- *)
+
+module Beat = Hb_parallel.Beat
+
+let beat_of source =
+  Beat.create source ~workers:1
+    ~injector:(Sim.Fault_injector.inactive ~num_workers:1)
+    ~watchdog_k:3 ~on_downgrade:ignore
+
+(* Under [Wall_us] a latch reads no clock: a passed deadline is seen by
+   the next leaf poll, which flags it, and the check after that takes it. *)
+let beat_wall_handoff () =
+  let t0 = Beat.now_ns () in
+  let beat = beat_of (Wall_us 1.0) in
+  while Beat.now_ns () - t0 < 20_000 do
+    ()
+  done;
+  let latch () = Beat.consume beat 0 ~count_poll:false in
+  for i = 1 to 3 do
+    check_bool (Printf.sprintf "latch %d before a leaf poll" i) false (latch ())
+  done;
+  check_bool "leaf poll flags the beat" false (Beat.consume beat 0 ~count_poll:true);
+  check_bool "next latch takes it" true (latch ());
+  check_bool "flag cleared" false (latch ())
+
+let beat_every_polls_counts_leaves () =
+  let beat = beat_of (Every_polls 4) in
+  for i = 1 to 10 do
+    check_bool (Printf.sprintf "latch %d" i) false (Beat.consume beat 0 ~count_poll:false)
+  done;
+  for i = 1 to 3 do
+    check_bool (Printf.sprintf "leaf poll %d" i) false (Beat.consume beat 0 ~count_poll:true)
+  done;
+  check_bool "fourth leaf poll" true (Beat.consume beat 0 ~count_poll:true)
+
+let rejects what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Invalid_argument _ -> ()
+
+let beat_rejects_every_polls_below_one () =
+  List.iter
+    (fun n -> rejects (Printf.sprintf "Every_polls %d" n) (fun () -> beat_of (Every_polls n)))
+    [ 0; -3 ]
+
+let beat_rejects_bad_wall_period () =
+  List.iter
+    (fun us -> rejects (Printf.sprintf "Wall_us %g" us) (fun () -> beat_of (Wall_us us)))
+    [ 0.0; -5.0; Float.nan; Float.infinity ];
+  rejects "Hb_par heartbeat_us 0" (fun () -> Hb_par.create ~heartbeat_us:0.0 ~num_domains:1 ())
+
 (* --------------------- Chase-Lev deque stress ---------------------- *)
 
 module Wd = Hb_parallel.Ws_deque
@@ -172,6 +223,11 @@ let suite =
     Alcotest.test_case "single domain" `Quick single_domain_works;
     Alcotest.test_case "promotions under load" `Quick promotions_fire_under_load;
     Alcotest.test_case "shutdown idempotent" `Quick shutdown_idempotent;
+    Alcotest.test_case "beat: wall-clock hand-off" `Quick beat_wall_handoff;
+    Alcotest.test_case "beat: every-polls counts leaf polls" `Quick beat_every_polls_counts_leaves;
+    Alcotest.test_case "beat: rejects Every_polls below 1" `Quick
+      beat_rejects_every_polls_below_one;
+    Alcotest.test_case "beat: rejects a bad wall period" `Quick beat_rejects_bad_wall_period;
     Alcotest.test_case "ws-deque: sequential laws" `Quick ws_deque_sequential_laws;
     Alcotest.test_case "ws-deque: concurrent exactly-once" `Slow ws_deque_concurrent_exactly_once;
   ]
