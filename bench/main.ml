@@ -191,18 +191,16 @@ let flag_values name =
 
 (* --suite selects which probe families the report runs. "macro" is the
    whole macro-scale gate set (figure families, the P-sweep, serving) so
-   CI's micro and macro steps partition the full suite between them;
-   "nightly" is the ungated P=1024 sweep point. *)
+   CI's micro and macro steps partition the full suite between them. *)
 let suite_probes = function
   | "all" -> Benchgate.Suite.all ()
   | "micro" -> Benchgate.Suite.micro ()
   | "macro" -> Benchgate.Suite.macro () @ Benchgate.Suite.p_sweep () @ Benchgate.Suite.serve ()
   | "p-sweep" -> Benchgate.Suite.p_sweep ()
   | "serve" -> Benchgate.Suite.serve ()
-  | "nightly" -> Benchgate.Suite.nightly ()
   | s ->
       Printf.eprintf
-        "unknown --suite %s (expected all | micro | macro | p-sweep | serve | nightly)\n" s;
+        "unknown --suite %s (expected all | micro | macro | p-sweep | serve)\n" s;
       exit 2
 
 let report_mode path =

@@ -392,7 +392,7 @@ let run_cmd =
             exit 2
       in
       let (Ir.Program.Any p) = entry.Workloads.Registry.make config.Experiments.Harness.scale in
-      let r = Sched_run.run ~request ~backend ?beat engine p in
+      let r = Sched_run.run ~request ?beat engine p in
       Printf.printf "benchmark        : %s (%s on %s)\n" entry.Workloads.Registry.name executor
         backend_s;
       Printf.printf "baseline work    : %d cycles (simulated reference)\n"

@@ -147,8 +147,9 @@ let micro_domains_dispatch () =
       let rt = { Hbc_core.Rt_config.default with workers = 1; seed } in
       let (Ir.Program.Any p) = entry.Workloads.Registry.make tiny_scale in
       let r =
-        Sched_run.run ~backend:Sched.Policy.Domains ~beat:(Hb_parallel.Native_run.Every_polls 64)
-          (Sched_run.Hbc rt) p
+        Sched_run.run
+          ~request:(Hbc_core.Run_request.make ~backend:Sched.Policy.Domains ())
+          ~beat:(Hb_parallel.Native_run.Every_polls 64) (Sched_run.Hbc rt) p
       in
       Probe.deti ctx "promotions" r.Sim.Run_result.metrics.Sim.Metrics.promotions;
       Probe.deti ctx "work_cycles" r.Sim.Run_result.work_cycles;
@@ -278,12 +279,12 @@ let macro () =
 
 (* --------------------------- P-sweep probes ----------------------- *)
 
-(* Datacenter-scale event-engine scaling gate. Each probe drives a pure
-   engine workload at P simulated cores and a fixed per-worker iteration
-   count: every worker advances by a mixed schedule of cost-model-sized
-   steps (50..1073 cycles — the poll/steal/promotion cost range), a
-   recurring heartbeat-interval timer fires throughout, and one
-   far-future callback parks in the calendar queue's overflow bucket.
+(* Event-engine scaling gate. Each probe drives a pure engine workload
+   at P simulated cores and a fixed per-worker iteration count: every
+   worker advances by a mixed schedule of cost-model-sized steps
+   (50..1073 cycles — the poll/steal/promotion cost range), a recurring
+   heartbeat-interval timer fires throughout, and one far-future
+   callback stays queued behind every other event for the whole run.
    Unlike the executor macros this path has no effect-handler executor
    fibers, only engine fibers, which allocate deterministically — so
    alloc words gate det here, and a per-event allocation regression in
@@ -300,7 +301,7 @@ let p_sweep_probe p =
       let cancel =
         Sim.Engine.every eng ~start:30_000 ~interval:30_000 (fun () -> incr ticks)
       in
-      (* Beyond the wheel horizon: exercises the sorted overflow lane. *)
+      (* Far past the makespan: never dispatched before the run ends. *)
       Sim.Engine.schedule_at eng ~time:1_000_000_000 (fun () -> ());
       let work = ref 0 in
       Sim.Engine.run eng (fun w ->
@@ -315,12 +316,7 @@ let p_sweep_probe p =
       Probe.deti ctx "makespan_cycles" (Sim.Engine.max_time eng);
       Probe.deti ctx "timer_ticks" !ticks)
 
-let p_sweep () = List.map p_sweep_probe [ 16; 64; 256 ]
-
-(* The nightly-profile sweep: P=1024 is minutes of fiber setup on CI
-   runners, so it runs from the workflow_dispatch nightly profile and
-   never gates PRs. *)
-let nightly () = [ p_sweep_probe 1024 ]
+let p_sweep () = List.map p_sweep_probe [ 16; 64; 256; 1024 ]
 
 (* --------------------------- serve probes ------------------------- *)
 

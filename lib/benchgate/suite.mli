@@ -21,14 +21,10 @@ val macro : unit -> Report.probe list
 
 val p_sweep : unit -> Report.probe list
 (** The event-engine scaling gate: a fixed-iteration synthetic engine
-    workload at P ∈ {16, 64, 256} simulated cores. Events dispatched,
+    workload at P ∈ {16, 64, 256, 1024} simulated cores. Events dispatched,
     work cycles, makespan, and (engine fibers being deterministic
     allocators) alloc words all gate det, so P-scaling regressions fail
     CI like alloc regressions do. *)
-
-val nightly : unit -> Report.probe list
-(** The P=1024 sweep point. Run from the CI nightly profile only; never
-    part of {!all}, never gates PRs. *)
 
 val serve : unit -> Report.probe list
 
@@ -40,4 +36,4 @@ val report :
 (** Build a report from [probes] (default: the full {!all} suite);
     scale/workers provenance is merged into [notes]. Pass an explicit
     probe list to emit a partial-suite report (CI's split micro/macro
-    steps, the nightly sweep). *)
+    steps). *)

@@ -14,7 +14,8 @@
 
     For running {e compiled programs} (nests, leftover tasks, traced and
     sanitized runs) natively, use {!Native_run} — or the backend-agnostic
-    facade [Sched_run.run ~backend:Domains], which dispatches here.
+    facade [Sched_run.run] with a [Domains] request, which dispatches to
+    {!Native_run}.
 
     On the single-core container this library is exercised for correctness
     (results equal the sequential ones under any interleaving); on a real

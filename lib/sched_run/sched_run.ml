@@ -15,21 +15,17 @@ let hbc = Hbc Hbc_core.Rt_config.hbc
 let hybrid = Hybrid { hbc = Hbc_core.Rt_config.hbc; omp = Baselines.Openmp.dynamic () }
 
 (* Compile with the chunk mode from the config, then run on the backend. *)
-let heartbeat ~request ~backend ?beat cfg program =
+let heartbeat ~request ?beat cfg program =
   let compiled = Hbc_core.Pipeline.compile_program ~chunk:cfg.Hbc_core.Rt_config.chunk program in
-  match backend with
+  match request.Hbc_core.Run_request.backend with
   | Sched.Policy.Sim -> Hbc_core.Executor.run_program ~request cfg compiled
   | Sched.Policy.Domains -> Hb_parallel.Native_run.run_program ~request ?beat cfg compiled
 
-let rec run ?(request = Hbc_core.Run_request.default) ?backend ?beat engine
-    (program : 'e Ir.Program.t) : Sim.Run_result.t =
-  let backend = Option.value backend ~default:request.Hbc_core.Run_request.backend in
-  (* The request carries the backend it actually ran on — journal keys and
-     result provenance stay truthful even when the label overrode it. *)
-  let request = { request with Hbc_core.Run_request.backend } in
-  match (backend, engine) with
-  | _, Hbc cfg -> heartbeat ~request ~backend ?beat cfg program
-  | _, Tpal { chunk } -> heartbeat ~request ~backend ?beat (Hbc_core.Rt_config.tpal ~chunk) program
+let rec run ?(request = Hbc_core.Run_request.default) ?beat engine (program : 'e Ir.Program.t) :
+    Sim.Run_result.t =
+  match (request.Hbc_core.Run_request.backend, engine) with
+  | _, Hbc cfg -> heartbeat ~request ?beat cfg program
+  | _, Tpal { chunk } -> heartbeat ~request ?beat (Hbc_core.Rt_config.tpal ~chunk) program
   | Sched.Policy.Sim, Openmp cfg -> Baselines.Openmp.run_program ~request cfg program
   | (Sched.Policy.Sim | Sched.Policy.Domains), Serial ->
       (* The sequential reference has no scheduler; it is backend-neutral. *)
@@ -40,7 +36,7 @@ let rec run ?(request = Hbc_core.Run_request.default) ?backend ?beat engine
         | `Static -> Openmp { omp with Baselines.Openmp.schedule = Baselines.Openmp.Static }
         | `Heartbeat -> Hbc hbc
       in
-      run ~request ~backend ?beat engine program
+      run ~request ?beat engine program
   | Sched.Policy.Domains, (Openmp _ | Hybrid _) ->
       invalid_arg
         "Sched_run.run: the OpenMP-model baselines are virtual-time simulations; run them on the \

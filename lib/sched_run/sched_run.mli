@@ -32,15 +32,13 @@ val hybrid : engine
 
 val run :
   ?request:Hbc_core.Run_request.t ->
-  ?backend:Sched.Policy.backend_kind ->
   ?beat:Hb_parallel.Native_run.beat_source ->
   engine ->
   'e Ir.Program.t ->
   Sim.Run_result.t
-(** Run [program] under [engine] on [backend] (default: the request's
-    [backend] field, itself defaulting to [Sim]). The returned result's
-    provenance is truthful: the request is re-stamped with the backend
-    that actually ran, so journal signatures never alias across backends.
+(** Run [program] under [engine] on the request's [backend] (default
+    request: [Sim]). The request is the only backend selector, so the
+    result's provenance always names the backend that ran.
     [beat] applies to domains runs only (default wall-clock 100 µs).
 
     @raise Invalid_argument for combinations the backend cannot express:

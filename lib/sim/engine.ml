@@ -4,16 +4,17 @@ exception Budget_exceeded of { budget : int; time : int }
 
 exception Guard_stop of string
 
-(* Events live in the calendar queue (Event_queue) as unboxed ints: an
+(* Events live in the binary heap (Event_queue) as unboxed ints: an
    event is (time, seq, code), where the code identifies the payload in
    an engine-side table. Codes [0, nworkers) are worker resumes — a
    worker has at most one outstanding continuation (it is either
    running, parked, or waiting on exactly one queued resume), so the
    continuation lives in a per-worker slot and pushing a resume writes
    three flat ints plus one slot store. Codes >= nworkers are timed
-   callbacks; the closure lives in a free-listed slot table. Neither
-   path allocates on push or pop, so steady-state scheduling costs no
-   minor words beyond closures the caller already made. *)
+   callbacks; the closure lives in a free-listed slot table. Once the
+   heap's arrays have grown, neither path allocates on push or pop, so
+   steady-state scheduling costs no minor words beyond closures the
+   caller already made. *)
 
 (* A continuation slot's empty state. Never resumed: slots are read only
    for codes the queue handed back, and each push fills the slot first.

@@ -1,124 +1,27 @@
-(* Hierarchical calendar-queue event queue for the virtual-time engine.
+(* Binary min-heap over (time, seq) for the virtual-time engine.
 
-   The engine's former binary min-heap made every push/pop O(log n) and
-   compared (time, seq) pairs all the way up and down the tree. At
-   datacenter-scale simulations (P in the hundreds, tens of millions of
-   events) those comparisons dominate the dispatch loop. This queue
-   exploits what the event population actually looks like: virtual time
-   advances monotonically, and almost every event lands within a bounded
-   horizon of the current dispatch time — worker advances are
-   per-instruction costs (tens to ~1200 cycles) and the heartbeat timers
-   re-arm one interval out (30k cycles at the default cost model).
-
-   Structure (two wheel levels + sorted overflow + overdue lane):
-
-   - Level 0: [w0] one-cycle buckets covering the current [w0]-aligned
-     block of virtual time. A bucket holds every queued event of exactly
-     one time, as an intrusive FIFO list over a shared node pool (flat
-     int arrays). Pushing appends in O(1); the global [seq] stamp is
-     monotone in real execution order, so append order IS (time, seq)
-     order within a bucket.
-
-   - Level 1: [w1] block-granular buckets covering the next [w1 - 1]
-     blocks ([w0 * w1] cycles of horizon — 64k at the defaults, enough
-     for every advance and timer re-arm the runtime produces). A level-1
-     bucket's list is in push (= seq) order; when the dispatch cursor
-     exhausts a block, the next non-empty level-1 bucket is promoted by
-     re-linking its nodes into level-0 buckets, preserving order. Each
-     event is touched at most twice: O(1) amortized.
-
-   - A sorted overflow bucket for events past the level-1 horizon:
-     parallel int arrays kept sorted by (time, seq) with insertion from
-     the end (far-future pushes are rare and mostly monotone). When the
-     cursor's block advances, the in-horizon prefix migrates into the
-     wheels; when both wheels drain, the cursor jumps directly to the
-     earliest overflow time — no empty-window scans.
-
-   - A tiny sorted overdue lane for events pushed behind the cursor.
-     The engine never does this on its own — worker clocks only move
-     forward — but [schedule_at] with a stale time is legal and must
-     keep global (time, seq) order: any overdue event is strictly
-     earlier than everything in the wheels or overflow, so the lane is
-     always served first.
-
-   Events are unboxed: a queued event is flat ints (time, seq, payload
-   code). The engine keeps continuations and callback closures in side
-   tables indexed by the code, so pushing and popping allocate nothing.
-
-   Pop order is exactly the heap's: strictly increasing (time, seq).
-   [top_time]/[top_code] peek without removing (the engine's pause
-   boundary and starvation checks need the peek); [drop] removes the
-   peeked minimum. *)
+   A queued event is three unboxed ints held in three parallel arrays,
+   so a push or pop touches no boxed value and, once the arrays have
+   grown to the run's peak population, allocates nothing. The engine
+   keeps at most one resume per worker plus its pending timers and
+   callbacks here, so the heap stays small and O(log n) sifts are
+   cheap. [seq] is unique, which makes (time, seq) a total order: the
+   pop sequence does not depend on the heap's shape. *)
 
 type t = {
-  w0 : int;  (* level-0 buckets (one cycle each); power of two *)
-  mask0 : int;
-  w1 : int;  (* level-1 buckets (one block = w0 cycles each); power of two *)
-  mask1 : int;
-  l0_head : int array;  (* bucket -> first node, or -1 *)
-  l0_tail : int array;
-  l1_head : int array;
-  l1_tail : int array;
-  mutable l0_count : int;
-  mutable l1_count : int;
-  mutable cur_block : int;  (* level-0 window = block [cur_block] = [cur_block*w0, ...) *)
-  mutable cursor : int;  (* next candidate time; within the current block *)
-  (* node pool (intrusive lists) *)
-  mutable pool_time : int array;
-  mutable pool_seq : int array;
-  mutable pool_code : int array;
-  mutable pool_next : int array;
-  mutable pool_hwm : int;  (* nodes ever allocated *)
-  mutable free : int;  (* freelist head, or -1 *)
-  (* beyond-horizon overflow, sorted by (time, seq) *)
-  mutable ovf_time : int array;
-  mutable ovf_seq : int array;
-  mutable ovf_code : int array;
-  mutable ovf_len : int;
-  (* overdue lane (time < cursor), sorted by (time, seq); almost always empty *)
-  mutable due_time : int array;
-  mutable due_seq : int array;
-  mutable due_code : int array;
-  mutable due_len : int;
+  mutable time : int array;
+  mutable seq : int array;
+  mutable code : int array;
   mutable size : int;
 }
 
-let default_width = 256
+let initial_capacity = 64
 
-let default_blocks = 256
-
-let create ?(width = default_width) ?(blocks = default_blocks) () =
-  if width <= 0 || width land (width - 1) <> 0 then
-    invalid_arg "Event_queue.create: width must be a positive power of two";
-  if blocks <= 0 || blocks land (blocks - 1) <> 0 then
-    invalid_arg "Event_queue.create: blocks must be a positive power of two";
+let create () =
   {
-    w0 = width;
-    mask0 = width - 1;
-    w1 = blocks;
-    mask1 = blocks - 1;
-    l0_head = Array.make width (-1);
-    l0_tail = Array.make width (-1);
-    l1_head = Array.make blocks (-1);
-    l1_tail = Array.make blocks (-1);
-    l0_count = 0;
-    l1_count = 0;
-    cur_block = 0;
-    cursor = 0;
-    pool_time = Array.make 64 0;
-    pool_seq = Array.make 64 0;
-    pool_code = Array.make 64 0;
-    pool_next = Array.make 64 (-1);
-    pool_hwm = 0;
-    free = -1;
-    ovf_time = Array.make 16 0;
-    ovf_seq = Array.make 16 0;
-    ovf_code = Array.make 16 0;
-    ovf_len = 0;
-    due_time = Array.make 4 0;
-    due_seq = Array.make 4 0;
-    due_code = Array.make 4 0;
-    due_len = 0;
+    time = Array.make initial_capacity 0;
+    seq = Array.make initial_capacity 0;
+    code = Array.make initial_capacity 0;
     size = 0;
   }
 
@@ -126,227 +29,72 @@ let is_empty q = q.size = 0
 
 let length q = q.size
 
-let overflow_length q = q.ovf_len
-
-let overdue_length q = q.due_len
-
-(* ------------------------------ pool ------------------------------ *)
-
-let alloc_node q ~time ~seq ~code =
-  let n =
-    if q.free >= 0 then begin
-      let n = q.free in
-      q.free <- q.pool_next.(n);
-      n
-    end
-    else begin
-      if q.pool_hwm = Array.length q.pool_seq then begin
-        let cap = 2 * q.pool_hwm in
-        let grow a =
-          let b = Array.make cap 0 in
-          Array.blit a 0 b 0 q.pool_hwm;
-          b
-        in
-        q.pool_time <- grow q.pool_time;
-        q.pool_seq <- grow q.pool_seq;
-        q.pool_code <- grow q.pool_code;
-        q.pool_next <- grow q.pool_next
-      end;
-      let n = q.pool_hwm in
-      q.pool_hwm <- n + 1;
-      n
-    end
+let grow q =
+  let cap = 2 * Array.length q.time in
+  let extend a =
+    let b = Array.make cap 0 in
+    Array.blit a 0 b 0 q.size;
+    b
   in
-  q.pool_time.(n) <- time;
-  q.pool_seq.(n) <- seq;
-  q.pool_code.(n) <- code;
-  q.pool_next.(n) <- -1;
-  n
+  q.time <- extend q.time;
+  q.seq <- extend q.seq;
+  q.code <- extend q.code
 
-let free_node q n =
-  q.pool_next.(n) <- q.free;
-  q.free <- n
-
-let l0_append q n =
-  let b = q.pool_time.(n) land q.mask0 in
-  q.pool_next.(n) <- -1;
-  if q.l0_head.(b) < 0 then q.l0_head.(b) <- n else q.pool_next.(q.l0_tail.(b)) <- n;
-  q.l0_tail.(b) <- n;
-  q.l0_count <- q.l0_count + 1
-
-let l1_append q n =
-  let b = q.pool_time.(n) / q.w0 land q.mask1 in
-  q.pool_next.(n) <- -1;
-  if q.l1_head.(b) < 0 then q.l1_head.(b) <- n else q.pool_next.(q.l1_tail.(b)) <- n;
-  q.l1_tail.(b) <- n;
-  q.l1_count <- q.l1_count + 1
-
-(* --------------------------- sorted lanes ------------------------- *)
-
-(* Insert keeping (time, seq) order. The scan starts from the end: both
-   lanes are pushed with monotonically increasing stamps in the common
-   case, so the loop body rarely runs at all. *)
-let lane_insert times seqs codes len ~time ~seq ~code =
-  let pos = ref !len in
-  while !pos > 0 && (times.(!pos - 1) > time || (times.(!pos - 1) = time && seqs.(!pos - 1) > seq))
-  do
-    decr pos
+(* Sift an event up from the hole at [i]: parents later than it shift
+   down into the hole, and the event is written once where the hole
+   stops. *)
+let place q i ~time ~seq ~code =
+  let times = q.time and seqs = q.seq and codes = q.code in
+  let i = ref i in
+  let continue = ref true in
+  while !continue && !i > 0 do
+    let p = (!i - 1) / 2 in
+    let tp = times.(p) in
+    if time < tp || (time = tp && seq < seqs.(p)) then begin
+      times.(!i) <- tp;
+      seqs.(!i) <- seqs.(p);
+      codes.(!i) <- codes.(p);
+      i := p
+    end
+    else continue := false
   done;
-  let shift = !len - !pos in
-  if shift > 0 then begin
-    Array.blit times !pos times (!pos + 1) shift;
-    Array.blit seqs !pos seqs (!pos + 1) shift;
-    Array.blit codes !pos codes (!pos + 1) shift
-  end;
-  times.(!pos) <- time;
-  seqs.(!pos) <- seq;
-  codes.(!pos) <- code;
-  incr len
-
-let ovf_push q ~time ~seq ~code =
-  if q.ovf_len = Array.length q.ovf_time then begin
-    let cap = 2 * q.ovf_len in
-    let grow a =
-      let b = Array.make cap 0 in
-      Array.blit a 0 b 0 q.ovf_len;
-      b
-    in
-    q.ovf_time <- grow q.ovf_time;
-    q.ovf_seq <- grow q.ovf_seq;
-    q.ovf_code <- grow q.ovf_code
-  end;
-  let len = ref q.ovf_len in
-  lane_insert q.ovf_time q.ovf_seq q.ovf_code len ~time ~seq ~code;
-  q.ovf_len <- !len
-
-let due_push q ~time ~seq ~code =
-  if q.due_len = Array.length q.due_time then begin
-    let cap = 2 * q.due_len in
-    let grow a =
-      let b = Array.make cap 0 in
-      Array.blit a 0 b 0 q.due_len;
-      b
-    in
-    q.due_time <- grow q.due_time;
-    q.due_seq <- grow q.due_seq;
-    q.due_code <- grow q.due_code
-  end;
-  let len = ref q.due_len in
-  lane_insert q.due_time q.due_seq q.due_code len ~time ~seq ~code;
-  q.due_len <- !len
-
-(* ------------------------------ push ------------------------------ *)
+  times.(!i) <- time;
+  seqs.(!i) <- seq;
+  codes.(!i) <- code
 
 let push q ~time ~seq ~code =
-  if q.size = 0 then begin
-    (* Empty queue: re-anchor the window at the new event. *)
-    q.cursor <- time;
-    q.cur_block <- time / q.w0;
-    l0_append q (alloc_node q ~time ~seq ~code)
-  end
-  else if time < q.cursor then due_push q ~time ~seq ~code
-  else begin
-    let b = time / q.w0 in
-    if b = q.cur_block then l0_append q (alloc_node q ~time ~seq ~code)
-    else if b - q.cur_block < q.w1 then l1_append q (alloc_node q ~time ~seq ~code)
-    else ovf_push q ~time ~seq ~code
-  end;
+  if q.size = Array.length q.time then grow q;
+  place q q.size ~time ~seq ~code;
   q.size <- q.size + 1
 
-(* ------------------------------ peek ------------------------------ *)
+let top_time q = q.time.(0)
 
-(* Pull the sorted in-horizon overflow prefix into the wheels after
-   [cur_block] moved. Sorted order means per-bucket appends arrive in
-   ascending (time, seq); anything pushed later carries a larger seq, so
-   bucket FIFO order stays correct. *)
-let migrate_overflow q =
-  let k = ref 0 in
-  while !k < q.ovf_len && (q.ovf_time.(!k) / q.w0) - q.cur_block < q.w1 do
-    let n = alloc_node q ~time:q.ovf_time.(!k) ~seq:q.ovf_seq.(!k) ~code:q.ovf_code.(!k) in
-    if q.ovf_time.(!k) / q.w0 = q.cur_block then l0_append q n else l1_append q n;
-    incr k
-  done;
-  let moved = !k in
-  if moved > 0 then begin
-    let rest = q.ovf_len - moved in
-    Array.blit q.ovf_time moved q.ovf_time 0 rest;
-    Array.blit q.ovf_seq moved q.ovf_seq 0 rest;
-    Array.blit q.ovf_code moved q.ovf_code 0 rest;
-    q.ovf_len <- rest
-  end
+let top_seq q = q.seq.(0)
 
-(* Advance to the next block holding events. Only called when level 0 is
-   empty; the promoted level-1 list re-links node by node into level-0
-   buckets in list (= seq) order, so FIFO order per time is preserved. *)
-let advance_block q =
-  if q.l1_count > 0 then begin
-    let b = ref (q.cur_block + 1) in
-    while q.l1_head.(!b land q.mask1) < 0 do
-      incr b
-    done;
-    q.cur_block <- !b;
-    q.cursor <- !b * q.w0;
-    let slot = !b land q.mask1 in
-    let n = ref q.l1_head.(slot) in
-    q.l1_head.(slot) <- -1;
-    q.l1_tail.(slot) <- -1;
-    while !n >= 0 do
-      let next = q.pool_next.(!n) in
-      q.l1_count <- q.l1_count - 1;
-      l0_append q !n;
-      n := next
-    done;
-    migrate_overflow q
-  end
-  else begin
-    (* Both wheels empty: jump straight to the earliest overflow event. *)
-    q.cur_block <- q.ovf_time.(0) / q.w0;
-    q.cursor <- q.cur_block * q.w0;
-    migrate_overflow q
-  end
+let top_code q = q.code.(0)
 
-(* Position the cursor on the earliest queued event. Callers guarantee
-   the queue is non-empty. Returns the node id of the wheel's minimum, or
-   -1 when the minimum lives in the overdue lane. *)
-let position q =
-  if q.due_len > 0 then -1
-  else begin
-    if q.l0_count = 0 then advance_block q;
-    let b = ref (q.cursor land q.mask0) in
-    while q.l0_head.(!b) < 0 do
-      q.cursor <- q.cursor + 1;
-      b := q.cursor land q.mask0
-    done;
-    q.l0_head.(!b)
-  end
-
-let top_time q = if q.due_len > 0 then q.due_time.(0) else (ignore (position q); q.cursor)
-
-let top_code q =
-  let n = position q in
-  if n < 0 then q.due_code.(0) else q.pool_code.(n)
-
-let top_seq q =
-  let n = position q in
-  if n < 0 then q.due_seq.(0) else q.pool_seq.(n)
-
-(* ------------------------------ drop ------------------------------ *)
-
+(* Floyd's deletion: the root's hole walks down along the earlier child
+   to a leaf, then the last event is placed from there. The last event
+   is usually among the latest, so it rarely climbs, and the walk costs
+   one comparison per level instead of two. *)
 let drop q =
-  let n = position q in
-  if n < 0 then begin
-    let rest = q.due_len - 1 in
-    Array.blit q.due_time 1 q.due_time 0 rest;
-    Array.blit q.due_seq 1 q.due_seq 0 rest;
-    Array.blit q.due_code 1 q.due_code 0 rest;
-    q.due_len <- rest
+  let n = q.size - 1 in
+  q.size <- n;
+  if n > 0 then begin
+    let times = q.time and seqs = q.seq and codes = q.code in
+    let i = ref 0 in
+    while (2 * !i) + 1 < n do
+      let l = (2 * !i) + 1 in
+      let r = l + 1 in
+      let c =
+        if r < n && (times.(r) < times.(l) || (times.(r) = times.(l) && seqs.(r) < seqs.(l)))
+        then r
+        else l
+      in
+      times.(!i) <- times.(c);
+      seqs.(!i) <- seqs.(c);
+      codes.(!i) <- codes.(c);
+      i := c
+    done;
+    place q !i ~time:times.(n) ~seq:seqs.(n) ~code:codes.(n)
   end
-  else begin
-    let b = q.cursor land q.mask0 in
-    let next = q.pool_next.(n) in
-    q.l0_head.(b) <- next;
-    if next < 0 then q.l0_tail.(b) <- -1;
-    free_node q n;
-    q.l0_count <- q.l0_count - 1
-  end;
-  q.size <- q.size - 1

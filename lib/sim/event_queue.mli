@@ -1,39 +1,18 @@
-(** Hierarchical calendar-queue event queue: the engine's dispatch
-    substrate.
+(** The engine's event queue: a binary min-heap of unboxed
+    (virtual time, seq, code) events.
 
-    A priority queue over (virtual time, seq) pairs with an int payload
-    code, popping in strictly increasing (time, seq) order — exactly the
-    order the engine's former binary heap produced, but with O(1)
-    amortized push and pop at high event rates.
-
-    Two wheel levels cover the near future: level 0 holds [width]
-    one-cycle buckets for the current block of virtual time, level 1
-    holds [blocks] block-granular buckets covering a
-    [width * blocks]-cycle horizon. Events past the horizon fall back to
-    a sorted overflow bucket that migrates into the wheels as time
-    advances; events pushed behind the cursor land in a small sorted
-    overdue lane that is always served first. Queued events are three
-    unboxed ints, so steady-state scheduling allocates nothing. *)
+    Pops come out in strictly increasing (time, seq) order. Events live
+    in three flat int arrays that double when full, so push and pop
+    allocate nothing once the arrays have grown. *)
 
 type t
 
-val create : ?width:int -> ?blocks:int -> unit -> t
-(** [width] (default 256) is the number of one-cycle level-0 buckets;
-    [blocks] (default 256) the number of level-1 block buckets. Both
-    must be powers of two. The wheel horizon is [width * blocks]
-    virtual cycles. *)
+val create : unit -> t
 
 val is_empty : t -> bool
 
 val length : t -> int
-(** Total queued events across buckets, overflow, and overdue lanes. *)
-
-val overflow_length : t -> int
-(** Events currently in the far-future overflow bucket (introspection
-    for tests and stats). *)
-
-val overdue_length : t -> int
-(** Events currently in the behind-cursor overdue lane. *)
+(** Number of queued events. *)
 
 val push : t -> time:int -> seq:int -> code:int -> unit
 (** Enqueue. [seq] must be globally unique; pops tie-break equal times

@@ -1,16 +1,15 @@
-(* Differential tests for the calendar-queue event queue against the old
-   binary-heap semantics: pops come out in strictly increasing (time, seq)
-   order — modeled here by a stable sorted list — on random schedules that
-   cover simultaneous events, behind-cursor (overdue) pushes, and
-   far-future events beyond the wheel horizon in the sorted overflow
-   bucket. The engine's pause-at boundary peeks [top_time] before every
-   dispatch decision, so peek idempotence is part of the contract too. *)
+(* Differential tests for the engine's event queue: pops come out in
+   strictly increasing (time, seq) order — modeled here by a stable sorted
+   list — on random schedules that cover simultaneous events, pushes
+   behind the last pop, and far-future events. The engine's pause-at
+   boundary peeks [top_time] before every dispatch decision, so peek
+   idempotence is part of the contract too. *)
 
 let check_int = Alcotest.(check int)
 
 (* ------------------------- reference model ------------------------ *)
 
-(* (time, seq, code), kept sorted by (time, seq) — the heap's pop order. *)
+(* (time, seq, code), kept sorted by (time, seq) — the queue's pop order. *)
 let model_insert (t, s, c) model =
   let rec go = function
     | [] -> [ (t, s, c) ]
@@ -21,10 +20,8 @@ let model_insert (t, s, c) model =
 
 (* Drive the queue and the model through the same op list, comparing every
    peek triple. Pushes are timed relative to the last popped time (the
-   engine's dispatch cursor): [delta] < 0 exercises the overdue lane,
-   small deltas the level-0 wheel, block-sized deltas level 1, and
-   beyond-horizon deltas the sorted overflow. Returns false on the first
-   divergence. *)
+   engine's dispatch cursor), so [delta] < 0 pushes behind the last pop.
+   Returns false on the first divergence. *)
 let run_ops ops =
   let q = Sim.Event_queue.create () in
   let model = ref [] in
@@ -67,11 +64,11 @@ let run_ops ops =
   if Sim.Event_queue.length q <> 0 then ok := false;
   !ok
 
-(* Delta generator spanning every structural lane of the queue: 0 forces
-   simultaneous events (FIFO tie-break), small positives stay in level 0,
-   mid-range crosses level-1 blocks (and the 30k heartbeat re-arm
-   distance), huge ones land in the overflow bucket, negatives go
-   overdue. *)
+(* Delta generator: 0 forces simultaneous events (FIFO tie-break), small
+   positives mimic per-instruction advances, mid-range ones the 30k
+   heartbeat re-arm distance, huge ones far-future events, and negatives
+   push behind the last pop. Op lists up to 2000 long grow the queue past
+   its initial capacity several times. *)
 let delta_gen =
   QCheck.Gen.frequency
     [
@@ -91,15 +88,15 @@ let ops_arbitrary =
     ~print:(fun ops ->
       String.concat ";"
         (List.map (function None -> "pop" | Some d -> string_of_int d) ops))
-    (QCheck.Gen.list_size (QCheck.Gen.int_range 0 400) op_gen)
+    (QCheck.Gen.list_size (QCheck.Gen.int_range 0 2000) op_gen)
 
 let differential_random =
-  QCheck.Test.make ~name:"calendar queue = heap order on random schedules" ~count:300
+  QCheck.Test.make ~name:"sorted-model order on random ops" ~count:300
     ops_arbitrary run_ops
 
 (* ------------------------- directed cases ------------------------- *)
 
-(* Simultaneous events pop FIFO by seq, regardless of arrival lane. *)
+(* Simultaneous events pop FIFO by seq. *)
 let simultaneous_fifo () =
   let q = Sim.Event_queue.create () in
   for s = 0 to 63 do
@@ -113,16 +110,13 @@ let simultaneous_fifo () =
   done;
   Alcotest.(check bool) "drained" true (Sim.Event_queue.is_empty q)
 
-(* Far-future events really take the overflow lane, then migrate out in
-   (time, seq) order as the window advances past them. *)
-let overflow_migration () =
+(* Far-future events pop in (time, seq) order after the near one. *)
+let far_future_order () =
   let q = Sim.Event_queue.create () in
   Sim.Event_queue.push q ~time:0 ~seq:0 ~code:0;
-  (* Beyond the 64k-cycle horizon from a window anchored at 0. *)
   Sim.Event_queue.push q ~time:10_000_000 ~seq:1 ~code:1;
   Sim.Event_queue.push q ~time:9_999_999 ~seq:2 ~code:2;
   Sim.Event_queue.push q ~time:10_000_000 ~seq:3 ~code:3;
-  check_int "overflowed" 3 (Sim.Event_queue.overflow_length q);
   check_int "first" 0 (Sim.Event_queue.top_seq q);
   Sim.Event_queue.drop q;
   check_int "earliest far" 2 (Sim.Event_queue.top_seq q);
@@ -133,37 +127,35 @@ let overflow_migration () =
   Sim.Event_queue.drop q;
   check_int "empty" 0 (Sim.Event_queue.length q)
 
-(* A push behind the dispatch cursor is served before everything ahead of
-   it (the overdue lane), still ordered among its own. *)
-let overdue_served_first () =
+(* A push behind the last pop is served before everything ahead of it,
+   still ordered among its own. *)
+let behind_last_pop_served_first () =
   let q = Sim.Event_queue.create () in
   Sim.Event_queue.push q ~time:500 ~seq:0 ~code:0;
   Sim.Event_queue.push q ~time:600 ~seq:1 ~code:1;
   check_int "front" 0 (Sim.Event_queue.top_seq q);
   Sim.Event_queue.drop q;
-  (* Cursor now at 500; these land behind it. *)
+  (* The last pop was at 500; these land behind it. *)
   Sim.Event_queue.push q ~time:100 ~seq:2 ~code:2;
   Sim.Event_queue.push q ~time:50 ~seq:3 ~code:3;
-  check_int "overdue lane" 2 (Sim.Event_queue.overdue_length q);
-  check_int "earliest overdue" 3 (Sim.Event_queue.top_seq q);
+  check_int "earliest behind" 3 (Sim.Event_queue.top_seq q);
   Sim.Event_queue.drop q;
-  check_int "next overdue" 2 (Sim.Event_queue.top_seq q);
+  check_int "next behind" 2 (Sim.Event_queue.top_seq q);
   Sim.Event_queue.drop q;
-  check_int "back to wheel" 1 (Sim.Event_queue.top_seq q);
+  check_int "then ahead" 1 (Sim.Event_queue.top_seq q);
   Sim.Event_queue.drop q;
   check_int "empty" 0 (Sim.Event_queue.length q)
 
-(* Emptying the queue and pushing a distant time re-anchors the window
-   there without scanning the gap: O(1) behavior is not directly
-   observable here, but the ordering across re-anchors is. *)
-let reanchor_after_drain () =
+(* Draining the queue and pushing again far away keeps the ordering,
+   including a later push just behind the first one. *)
+let drain_then_repush () =
   let q = Sim.Event_queue.create () in
   Sim.Event_queue.push q ~time:3 ~seq:0 ~code:0;
   Sim.Event_queue.drop q;
   Sim.Event_queue.push q ~time:1_000_000_007 ~seq:1 ~code:1;
-  check_int "re-anchored" 1_000_000_007 (Sim.Event_queue.top_time q);
+  check_int "re-pushed" 1_000_000_007 (Sim.Event_queue.top_time q);
   Sim.Event_queue.push q ~time:1_000_000_005 ~seq:2 ~code:2;
-  check_int "behind new anchor served first" 2 (Sim.Event_queue.top_seq q);
+  check_int "earlier re-push served first" 2 (Sim.Event_queue.top_seq q);
   Sim.Event_queue.drop q;
   Sim.Event_queue.drop q;
   Alcotest.(check bool) "drained" true (Sim.Event_queue.is_empty q)
@@ -192,8 +184,8 @@ let suite =
   [
     qt differential_random;
     Alcotest.test_case "simultaneous events pop FIFO" `Quick simultaneous_fifo;
-    Alcotest.test_case "overflow bucket migrates in order" `Quick overflow_migration;
-    Alcotest.test_case "overdue lane served first" `Quick overdue_served_first;
-    Alcotest.test_case "window re-anchors after drain" `Quick reanchor_after_drain;
+    Alcotest.test_case "far-future events pop in order" `Quick far_future_order;
+    Alcotest.test_case "pushes behind last pop go first" `Quick behind_last_pop_served_first;
+    Alcotest.test_case "drain then re-push keeps order" `Quick drain_then_repush;
     Alcotest.test_case "peeks stable at pause boundaries" `Quick peek_stability_across_boundary;
   ]

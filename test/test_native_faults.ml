@@ -18,8 +18,9 @@ let serial () = Baselines.Serial_exec.run_program (prog ())
 
 let cfg workers = { Hbc_core.Rt_config.default with workers }
 
-let run_native ?request ?(beat = 16) workers =
-  Sched_run.run ?request ~backend:Sched.Policy.Domains
+let run_native ?(request = Hbc_core.Run_request.default) ?(beat = 16) workers =
+  let request = { request with Hbc_core.Run_request.backend = Sched.Policy.Domains } in
+  Sched_run.run ~request
     ~beat:(Hb_parallel.Native_run.Every_polls beat)
     (Sched_run.Hbc (cfg workers)) (prog ())
 
@@ -95,8 +96,8 @@ let capability_errors_are_precise () =
       run_native ~request 2);
   expect_invalid "pause under a wall-clock beat" (fun () ->
       Sched_run.run
-        ~request:(Hbc_core.Run_request.make ~pause_at:1_000 ())
-        ~backend:Sched.Policy.Domains ~beat:(Hb_parallel.Native_run.Wall_us 50.0)
+        ~request:(Hbc_core.Run_request.make ~backend:Sched.Policy.Domains ~pause_at:1_000 ())
+        ~beat:(Hb_parallel.Native_run.Wall_us 50.0)
         (Sched_run.Hbc (cfg 1)) (prog ()));
   expect_invalid "pause with more than one worker" (fun () ->
       run_native ~request:(Hbc_core.Run_request.make ~pause_at:1_000 ()) 2)
@@ -192,9 +193,11 @@ let watchdog_downgrades_under_stalls () =
     | _ -> false) ()
   in
   let cfg = { (cfg 2) with Hbc_core.Rt_config.watchdog_k = 2 } in
-  let request = Hbc_core.Run_request.make ~fault_plan:plan ~trace:sink () in
+  let request =
+    Hbc_core.Run_request.make ~backend:Sched.Policy.Domains ~fault_plan:plan ~trace:sink ()
+  in
   let r =
-    Sched_run.run ~request ~backend:Sched.Policy.Domains
+    Sched_run.run ~request
       ~beat:(Hb_parallel.Native_run.Every_polls 8) (Sched_run.Hbc cfg) (prog ())
   in
   check_bool "watchdog tripped" true (Sim.Metrics.downgrade_count r.Sim.Run_result.metrics > 0);

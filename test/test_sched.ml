@@ -361,7 +361,8 @@ let facade_dispatch () =
   check_bool "omp on domains rejected" true
     (try
        ignore
-         (Sched_run.run ~backend:Sched.Policy.Domains
+         (Sched_run.run
+            ~request:(Hbc_core.Run_request.make ~backend:Sched.Policy.Domains ())
             (Sched_run.Openmp (Baselines.Openmp.dynamic ()))
             p);
        false
