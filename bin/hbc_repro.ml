@@ -976,13 +976,12 @@ let fuzz_cmd =
   let run_serve_mixes fseed mixes =
     let rng = Sim.Sim_rng.create fseed in
     for i = 1 to mixes do
-      let m = Sanitizer.Fuzz.gen_mix rng in
+      let m = Serve.Fuzz.gen_mix rng in
       (* Every mix is also crash-injected: the campaign is re-run through
          a WAL killed halfway, recovered, and byte-compared. *)
       let o = Serve.Fuzz.run_mix_recovery m in
       if o.Serve.Fuzz.failures <> [] then begin
-        Printf.printf "FAIL mix %d/%d %s\n" i mixes (Sanitizer.Fuzz.mix_describe m);
-        Printf.printf "  hash %s\n" (Sanitizer.Fuzz.mix_hash m);
+        Printf.printf "FAIL mix %d/%d %s\n" i mixes (Serve.Fuzz.describe m);
         List.iter
           (fun f ->
             Printf.printf "  [%s] %s\n" (Serve.Fuzz.failure_kind f)
@@ -997,7 +996,9 @@ let fuzz_cmd =
         "mix %2d/%d ok [%s]: %d submitted, %d completed, %d shed, %d deadline, %d failed, %d \
          ck/%d res\n\
          %!"
-        i mixes m.Sanitizer.Fuzz.mix_preempt s.Serve.Server.submitted s.Serve.Server.completed
+        i mixes
+        (Serve.Server.preempt_name m.Serve.Server.preempt)
+        s.Serve.Server.submitted s.Serve.Server.completed
         s.Serve.Server.shed s.Serve.Server.deadline_exceeded s.Serve.Server.failed
         s.Serve.Server.checkpointed s.Serve.Server.resumed
     done;
@@ -1148,8 +1149,8 @@ let serve_cmd =
       value & flag
       & info [ "sanitize" ]
           ~doc:
-            "Run the server-level checker (job + budget conservation) and a per-job scheduler \
-             checker; violations exit 3.")
+            "Run a per-job scheduler checker beside the server's own lifecycle check (job, \
+             budget and resume conservation); violations exit 3.")
   in
   let verify_arg =
     Arg.(
@@ -1296,7 +1297,6 @@ let serve_cmd =
       Printf.eprintf "serve: --kill-after needs --wal\n";
       exit 2
     end;
-    let capture = Option.map (fun _ -> Obs.Trace.Sink.stream ()) trace_path in
     let cfg =
       {
         Serve.Server.default_config with
@@ -1307,7 +1307,6 @@ let serve_cmd =
         service;
         sanitize;
         verify;
-        trace = (match capture with Some s -> s | None -> Obs.Trace.Sink.null);
         preempt;
         max_preempts;
         wal;
@@ -1364,23 +1363,24 @@ let serve_cmd =
         Printf.printf "decisions        : %d lines -> %s\n"
           (List.length (String.split_on_char '\n' r.Serve.Server.decisions) - 1)
           path);
-    (match (trace_path, capture) with
-    | Some path, Some sink ->
-        let records = Obs.Trace.Sink.captured sink in
+    (match trace_path with
+    | None -> ()
+    | Some path ->
+        let events = r.Serve.Server.events in
         let oc = open_out path in
         Fun.protect
           ~finally:(fun () -> close_out_noerr oc)
           (fun () ->
-            output_string oc (Obs.Perfetto.to_string ~process_name:"hbc-serve" records));
-        Printf.printf "trace            : %d events -> %s\n" (List.length records) path
-    | _ -> ());
+            output_string oc
+              (Obs.Perfetto.instants ~process_name:"hbc-serve"
+                 (List.map (fun (time, ev) -> (time, Serve.Lifecycle.event_name ev)) events)));
+        Printf.printf "trace            : %d events -> %s\n" (List.length events) path);
     if r.Serve.Server.violations <> [] then begin
       List.iter
-        (fun (job, (v : Sanitizer.Checker.violation)) ->
+        (fun (job, (v : Serve.Server.violation)) ->
           Printf.eprintf "violation %s: [%s] t=%d %s\n"
             (match job with Some j -> Printf.sprintf "job %d" j | None -> "server")
-            (Sanitizer.Checker.invariant_name v.Sanitizer.Checker.invariant)
-            v.Sanitizer.Checker.time v.Sanitizer.Checker.message)
+            v.invariant v.time v.message)
         r.Serve.Server.violations;
       exit 3
     end;

@@ -118,15 +118,20 @@ echo "check.sh: native pause/resume smoke OK"
 
 # --- serve smoke test: a mixed-tenant overload run with the sanitizer on
 # must hit the shed and deadline paths (exit 4 if either never fires, exit 3
-# on any job/budget-conservation violation); equal seeds must journal
-# byte-identical decisions; a zero-capacity queue must shed everything ---
+# on any job/budget/resume-conservation violation); equal seeds must journal
+# byte-identical decisions and lifecycle trace exports; a zero-capacity
+# queue must shed everything ---
 D1=$(mktemp "$TMP/hbc-serve.XXXXXX.log"); D2=$(mktemp "$TMP/hbc-serve.XXXXXX.log")
+T1=$(mktemp "$TMP/hbc-serve.XXXXXX.json"); T2=$(mktemp "$TMP/hbc-serve.XXXXXX.json")
 "$REPRO" serve --tenants 3 --jobs 4 --queue-cap 2 --deadline 200000:800000 \
-    --sanitize --verify --expect-shed --expect-deadline --seed 5 --decisions "$D1" > /dev/null
+    --sanitize --verify --expect-shed --expect-deadline --seed 5 --decisions "$D1" \
+    --trace "$T1" > /dev/null
 "$REPRO" serve --tenants 3 --jobs 4 --queue-cap 2 --deadline 200000:800000 \
-    --sanitize --verify --expect-shed --expect-deadline --seed 5 --decisions "$D2" > /dev/null
+    --sanitize --verify --expect-shed --expect-deadline --seed 5 --decisions "$D2" \
+    --trace "$T2" > /dev/null
 cmp -s "$D1" "$D2" || { echo "check.sh: serve decisions not deterministic" >&2; exit 1; }
-rm -f "$D1" "$D2"
+cmp -s "$T1" "$T2" || { echo "check.sh: serve trace export not deterministic" >&2; exit 1; }
+rm -f "$D1" "$D2" "$T1" "$T2"
 "$REPRO" serve --queue-cap 0 --jobs 2 --expect-shed > /dev/null
 "$REPRO" fuzz --serve --smoke > /dev/null
 echo "check.sh: serve smoke OK"

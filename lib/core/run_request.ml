@@ -7,9 +7,7 @@ type t = {
   trace : Obs.Trace.Sink.t;
   sanitize : bool;
   fuzz_case : string option;
-  tenant : int option;
   deadline : int option;
-  priority : int;
   promotion_budget : int option;
   pause_at : int option;
   resume_from : Sim.Checkpoint_state.t option;
@@ -25,16 +23,14 @@ let default =
     trace = Obs.Trace.Sink.null;
     sanitize = false;
     fuzz_case = None;
-    tenant = None;
     deadline = None;
-    priority = 0;
     promotion_budget = None;
     pause_at = None;
     resume_from = None;
   }
 
 let make ?(backend = Sched.Policy.Sim) ?max_cycles ?cycle_budget ?guard ?fault_plan
-    ?(trace = Obs.Trace.Sink.null) ?(sanitize = false) ?fuzz_case ?tenant ?deadline ?(priority = 0)
+    ?(trace = Obs.Trace.Sink.null) ?(sanitize = false) ?fuzz_case ?deadline
     ?promotion_budget ?pause_at ?resume_from () =
   {
     backend;
@@ -45,9 +41,7 @@ let make ?(backend = Sched.Policy.Sim) ?max_cycles ?cycle_budget ?guard ?fault_p
     trace;
     sanitize;
     fuzz_case;
-    tenant;
     deadline;
-    priority;
     promotion_budget;
     pause_at;
     resume_from;
@@ -65,9 +59,12 @@ let signature t =
             Obs.Trace.Sink.captures t.trace,
             t.sanitize,
             t.fuzz_case,
-            t.tenant,
+            (* Placeholders where the serve-mode tenant and priority were
+               hashed: campaign journal keys of every non-serving request
+               must not move. *)
+            (None : int option),
             t.deadline,
-            t.priority,
+            0,
             t.promotion_budget,
             t.pause_at,
             (* The checkpoint in its byte-stable codec form, not the record:

@@ -45,16 +45,10 @@ type t = {
   fuzz_case : string option;
       (** content hash of the fuzz case that produced this request, when
           the run is a fuzzer trial; journal-keyed like [sanitize] *)
-  tenant : int option;
-      (** serve-mode owner of the run; journal-keyed so one tenant's trial
-          can never satisfy another tenant's cache lookup *)
   deadline : int option;
       (** per-job deadline in virtual cycles: a second DNF-style cap (the
           effective cap is the min of [max_cycles] and [deadline]); the
           server maps a deadline-cut run to [Deadline_exceeded] *)
-  priority : int;
-      (** admission-queue ordering hint within a tenant (higher first);
-          0 for plain runs *)
   promotion_budget : int option;
       (** metered promotion grant: after this many promotions the executor
           stops splitting and degrades gracefully to serial execution of
@@ -83,9 +77,7 @@ val make :
   ?trace:Obs.Trace.Sink.t ->
   ?sanitize:bool ->
   ?fuzz_case:string ->
-  ?tenant:int ->
   ?deadline:int ->
-  ?priority:int ->
   ?promotion_budget:int ->
   ?pause_at:int ->
   ?resume_from:Sim.Checkpoint_state.t ->
@@ -96,12 +88,11 @@ val signature : t -> string
 (** Hex content hash of the request's result-affecting fields — the
     backend, the fault plan, the DNF cap, whether the sink captures records (a traced trial
     carries a trace in the journal; an untraced one must not alias it),
-    the [sanitize] bit, the fuzz-case hash, and the serve-mode fields
-    (tenant, deadline, priority, promotion budget — each changes what a
-    run produces or whom its journal entry belongs to, so serve-mode
-    entries never alias plain trials). [pause_at] and the [resume_from]
-    checkpoint (hashed via its byte-stable codec) are included: a paused
-    episode and an uninterrupted run of the same job produce different
-    results and must never alias. Budgets, guards, and the sink closure
+    the [sanitize] bit, the fuzz-case hash, the deadline and the
+    promotion budget (each changes what a run produces, so such entries
+    never alias plain trials). [pause_at] and the [resume_from] checkpoint
+    (hashed via its byte-stable codec) are included: a paused episode and
+    an uninterrupted run of the same job produce different results and
+    must never alias. Budgets, guards, and the sink closure
     itself are excluded: they never change a completed run's outcome.
     Combined with {!Rt_config.signature} to key journal entries. *)

@@ -42,10 +42,7 @@ let event_to_json (r : record) =
       [ instant ~name:(event_name r.event) ~ts:r.time ~tid args ]
   | _ -> [ instant ~name:(event_name r.event) ~ts:r.time ~tid [] ]
 
-let metadata ~process_name records =
-  let workers =
-    List.sort_uniq compare (List.map (fun r -> Stdlib.max 0 r.worker) records)
-  in
+let metadata ~process_name workers =
   common ~name:"process_name" ~ph:"M" ~ts:0 ~tid:0
     [ ("args", Json.Obj [ ("name", Json.Str process_name) ]) ]
   :: List.map
@@ -54,12 +51,18 @@ let metadata ~process_name records =
            [ ("args", Json.Obj [ ("name", Json.Str (Printf.sprintf "worker %d" w)) ]) ])
        workers
 
+let document events =
+  Json.Obj [ ("traceEvents", Json.Arr events); ("displayTimeUnit", Json.Str "ms") ]
+
 let to_json ?(process_name = "hbc-sim") records =
-  let events = List.concat_map event_to_json records in
-  Json.Obj
-    [
-      ("traceEvents", Json.Arr (metadata ~process_name records @ events));
-      ("displayTimeUnit", Json.Str "ms");
-    ]
+  let workers = List.sort_uniq compare (List.map (fun r -> Stdlib.max 0 r.worker) records) in
+  document (metadata ~process_name workers @ List.concat_map event_to_json records)
 
 let to_string ?process_name records = Json.to_string (to_json ?process_name records)
+
+let instants ~process_name events =
+  let track = match events with [] -> [] | _ -> [ 0 ] in
+  Json.to_string
+    (document
+       (metadata ~process_name track
+       @ List.map (fun (ts, name) -> instant ~name ~ts ~tid:0 []) events))

@@ -14,3 +14,7 @@ val to_json : ?process_name:string -> Trace.record list -> Json.t
 
 val to_string : ?process_name:string -> Trace.record list -> string
 (** The full trace file: [{"traceEvents": [...], "displayTimeUnit": "ms"}]. *)
+
+val instants : process_name:string -> (int * string) list -> string
+(** A full trace file of [(time, name)] instants without payload, all on
+    one track (worker 0) — for event streams defined outside {!Trace}. *)

@@ -28,16 +28,6 @@ type event =
   | Task_exec of { task : int }
   | Chunk_decision of { key : int; old_chunk : int; min_polls : int; chunk : int }
   | Promote_choice of { cur : int; tgt : int; chain : (int * bool * int) list }
-  | Job_submitted of { job : int; tenant : int }
-  | Job_admitted of { job : int; tenant : int; queued : int }
-  | Job_shed of { job : int; tenant : int; reason : string }
-  | Job_started of { job : int; tenant : int; budget : int }
-  | Job_preempted of { job : int; tenant : int }
-  | Job_checkpointed of { job : int; tenant : int; at_cycle : int }
-  | Job_resumed of { job : int; tenant : int; episode : int; budget : int }
-  | Job_finished of { job : int; tenant : int; state : string; promotions : int }
-  | Breaker_transition of { tenant : int; from_state : string; to_state : string }
-  | Budget_refill of { tenant : int; amount : int }
 
 type record = { seq : int; time : int; worker : int; event : event }
 
@@ -72,16 +62,6 @@ let event_name = function
   | Task_exec _ -> "task-exec"
   | Chunk_decision _ -> "chunk-decision"
   | Promote_choice _ -> "promote-choice"
-  | Job_submitted _ -> "job-submitted"
-  | Job_admitted _ -> "job-admitted"
-  | Job_shed _ -> "job-shed"
-  | Job_started _ -> "job-started"
-  | Job_preempted _ -> "job-preempted"
-  | Job_checkpointed _ -> "job-checkpointed"
-  | Job_resumed _ -> "job-resumed"
-  | Job_finished _ -> "job-finished"
-  | Breaker_transition _ -> "breaker-transition"
-  | Budget_refill _ -> "budget-refill"
 
 module Sink = struct
   type stream = {
@@ -263,23 +243,6 @@ let record_to_json r =
                  Json.Arr [ Json.Int o; Json.Int (if s then 1 else 0); Json.Int rem ])
                chain);
         ]
-    | Job_submitted { job; tenant } -> [ Json.Str "jb"; Json.Int job; Json.Int tenant ]
-    | Job_admitted { job; tenant; queued } ->
-        [ Json.Str "ja"; Json.Int job; Json.Int tenant; Json.Int queued ]
-    | Job_shed { job; tenant; reason } ->
-        [ Json.Str "jh"; Json.Int job; Json.Int tenant; Json.Str reason ]
-    | Job_started { job; tenant; budget } ->
-        [ Json.Str "jr"; Json.Int job; Json.Int tenant; Json.Int budget ]
-    | Job_preempted { job; tenant } -> [ Json.Str "jp"; Json.Int job; Json.Int tenant ]
-    | Job_checkpointed { job; tenant; at_cycle } ->
-        [ Json.Str "jk"; Json.Int job; Json.Int tenant; Json.Int at_cycle ]
-    | Job_resumed { job; tenant; episode; budget } ->
-        [ Json.Str "ju"; Json.Int job; Json.Int tenant; Json.Int episode; Json.Int budget ]
-    | Job_finished { job; tenant; state; promotions } ->
-        [ Json.Str "jf"; Json.Int job; Json.Int tenant; Json.Str state; Json.Int promotions ]
-    | Breaker_transition { tenant; from_state; to_state } ->
-        [ Json.Str "bk"; Json.Int tenant; Json.Str from_state; Json.Str to_state ]
-    | Budget_refill { tenant; amount } -> [ Json.Str "br"; Json.Int tenant; Json.Int amount ]
   in
   Json.Arr (base @ tail)
 
@@ -321,23 +284,6 @@ let event_of_parts = function
       let cands = List.filter_map parse_cand chain in
       if List.length cands = List.length chain then Some (Promote_choice { cur; tgt; chain = cands })
       else None
-  | [ Json.Str "jb"; Json.Int job; Json.Int tenant ] -> Some (Job_submitted { job; tenant })
-  | [ Json.Str "ja"; Json.Int job; Json.Int tenant; Json.Int queued ] ->
-      Some (Job_admitted { job; tenant; queued })
-  | [ Json.Str "jh"; Json.Int job; Json.Int tenant; Json.Str reason ] ->
-      Some (Job_shed { job; tenant; reason })
-  | [ Json.Str "jr"; Json.Int job; Json.Int tenant; Json.Int budget ] ->
-      Some (Job_started { job; tenant; budget })
-  | [ Json.Str "jp"; Json.Int job; Json.Int tenant ] -> Some (Job_preempted { job; tenant })
-  | [ Json.Str "jk"; Json.Int job; Json.Int tenant; Json.Int at_cycle ] ->
-      Some (Job_checkpointed { job; tenant; at_cycle })
-  | [ Json.Str "ju"; Json.Int job; Json.Int tenant; Json.Int episode; Json.Int budget ] ->
-      Some (Job_resumed { job; tenant; episode; budget })
-  | [ Json.Str "jf"; Json.Int job; Json.Int tenant; Json.Str state; Json.Int promotions ] ->
-      Some (Job_finished { job; tenant; state; promotions })
-  | [ Json.Str "bk"; Json.Int tenant; Json.Str from_state; Json.Str to_state ] ->
-      Some (Breaker_transition { tenant; from_state; to_state })
-  | [ Json.Str "br"; Json.Int tenant; Json.Int amount ] -> Some (Budget_refill { tenant; amount })
   | _ -> None
 
 let records_to_json records = Json.Arr (List.map record_to_json records)

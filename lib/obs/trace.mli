@@ -73,37 +73,6 @@ type event =
       (** a promotion chose chain ordinal [tgt] while running [cur]; [chain]
           lists every owned candidate as (ordinal, splittable, remaining
           iterations) so the outer-loop-first policy can be checked *)
-  | Job_submitted of { job : int; tenant : int }
-      (** a serve-mode job arrived at the admission queue *)
-  | Job_admitted of { job : int; tenant : int; queued : int }
-      (** the job entered the bounded queue; [queued] is the depth after *)
-  | Job_shed of { job : int; tenant : int; reason : string }
-      (** explicit load shedding at submission ("queue-full",
-          "breaker-open", ...); a shed job is terminal and never silent *)
-  | Job_started of { job : int; tenant : int; budget : int }
-      (** the job left the queue and took pool workers; [budget] is the
-          promotion grant metered from its tenant's balance *)
-  | Job_preempted of { job : int; tenant : int }
-      (** the deadline watchdog cut the job mid-run; its pool share is
-          reclaimed and partial results are journaled *)
-  | Job_checkpointed of { job : int; tenant : int; at_cycle : int }
-      (** the job was cooperatively paused at engine boundary [at_cycle]
-          and its checkpoint saved; it will re-enter admission and resume
-          (pause-and-requeue preemption, not a cancel) *)
-  | Job_resumed of { job : int; tenant : int; episode : int; budget : int }
-      (** a checkpointed job re-started from its saved state; [episode]
-          counts completed pause/resume episodes before this one (first
-          resume is episode 1) and [budget] is the fresh promotion grant
-          metered for the new episode (the sanitizer debits it like a
-          [Job_started] grant) *)
-  | Job_finished of { job : int; tenant : int; state : string; promotions : int }
-      (** terminal accounting for a started job: [state] is "completed",
-          "deadline" or "failed-*"; [promotions] is what it actually used
-          (the sanitizer checks [promotions <= budget]) *)
-  | Breaker_transition of { tenant : int; from_state : string; to_state : string }
-      (** a tenant circuit breaker moved (closed/open/half-open) *)
-  | Budget_refill of { tenant : int; amount : int }
-      (** the promotion meter credited [amount] to the tenant's balance *)
 
 type record = { seq : int; time : int; worker : int; event : event }
 

@@ -4,9 +4,6 @@ type invariant =
   | Promotion_policy
   | Chunk_consistency
   | Clock_sanity
-  | Job_conservation
-  | Budget_conservation
-  | Resume_conservation
 
 let invariant_name = function
   | Work_conservation -> "work-conservation"
@@ -14,9 +11,6 @@ let invariant_name = function
   | Promotion_policy -> "promotion-policy"
   | Chunk_consistency -> "chunk-consistency"
   | Clock_sanity -> "clock-sanity"
-  | Job_conservation -> "job-conservation"
-  | Budget_conservation -> "budget-conservation"
-  | Resume_conservation -> "resume-conservation"
 
 type violation = {
   invariant : invariant;
@@ -40,19 +34,6 @@ type slice_state = { s_lo : int; s_hi : int; mutable covered : (int * int) list 
 (* Task lifecycle replayed from the deque records. *)
 type task_phase = Pushed | Taken | Executed
 
-(* Serve-mode job lifecycle replayed from the Job_* records; [J_terminal]
-   carries the terminal state name for duplicate-termination messages.
-   [granted] accumulates across pause/resume episodes — a resumed job's
-   total promotion use is checked against the sum of every grant it drew
-   — and [episodes] counts completed pause/resume episodes so a
-   [Job_resumed] record claiming the wrong episode is flagged. *)
-type job_phase =
-  | J_submitted
-  | J_admitted
-  | J_started of { granted : int; episodes : int }
-  | J_checkpointed of { granted : int; episodes : int }
-  | J_terminal of string
-
 type t = {
   cfg : config;
   strict : bool;
@@ -66,8 +47,6 @@ type t = {
   tasks : (int, task_phase) Hashtbl.t;
   shadow : (int, int Sim.Deque.t) Hashtbl.t;  (* worker -> shadow deque of ids *)
   last_interval_end : (int, int) Hashtbl.t;  (* worker -> end of last Interval *)
-  jobs : (int, int * job_phase) Hashtbl.t;  (* job -> (tenant, phase) *)
-  tenant_balance : (int, int) Hashtbl.t;  (* tenant -> metered promotion balance *)
   mutable kept : violation list;  (* newest first *)
   mutable count : int;
   mutable finished : bool;
@@ -85,8 +64,6 @@ let create ?(strict = false) ?(window = 32) ?(max_violations = 100) cfg =
     last_time = 0;
     slices = Hashtbl.create 64;
     tasks = Hashtbl.create 64;
-    jobs = Hashtbl.create 16;
-    tenant_balance = Hashtbl.create 8;
     shadow = Hashtbl.create 8;
     last_interval_end = Hashtbl.create 8;
     kept = [];
@@ -245,148 +222,6 @@ let on_chunk_decision t ~time ~worker ~key ~old_chunk ~min_polls ~chunk =
          "chunk update %d -> %d (slice key %d) does not match rule max 1 (round (%d * %d / %d)) = %d"
          old_chunk chunk key old_chunk min_polls t.cfg.ac_target_polls expected)
 
-(* ------------------------------------------------------------------ *)
-(* Serve-mode invariants: job conservation and budget conservation.     *)
-(* ------------------------------------------------------------------ *)
-
-let job_phase_name = function
-  | J_submitted -> "submitted"
-  | J_admitted -> "admitted"
-  | J_started _ -> "started"
-  | J_checkpointed _ -> "checkpointed"
-  | J_terminal s -> s
-
-let balance_of t tenant = Option.value ~default:0 (Hashtbl.find_opt t.tenant_balance tenant)
-
-let on_job_submitted t ~time ~worker ~job ~tenant =
-  match Hashtbl.find_opt t.jobs job with
-  | Some (_, phase) ->
-      violate t ~time ~worker Job_conservation
-        (Printf.sprintf "job %d submitted twice (already %s)" job (job_phase_name phase))
-  | None -> Hashtbl.add t.jobs job (tenant, J_submitted)
-
-let on_job_admitted t ~time ~worker ~job ~tenant =
-  match Hashtbl.find_opt t.jobs job with
-  | Some (_, J_submitted) -> Hashtbl.replace t.jobs job (tenant, J_admitted)
-  | Some (_, phase) ->
-      violate t ~time ~worker Job_conservation
-        (Printf.sprintf "job %d admitted while %s" job (job_phase_name phase))
-  | None ->
-      violate t ~time ~worker Job_conservation
-        (Printf.sprintf "job %d admitted but never submitted" job)
-
-let on_job_shed t ~time ~worker ~job ~tenant ~reason =
-  match Hashtbl.find_opt t.jobs job with
-  | Some (_, J_submitted) -> Hashtbl.replace t.jobs job (tenant, J_terminal ("shed:" ^ reason))
-  | Some (_, phase) ->
-      violate t ~time ~worker Job_conservation
-        (Printf.sprintf "job %d shed (%s) while %s — shedding is legal only at submission" job
-           reason (job_phase_name phase))
-  | None ->
-      violate t ~time ~worker Job_conservation
-        (Printf.sprintf "job %d shed (%s) but never submitted" job reason)
-
-let on_job_started t ~time ~worker ~job ~tenant ~budget =
-  (match Hashtbl.find_opt t.jobs job with
-  | Some (_, J_admitted) ->
-      Hashtbl.replace t.jobs job (tenant, J_started { granted = budget; episodes = 0 })
-  | Some (_, phase) ->
-      violate t ~time ~worker Job_conservation
-        (Printf.sprintf "job %d started while %s" job (job_phase_name phase))
-  | None ->
-      violate t ~time ~worker Job_conservation
-        (Printf.sprintf "job %d started but never admitted" job));
-  let balance = balance_of t tenant - budget in
-  Hashtbl.replace t.tenant_balance tenant balance;
-  if balance < 0 then
-    violate t ~time ~worker Budget_conservation
-      (Printf.sprintf
-         "tenant %d overdrew its promotion meter: grant %d drove the balance to %d" tenant budget
-         balance)
-
-(* Resume conservation: pause/resume episodes must alternate correctly —
-   only a started job checkpoints, only a checkpointed job resumes, the
-   resume's episode number matches the pauses that actually happened, and
-   grants accumulate so the final promotion count is checked against the
-   whole history. The exactly-once tiling of the iteration space across
-   episodes is enforced by the per-job work-conservation checker, whose
-   sink persists across episodes and sees each episode's events exactly
-   once (resumed runs mute the replayed prefix). *)
-let on_job_checkpointed t ~time ~worker ~job ~tenant ~at_cycle =
-  match Hashtbl.find_opt t.jobs job with
-  | Some (_, J_started { granted; episodes }) ->
-      if at_cycle <= 0 then
-        violate t ~time ~worker Resume_conservation
-          (Printf.sprintf "job %d checkpointed at non-positive cycle %d" job at_cycle);
-      Hashtbl.replace t.jobs job (tenant, J_checkpointed { granted; episodes = episodes + 1 })
-  | Some (_, phase) ->
-      violate t ~time ~worker Resume_conservation
-        (Printf.sprintf "job %d checkpointed while %s" job (job_phase_name phase))
-  | None ->
-      violate t ~time ~worker Resume_conservation
-        (Printf.sprintf "job %d checkpointed but never submitted" job)
-
-let on_job_resumed t ~time ~worker ~job ~tenant ~episode ~budget =
-  (match Hashtbl.find_opt t.jobs job with
-  | Some (_, J_checkpointed { granted; episodes }) ->
-      if episode <> episodes then
-        violate t ~time ~worker Resume_conservation
-          (Printf.sprintf "job %d resumed claiming episode %d but %d pause(s) happened" job
-             episode episodes);
-      Hashtbl.replace t.jobs job (tenant, J_started { granted = granted + budget; episodes })
-  | Some (_, phase) ->
-      violate t ~time ~worker Resume_conservation
-        (Printf.sprintf "job %d resumed while %s (only a checkpointed job can resume)" job
-           (job_phase_name phase))
-  | None ->
-      violate t ~time ~worker Resume_conservation
-        (Printf.sprintf "job %d resumed but never submitted" job));
-  let balance = balance_of t tenant - budget in
-  Hashtbl.replace t.tenant_balance tenant balance;
-  if balance < 0 then
-    violate t ~time ~worker Budget_conservation
-      (Printf.sprintf
-         "tenant %d overdrew its promotion meter: resume grant %d drove the balance to %d" tenant
-         budget balance)
-
-let on_job_preempted t ~time ~worker ~job =
-  match Hashtbl.find_opt t.jobs job with
-  | Some (_, J_started _) -> ()
-  | Some (_, phase) ->
-      violate t ~time ~worker Job_conservation
-        (Printf.sprintf "job %d preempted while %s" job (job_phase_name phase))
-  | None ->
-      violate t ~time ~worker Job_conservation
-        (Printf.sprintf "job %d preempted but never admitted" job)
-
-let on_job_finished t ~time ~worker ~job ~tenant ~state ~promotions =
-  match Hashtbl.find_opt t.jobs job with
-  | Some (_, (J_started { granted; _ } | J_checkpointed { granted; _ })) ->
-      (* A checkpointed job may terminate without resuming (its episode
-         budget ran out, or its refreshed deadline expired in the queue);
-         either way the whole history's promotions are bounded by the
-         accumulated grants. *)
-      Hashtbl.replace t.jobs job (tenant, J_terminal state);
-      if promotions > granted then
-        violate t ~time ~worker Budget_conservation
-          (Printf.sprintf "job %d used %d promotions against a grant of %d" job promotions granted)
-  | Some (_, J_admitted) ->
-      (* A queued job can expire at its deadline without ever starting; it
-         must then have consumed nothing. *)
-      Hashtbl.replace t.jobs job (tenant, J_terminal state);
-      if promotions <> 0 then
-        violate t ~time ~worker Budget_conservation
-          (Printf.sprintf "job %d finished from the queue yet reports %d promotions" job promotions)
-  | Some (_, phase) ->
-      violate t ~time ~worker Job_conservation
-        (Printf.sprintf "job %d finished (%s) while %s" job state (job_phase_name phase))
-  | None ->
-      violate t ~time ~worker Job_conservation
-        (Printf.sprintf "job %d finished (%s) but never submitted" job state)
-
-let on_budget_refill t ~tenant ~amount =
-  Hashtbl.replace t.tenant_balance tenant (balance_of t tenant + amount)
-
 let on_interval t ~time ~worker ~t0 =
   if t0 > time then
     violate t ~time ~worker Clock_sanity
@@ -424,20 +259,6 @@ let on_event t ~time ~worker (ev : Obs.Trace.event) =
   | Obs.Trace.Chunk_decision { key; old_chunk; min_polls; chunk } ->
       on_chunk_decision t ~time ~worker ~key ~old_chunk ~min_polls ~chunk
   | Obs.Trace.Interval { t0; kind = _ } -> on_interval t ~time ~worker ~t0
-  | Obs.Trace.Job_submitted { job; tenant } -> on_job_submitted t ~time ~worker ~job ~tenant
-  | Obs.Trace.Job_admitted { job; tenant; queued = _ } ->
-      on_job_admitted t ~time ~worker ~job ~tenant
-  | Obs.Trace.Job_shed { job; tenant; reason } -> on_job_shed t ~time ~worker ~job ~tenant ~reason
-  | Obs.Trace.Job_started { job; tenant; budget } ->
-      on_job_started t ~time ~worker ~job ~tenant ~budget
-  | Obs.Trace.Job_preempted { job; tenant = _ } -> on_job_preempted t ~time ~worker ~job
-  | Obs.Trace.Job_checkpointed { job; tenant; at_cycle } ->
-      on_job_checkpointed t ~time ~worker ~job ~tenant ~at_cycle
-  | Obs.Trace.Job_resumed { job; tenant; episode; budget } ->
-      on_job_resumed t ~time ~worker ~job ~tenant ~episode ~budget
-  | Obs.Trace.Job_finished { job; tenant; state; promotions } ->
-      on_job_finished t ~time ~worker ~job ~tenant ~state ~promotions
-  | Obs.Trace.Budget_refill { tenant; amount } -> on_budget_refill t ~tenant ~amount
   | _ -> ()
 
 let sink t = Obs.Trace.Sink.fn (fun ~time ~worker ev -> on_event t ~time ~worker ev)
@@ -475,24 +296,7 @@ let finish t =
         | Taken ->
             violate t ~time ~worker Deque_discipline
               (Printf.sprintf "task %d taken from its deque but never executed (lost)" id))
-      (List.sort compare tasks);
-    (* Job conservation: every submitted job must have reached exactly one
-       terminal state (shed at submission, or a Job_finished accounting). *)
-    let jobs = Hashtbl.fold (fun id jp acc -> (id, jp) :: acc) t.jobs [] in
-    List.iter
-      (fun (id, (tenant, phase)) ->
-        match phase with
-        | J_terminal _ -> ()
-        | J_checkpointed { episodes; _ } ->
-            violate t ~time ~worker Resume_conservation
-              (Printf.sprintf
-                 "job %d (tenant %d) checkpointed (episode %d) but never resumed or finished" id
-                 tenant episodes)
-        | J_submitted | J_admitted | J_started _ ->
-            violate t ~time ~worker Job_conservation
-              (Printf.sprintf "job %d (tenant %d) never terminated: still %s at end of run" id
-                 tenant (job_phase_name phase)))
-      (List.sort compare jobs)
+      (List.sort compare tasks)
   end
 
 let violations t = List.rev t.kept

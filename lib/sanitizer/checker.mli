@@ -19,22 +19,7 @@
       must match the sliding-window update rule
       [max 1 (round (old * min_polls / target))];
     - {b clock sanity}: record times are monotone and per-worker execution
-      intervals are well-formed and non-overlapping;
-    - {b job conservation} (serve mode): every submitted job reaches
-      exactly one terminal state — shed at submission, or a single
-      [Job_finished] accounting — and the lifecycle transitions
-      (submitted → admitted → started → finished) are respected;
-    - {b budget conservation} (serve mode): no tenant's metered promotion
-      balance goes negative across [Budget_refill]/[Job_started]/
-      [Job_resumed] grants, and no job reports more promotions than its
-      accumulated grants;
-    - {b resume conservation} (serve mode): pause/resume episodes
-      alternate correctly — only a started job checkpoints, only a
-      checkpointed job resumes, each [Job_resumed] claims exactly the
-      number of pauses that happened, and no job is left checkpointed at
-      end of run. Combined with per-job work conservation (whose sink
-      persists across episodes), the iteration space of a preempted job is
-      proven to execute exactly once across all its episodes.
+      intervals are well-formed and non-overlapping.
 
     Violations are collected (default) or raised immediately ([~strict]),
     each carrying the window of records leading up to the offence. *)
@@ -45,9 +30,6 @@ type invariant =
   | Promotion_policy
   | Chunk_consistency
   | Clock_sanity
-  | Job_conservation
-  | Budget_conservation
-  | Resume_conservation
 
 val invariant_name : invariant -> string
 (** Stable kebab-case name ("work-conservation", ...). *)

@@ -364,122 +364,6 @@ let gen_native rng =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Serve-mode workload mixes.                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Plain data on purpose: the sanitizer library sits below the server in
-   the dependency order, so a mix describes N tenants (arrival process in
-   its string codec form, workloads, fault plan, deadlines) without
-   referencing server types; [Serve.Fuzz] interprets it. *)
-
-type mix_tenant = {
-  mt_weight : int;
-  mt_arrival : string;
-  mt_jobs : int;
-  mt_workloads : string list;
-  mt_scale : float;
-  mt_workers : int;
-  mt_deadline : (int * int) option;
-  mt_cycle_budget : (int * int) option;
-  mt_plan : Sim.Fault_plan.t option;
-  mt_promotion_want : int;
-}
-
-type mix = {
-  mix_seed : int;
-  mix_pool : int;
-  mix_queue : int;
-  mix_preempt : string;
-  mix_tenants : mix_tenant list;
-}
-
-let gen_arrival rng =
-  match Sim.Sim_rng.int rng 3 with
-  | 0 -> Printf.sprintf "poisson:%d" (2_000 + Sim.Sim_rng.int rng 18_000)
-  | 1 -> Printf.sprintf "burst:%d:%d" (5_000 + Sim.Sim_rng.int rng 35_000) (2 + Sim.Sim_rng.int rng 4)
-  | _ ->
-      Printf.sprintf "adversarial:%d:%d"
-        (10_000 + Sim.Sim_rng.int rng 40_000)
-        (3 + Sim.Sim_rng.int rng 6)
-
-let gen_mix_tenant rng ~pool ~faulty =
-  let n_wl = 1 + Sim.Sim_rng.int rng 3 in
-  let workloads = List.init n_wl (fun _ -> pick rng workload_pool) in
-  (* Low end tight enough that a pause-policy quantum lands inside a
-     typical job's makespan (so preemption paths actually run), high end
-     loose enough that most jobs still complete. *)
-  let deadline =
-    if Sim.Sim_rng.bool rng then
-      let base = 8_000 + Sim.Sim_rng.int rng 150_000 in
-      Some (base, 3 * base)
-    else None
-  in
-  let plan =
-    if not faulty then None
-    else
-      Some
-        {
-          Sim.Fault_plan.none with
-          Sim.Fault_plan.seed = Sim.Sim_rng.int rng 1_000_000;
-          beat_drop_prob = Sim.Sim_rng.float rng 0.4;
-          beat_jitter = Sim.Sim_rng.int rng 3_000;
-          steal_fail_prob = Sim.Sim_rng.float rng 0.5;
-          steal_fail_burst = Sim.Sim_rng.int rng 4;
-          stall_prob = Sim.Sim_rng.float rng 0.2;
-          stall_cycles = 1 + Sim.Sim_rng.int rng 3_000;
-        }
-  in
-  {
-    mt_weight = 1 + Sim.Sim_rng.int rng 3;
-    mt_arrival = gen_arrival rng;
-    mt_jobs = 3 + Sim.Sim_rng.int rng 5;
-    mt_workloads = workloads;
-    mt_scale = 0.01 +. Sim.Sim_rng.float rng 0.02;
-    mt_workers = 1 + Sim.Sim_rng.int rng pool;
-    mt_deadline = deadline;
-    mt_cycle_budget =
-      (if faulty then
-         let base = 100_000 + Sim.Sim_rng.int rng 400_000 in
-         Some (base, 2 * base)
-       else None);
-    mt_plan = plan;
-    mt_promotion_want = 4 + Sim.Sim_rng.int rng 28;
-  }
-
-let gen_mix rng =
-  let pool = pick rng [| 4; 8; 16 |] in
-  let tenants = 2 + Sim.Sim_rng.int rng 3 in
-  let faulty_tenant = if Sim.Sim_rng.int rng 4 = 0 then Some (Sim.Sim_rng.int rng tenants) else None in
-  {
-    mix_seed = Sim.Sim_rng.int rng 1_000_000;
-    mix_pool = pool;
-    mix_queue = 2 + Sim.Sim_rng.int rng 9;
-    mix_preempt = (if Sim.Sim_rng.bool rng then "pause" else "cancel");
-    mix_tenants =
-      List.init tenants (fun i -> gen_mix_tenant rng ~pool ~faulty:(faulty_tenant = Some i));
-  }
-
-let mix_hash m =
-  Digest.to_hex
-    (Digest.string
-       (Marshal.to_string
-          (m.mix_seed, m.mix_pool, m.mix_queue, m.mix_preempt, m.mix_tenants)
-          []))
-
-let mix_describe m =
-  Printf.sprintf "mix seed=%d pool=%d queue=%d policy=%s tenants=[%s]" m.mix_seed m.mix_pool
-    m.mix_queue m.mix_preempt
-    (String.concat "; "
-       (List.map
-          (fun t ->
-            Printf.sprintf "%s jobs=%d w=%d%s%s" t.mt_arrival t.mt_jobs t.mt_workers
-              (match t.mt_deadline with
-              | Some (lo, hi) -> Printf.sprintf " dl=%d..%d" lo hi
-              | None -> "")
-              (if t.mt_plan <> None then " FAULTY" else ""))
-          m.mix_tenants))
-
-(* ------------------------------------------------------------------ *)
 (* Execution.                                                          *)
 (* ------------------------------------------------------------------ *)
 

@@ -56,6 +56,9 @@ type outcome = {
   makespan : int;
 }
 
+val workload_pool : string array
+(** The small irregular registry workloads cases draw from. *)
+
 val gen : Sim.Sim_rng.t -> case
 (** Draw one random (bug-free) case. Equal generator states draw equal
     cases, so a whole campaign replays from its seed list. *)
@@ -67,49 +70,6 @@ val gen_native : Sim.Sim_rng.t -> case
     seeded bug. The sanitizer and differential fingerprint check apply
     exactly as in sim mode — chaos may only change performance, never
     results. *)
-
-(** {2 Serve-mode workload mixes}
-
-    A {!mix} is the serve-mode analogue of a {!case}: N tenants, each with
-    an arrival process (in {!Arrival.of_string} codec form — plain data,
-    the sanitizer sits below the server in the dependency order), a
-    workload set, weights, deadline/budget ranges, and optionally a fault
-    plan marking one misbehaving tenant. [Serve.Fuzz] interprets a
-    mix as a full multi-tenant serve run with sanitizers and differential
-    verification on. *)
-
-type mix_tenant = {
-  mt_weight : int;
-  mt_arrival : string;  (** arrival-process codec, e.g. ["poisson:5000"] *)
-  mt_jobs : int;
-  mt_workloads : string list;  (** registry names *)
-  mt_scale : float;
-  mt_workers : int;  (** pool share wanted per job *)
-  mt_deadline : (int * int) option;
-  mt_cycle_budget : (int * int) option;
-  mt_plan : Sim.Fault_plan.t option;  (** the faulty tenant, if any *)
-  mt_promotion_want : int;
-}
-
-type mix = {
-  mix_seed : int;
-  mix_pool : int;
-  mix_queue : int;
-  mix_preempt : string;
-      (** preemption-policy codec ("cancel" / "pause"): what a deadline
-          draw means — kill, or checkpoint-and-requeue *)
-  mix_tenants : mix_tenant list;
-}
-
-val gen_mix : Sim.Sim_rng.t -> mix
-(** Draw one random workload mix (2–4 tenants, at most one faulty,
-    either preemption policy). Equal generator states draw equal
-    mixes. *)
-
-val mix_hash : mix -> string
-(** Hex digest identifying the mix in campaign journals. *)
-
-val mix_describe : mix -> string
 
 val run_case : case -> outcome
 (** Execute the case: sequential reference, then the heartbeat executor

@@ -16,7 +16,7 @@ type state = Closed | Open | Half_open
 
 val state_name : state -> string
 (** "closed" / "open" / "half-open" — the strings carried by
-    {!Obs.Trace.Breaker_transition} events. *)
+    {!Lifecycle.Breaker_transition} events. *)
 
 type config = {
   failure_threshold : int;  (** consecutive failures that trip the breaker *)

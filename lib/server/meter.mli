@@ -6,9 +6,9 @@
     [refill_amount * weight] promotions (capped at [burst_cap * weight]);
     a starting job is granted up to its request from the balance and
     refunds what it did not use at completion. Every credit is emitted as
-    an {!Obs.Trace.Budget_refill} stamped with its epoch-boundary time, so
-    the sanitizer can replay the exact balance and prove no tenant ever
-    overdraws (budget conservation). *)
+    a {!Lifecycle.Budget_refill} stamped with its epoch-boundary time, so
+    the lifecycle check can replay the exact balance and prove no tenant
+    ever overdraws (budget conservation). *)
 
 type config = { refill_period : int; refill_amount : int; burst_cap : int }
 

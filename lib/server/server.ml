@@ -55,7 +55,6 @@ type config = {
   meter : Meter.config;
   sanitize : bool;
   verify : bool;
-  trace : Obs.Trace.Sink.t;
   preempt : preempt_policy;
   max_preempts : int;
   wal : string option;
@@ -74,7 +73,6 @@ let default_config =
     meter = Meter.default_config;
     sanitize = false;
     verify = false;
-    trace = Obs.Trace.Sink.null;
     preempt = Cancel;
     max_preempts = 4;
     wal = None;
@@ -124,11 +122,14 @@ type stats = {
   breaker_opens : int;
 }
 
+type violation = { invariant : string; time : int; message : string }
+
 type result = {
   reports : job_report list;
   stats : stats;
   decisions : string;
-  violations : (int option * Sanitizer.Checker.violation) list;
+  events : (int * Lifecycle.event) list;
+  violations : (int option * violation) list;
   wal_replayed : int;
 }
 
@@ -164,7 +165,7 @@ type exec = {
   x_fp : float option;
   x_mismatch : bool;
   x_preempted : bool;
-  x_violations : Sanitizer.Checker.violation list;
+  x_violations : violation list;
 }
 
 type ev = Arrival of pending | Completion of completion
@@ -271,6 +272,13 @@ let job_rt cfg (p : pending) =
   in
   { rt_base with Hbc_core.Rt_config.workers = p.workers; seed = p.jseed }
 
+let checker_violations c =
+  List.map
+    (fun (v : Sanitizer.Checker.violation) ->
+      let invariant = Sanitizer.Checker.invariant_name v.invariant in
+      { invariant; time = v.time; message = v.message })
+    (Sanitizer.Checker.violations c)
+
 let run_job cfg serial_cache (p : pending) ~fault_plan ~grant ~checker ~pause_at ~deadline
     ~resume_from =
   let entry = Workloads.Registry.find p.p_workload in
@@ -284,8 +292,7 @@ let run_job cfg serial_cache (p : pending) ~fault_plan ~grant ~checker ~pause_at
   in
   let request =
     Hbc_core.Run_request.make ?deadline ?cycle_budget:p.budget_cap ?fault_plan ?pause_at
-      ?resume_from ~trace ~sanitize:(checker <> None) ~tenant:p.p_tenant
-      ~priority:p.p_priority ~promotion_budget:grant ()
+      ?resume_from ~trace ~sanitize:(checker <> None) ~promotion_budget:grant ()
   in
   let run () =
     match cfg.service with
@@ -318,7 +325,7 @@ let run_job cfg serial_cache (p : pending) ~fault_plan ~grant ~checker ~pause_at
         x_mismatch = false;
         x_preempted = false;
         x_violations =
-          (match checker with Some c -> Sanitizer.Checker.violations c | None -> []);
+          (match checker with Some c -> checker_violations c | None -> []);
       }
   | result -> (
       let promotions = result.Sim.Run_result.metrics.Sim.Metrics.promotions in
@@ -363,7 +370,7 @@ let run_job cfg serial_cache (p : pending) ~fault_plan ~grant ~checker ~pause_at
                    finished: a preempted or aborted job legitimately leaves
                    uncovered iterations behind. *)
                 if term = Sim.Run_result.Finished then Sanitizer.Checker.finish c;
-                Sanitizer.Checker.violations c
+                checker_violations c
           in
           let outcome =
             if mismatch then Failed "mismatch"
@@ -501,9 +508,8 @@ let run cfg =
             end)
       fmt
   in
-  let server_checker = Sanitizer.Checker.create (Sanitizer.Checker.config_of_rt cfg.rt) in
-  let sink = Obs.Trace.Sink.tee (Sanitizer.Checker.sink server_checker) cfg.trace in
-  let emit ~time ev = Obs.Trace.Sink.emit sink ~time ~worker:(-1) ev in
+  let lifecycle = Lifecycle.create () in
+  let emit ~time ev = Lifecycle.record lifecycle ~time ev in
   let now = ref 0 in
   let breaker_opens = ref 0 in
   let ck_count = ref 0 in
@@ -512,7 +518,7 @@ let run cfg =
   let meter =
     Meter.create ~config:cfg.meter ~weights
       ~emit:(fun ~time ~tenant ~amount ->
-        emit ~time (Obs.Trace.Budget_refill { tenant; amount });
+        emit ~time (Lifecycle.Budget_refill { tenant; amount });
         line "t=%d refill tenant=%d amount=%d" time tenant amount)
       ()
   in
@@ -522,7 +528,7 @@ let run cfg =
           ~on_transition:(fun ~from_state ~to_state ->
             if to_state = Breaker.Open then incr breaker_opens;
             emit ~time:!now
-              (Obs.Trace.Breaker_transition
+              (Lifecycle.Breaker_transition
                  {
                    tenant;
                    from_state = Breaker.state_name from_state;
@@ -582,7 +588,7 @@ let run cfg =
         }
   in
   let shed (p : pending) reason =
-    emit ~time:!now (Obs.Trace.Job_shed { job = p.id; tenant = p.p_tenant; reason });
+    emit ~time:!now (Lifecycle.Job_shed { job = p.id; tenant = p.p_tenant; reason });
     line "t=%d shed job=%d tenant=%d reason=%s" !now p.id p.p_tenant reason;
     finalize p ~start_time:None ~outcome:(Rejected reason) ~granted:0 ~promotions:0 ~service:None
       ~work:0 ~fp:None ~mismatch:false ~episodes:0
@@ -606,7 +612,7 @@ let run cfg =
         let started = match ctx with Some c when episodes > 0 -> Some c.first_start | _ -> None in
         let service = match ctx with Some c when c.boundary > 0 -> Some c.boundary | _ -> None in
         emit ~time:!now
-          (Obs.Trace.Job_finished
+          (Lifecycle.Job_finished
              { job = p.id; tenant = p.p_tenant; state = "deadline"; promotions = used });
         line "t=%d finish job=%d tenant=%d outcome=deadline service=%d" !now p.id p.p_tenant
           (Option.value service ~default:0);
@@ -647,14 +653,14 @@ let run cfg =
         ctx.granted_total <- ctx.granted_total + grant;
         (match resume with
         | None ->
-            emit ~time:!now (Obs.Trace.Job_started { job = p.id; tenant; budget = grant });
+            emit ~time:!now (Lifecycle.Job_started { job = p.id; tenant; budget = grant });
             line "t=%d start job=%d tenant=%d workers=%d grant=%d deadline=%s" !now p.id tenant
               p.workers grant
               (match p.deadline_abs with Some d -> string_of_int d | None -> "none")
         | Some ck ->
             incr resume_count;
             emit ~time:!now
-              (Obs.Trace.Job_resumed { job = p.id; tenant; episode = ctx.episodes; budget = grant });
+              (Lifecycle.Job_resumed { job = p.id; tenant; episode = ctx.episodes; budget = grant });
             line "t=%d resume job=%d tenant=%d episode=%d grant=%d boundary=%d" !now p.id tenant
               ctx.episodes grant ck.Sim.Checkpoint_state.at_cycle);
         free := !free - p.workers;
@@ -683,7 +689,7 @@ let run cfg =
   in
   let on_arrival (p : pending) =
     if p.p_retries = 0 then begin
-      emit ~time:!now (Obs.Trace.Job_submitted { job = p.id; tenant = p.p_tenant });
+      emit ~time:!now (Lifecycle.Job_submitted { job = p.id; tenant = p.p_tenant });
       line "t=%d submit job=%d tenant=%d wl=%s" !now p.id p.p_tenant p.p_workload
     end;
     let b = breakers.(p.p_tenant) in
@@ -705,7 +711,7 @@ let run cfg =
         shed p "queue-full"
       else begin
         emit ~time:!now
-          (Obs.Trace.Job_admitted
+          (Lifecycle.Job_admitted
              { job = p.id; tenant = p.p_tenant; queued = Admission.length queue });
         line "t=%d admit job=%d tenant=%d depth=%d" !now p.id p.p_tenant (Admission.length queue);
         dispatch ()
@@ -726,7 +732,7 @@ let run cfg =
         if Admission.offer queue ~tenant:p.p_tenant ~priority:p.p_priority requeued then begin
           incr ck_count;
           emit ~time:!now
-            (Obs.Trace.Job_checkpointed
+            (Lifecycle.Job_checkpointed
                { job = p.id; tenant = p.p_tenant; at_cycle = ck.Sim.Checkpoint_state.at_cycle });
           line "t=%d checkpoint job=%d tenant=%d cycle=%d episode=%d digest=%s" !now p.id
             p.p_tenant ck.Sim.Checkpoint_state.at_cycle (ctx.episodes + 1)
@@ -745,10 +751,10 @@ let run cfg =
         else begin
           (* No room to re-enter admission: the pause degrades to a cancel
              with full cumulative accounting (never a silent drop). *)
-          emit ~time:!now (Obs.Trace.Job_preempted { job = p.id; tenant = p.p_tenant });
+          emit ~time:!now (Lifecycle.Job_preempted { job = p.id; tenant = p.p_tenant });
           line "t=%d preempt job=%d tenant=%d reason=requeue-full" !now p.id p.p_tenant;
           emit ~time:!now
-            (Obs.Trace.Job_finished
+            (Lifecycle.Job_finished
                { job = p.id; tenant = p.p_tenant; state = "deadline"; promotions = x.x_promotions });
           line "t=%d finish job=%d tenant=%d outcome=deadline promotions=%d service=%d" !now p.id
             p.p_tenant x.x_promotions c.c_service;
@@ -762,11 +768,11 @@ let run cfg =
     | None ->
         let outcome = match x.x_outcome with Some o -> o | None -> assert false in
         if x.x_preempted then begin
-          emit ~time:!now (Obs.Trace.Job_preempted { job = p.id; tenant = p.p_tenant });
+          emit ~time:!now (Lifecycle.Job_preempted { job = p.id; tenant = p.p_tenant });
           line "t=%d preempt job=%d tenant=%d" !now p.id p.p_tenant
         end;
         emit ~time:!now
-          (Obs.Trace.Job_finished
+          (Lifecycle.Job_finished
              {
                job = p.id;
                tenant = p.p_tenant;
@@ -806,33 +812,11 @@ let run cfg =
   (* Epoch-0 credit lands before the first arrival. *)
   Meter.advance meter ~now:0;
   loop ();
-  Sanitizer.Checker.finish server_checker;
-  let reports =
-    Array.to_list reports
-    |> List.mapi (fun id r ->
-           match r with
-           | Some r -> r
-           | None ->
-               (* Unreachable by construction (every submitted job is shed
-                  or finished); keep the accounting honest if it ever is. *)
-               {
-                 job = id;
-                 tenant = -1;
-                 workload = "?";
-                 submit_time = 0;
-                 start_time = None;
-                 finish_time = 0;
-                 outcome = Failed "lost";
-                 granted = 0;
-                 promotions = 0;
-                 service_cycles = None;
-                 sojourn = None;
-                 work_cycles = 0;
-                 fingerprint = None;
-                 mismatch = false;
-                 episodes = 0;
-               })
-  in
+  Lifecycle.finish lifecycle;
+  (* Every submitted job is shed or finished, so every slot is filled. A
+     job that never terminated is a job-conservation violation of the
+     lifecycle check, and leaves the report list short of [submitted]. *)
+  let reports = List.filter_map Fun.id (Array.to_list reports) in
   let count p = List.length (List.filter p reports) in
   let completed = List.filter (fun r -> r.outcome = Completed) reports in
   let sojourns =
@@ -861,10 +845,21 @@ let run cfg =
     }
   in
   let violations =
-    List.map (fun v -> (None, v)) (Sanitizer.Checker.violations server_checker)
+    List.map
+      (fun (v : Lifecycle.violation) ->
+        let invariant = Lifecycle.invariant_name v.invariant in
+        (None, { invariant; time = v.time; message = v.message }))
+      (Lifecycle.violations lifecycle)
     @ List.rev !job_violations
   in
-  { reports; stats; decisions = Buffer.contents decisions; violations; wal_replayed = replayed }
+  {
+    reports;
+    stats;
+    decisions = Buffer.contents decisions;
+    events = Lifecycle.events lifecycle;
+    violations;
+    wal_replayed = replayed;
+  }
 
 let summary r =
   let s = r.stats in

@@ -30,11 +30,11 @@
     - promotion opportunities are metered per tenant ({!Meter}), and an
       exhausted grant degrades the job gracefully to serial execution.
 
-    Every decision is emitted as an {!Obs.Trace} event (and mirrored in a
-    textual decision journal for byte-identity tests); with [sanitize] the
-    run carries a server-level {!Sanitizer.Checker} proving job, budget
-    and resume conservation plus one per-job checker — persistent across
-    pause/resume episodes — for the scheduler invariants.
+    Every decision is recorded as a {!Lifecycle} event (and mirrored in a
+    textual decision journal for byte-identity tests); recording checks
+    job, budget and resume conservation. With [sanitize] each job also
+    carries a {!Sanitizer.Checker} — persistent across pause/resume
+    episodes — for the scheduler invariants.
 
     With [wal = Some path] the decision journal is a write-ahead log:
     every line is flushed to disk before the next decision is taken. The
@@ -97,9 +97,8 @@ type config = {
   rt : Hbc_core.Rt_config.t;  (** base runtime config (workers/seed overridden per job) *)
   breaker : Breaker.config;
   meter : Meter.config;
-  sanitize : bool;  (** server-level + per-job invariant checkers *)
+  sanitize : bool;  (** per-job scheduler invariant checkers *)
   verify : bool;  (** differential-check completed jobs against the serial reference *)
-  trace : Obs.Trace.Sink.t;  (** extra sink for the server's own events *)
   preempt : preempt_policy;  (** what a deadline does to a running job *)
   max_preempts : int;
       (** pause/resume episodes (and breaker deferrals) allowed per job
@@ -157,6 +156,13 @@ type stats = {
   breaker_opens : int;
 }
 
+type violation = {
+  invariant : string;  (** stable invariant name, e.g. "job-conservation" *)
+  time : int;
+  message : string;
+}
+(** A {!Lifecycle} or per-job {!Sanitizer.Checker} violation. *)
+
 type result = {
   reports : job_report list;  (** in job-id (submission) order *)
   stats : stats;
@@ -164,8 +170,11 @@ type result = {
       (** textual decision journal, one line per admit/shed/start/
           checkpoint/resume/finish/breaker/refill — byte-identical across
           equal-seed runs, including WAL-recovered ones *)
-  violations : (int option * Sanitizer.Checker.violation) list;
-      (** (job, violation); [None] is the server-level checker *)
+  events : (int * Lifecycle.event) list;
+      (** every lifecycle event with its time, in decision order *)
+  violations : (int option * violation) list;
+      (** (job, violation); [None] is the server's own lifecycle check,
+          which runs whether or not [sanitize] is set *)
   wal_replayed : int;
       (** committed WAL lines replayed (and byte-verified) before any new
           decision was appended; 0 on a fresh log or without a WAL *)

@@ -114,12 +114,6 @@ let count_event t (ev : Obs.Trace.event) =
   | Obs.Trace.Slice_enter _ | Obs.Trace.Iter_exec _ | Obs.Trace.Task_pushed _
   | Obs.Trace.Task_popped _ | Obs.Trace.Task_stolen _ | Obs.Trace.Task_exec _
   | Obs.Trace.Chunk_decision _ | Obs.Trace.Promote_choice _ -> ()
-  (* Server-layer lifecycle events: counted by the serve report, not by the
-     per-run scalar counters (a single run never emits them). *)
-  | Obs.Trace.Job_submitted _ | Obs.Trace.Job_admitted _ | Obs.Trace.Job_shed _
-  | Obs.Trace.Job_started _ | Obs.Trace.Job_preempted _ | Obs.Trace.Job_checkpointed _
-  | Obs.Trace.Job_resumed _ | Obs.Trace.Job_finished _ | Obs.Trace.Breaker_transition _
-  | Obs.Trace.Budget_refill _ -> ()
 
 let counting_sink t = Obs.Trace.Sink.fn (fun ~time:_ ~worker:_ ev -> count_event t ev)
 

@@ -179,46 +179,6 @@ let query_order_independent () =
   check_int "count" (Obs.Trace_query.count (fun _ -> true) t)
     (Obs.Trace_query.count (fun _ -> true) shuffled)
 
-(* ------------------- job lifecycle events ------------------- *)
-
-(* The serve-mode job lifecycle in submission order: every variant the
-   server can emit for one job, including the preempt–resume pair. *)
-let job_lifecycle_events =
-  [
-    Obs.Trace.Job_submitted { job = 3; tenant = 1 };
-    Obs.Trace.Job_admitted { job = 3; tenant = 1; queued = 2 };
-    Obs.Trace.Job_shed { job = 4; tenant = 0; reason = "queue-full" };
-    Obs.Trace.Job_started { job = 3; tenant = 1; budget = 16 };
-    Obs.Trace.Job_checkpointed { job = 3; tenant = 1; at_cycle = 8_000 };
-    Obs.Trace.Job_resumed { job = 3; tenant = 1; episode = 1; budget = 12 };
-    Obs.Trace.Job_preempted { job = 3; tenant = 1 };
-    Obs.Trace.Job_finished { job = 3; tenant = 1; state = "completed"; promotions = 9 };
-  ]
-
-let job_lifecycle_codec_roundtrip () =
-  check_int "all eight lifecycle variants" 8 (List.length job_lifecycle_events);
-  let recs =
-    List.mapi
-      (fun i e -> { Obs.Trace.seq = i; time = 100 * i; worker = -1; event = e })
-      job_lifecycle_events
-  in
-  let decoded = Obs.Trace.records_of_json (Obs.Trace.records_to_json recs) in
-  check_bool "round-trips exactly" true (decoded = recs)
-
-let job_lifecycle_keep_filter () =
-  let is_ck_resume = function
-    | Obs.Trace.Job_checkpointed _ | Obs.Trace.Job_resumed _ -> true
-    | _ -> false
-  in
-  let ring = Obs.Trace.Sink.ring ~keep:is_ck_resume ~workers:1 ~capacity:16 () in
-  List.iteri (fun i e -> Obs.Trace.Sink.emit ring ~time:i ~worker:0 e) job_lifecycle_events;
-  check_int "kept only checkpoint/resume" 2 (List.length (Obs.Trace.Sink.captured ring));
-  check_int "filtered are not drops" 0 (Obs.Trace.Sink.dropped ring);
-  let keep_all = Obs.Trace.Sink.ring ~keep:(fun _ -> true) ~workers:1 ~capacity:16 () in
-  List.iteri (fun i e -> Obs.Trace.Sink.emit keep_all ~time:i ~worker:0 e) job_lifecycle_events;
-  check_int "lifecycle passes an open filter" 8
-    (List.length (Obs.Trace.Sink.captured keep_all))
-
 let suite =
   [
     Alcotest.test_case "tracing off is identical" `Quick tracing_off_is_identical;
@@ -231,6 +191,4 @@ let suite =
     Alcotest.test_case "tee and null" `Quick tee_and_null;
     Alcotest.test_case "windowed query" `Quick windowed_query;
     Alcotest.test_case "query order independent" `Quick query_order_independent;
-    Alcotest.test_case "job lifecycle codec round-trips" `Quick job_lifecycle_codec_roundtrip;
-    Alcotest.test_case "job lifecycle keep filter" `Quick job_lifecycle_keep_filter;
   ]
