@@ -555,9 +555,7 @@ let run_cmd =
       m.Sim.Metrics.heartbeats_missed;
     Printf.printf "polls            : %d\n" m.Sim.Metrics.polls;
     Printf.printf "overhead cycles  : %d\n" m.Sim.Metrics.overhead_cycles;
-    Hashtbl.iter
-      (fun k v -> Printf.printf "  %-16s %d\n" k v)
-      m.Sim.Metrics.overhead_by_kind;
+    List.iter (fun (k, v) -> Printf.printf "  %-16s %d\n" k v) (Sim.Metrics.attribution m);
     (match fault_plan with
     | None -> ()
     | Some plan ->

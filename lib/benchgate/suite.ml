@@ -197,6 +197,26 @@ let micro_native_untraced_overhead () =
       Probe.deti ctx "vetoes" !vetoes;
       Probe.deti ctx "hot_path_alloc_words" hot_words)
 
+(* The simulator's per-kind overhead attribution: a charge bumps one
+   slot of an array indexed by its kind, so a round that charges every
+   kind hashes no name and allocates nothing. *)
+let micro_overhead_attribution () =
+  Probe.run ~name:"micro/overhead-attribution" (fun ctx ->
+      let m = Sim.Metrics.create () in
+      let kinds = Array.of_list Sim.Metrics.kinds in
+      let rounds = 65536 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to rounds do
+        for j = 0 to Array.length kinds - 1 do
+          Sim.Metrics.add_overhead m kinds.(j) (j + 1)
+        done
+      done;
+      let hot_words = int_of_float (Gc.minor_words () -. w0) in
+      Probe.deti ctx "charges" (rounds * Array.length kinds);
+      Probe.deti ctx "overhead_cycles" m.Sim.Metrics.overhead_cycles;
+      Probe.deti ctx "kinds_attributed" (List.length (Sim.Metrics.attribution m));
+      Probe.deti ctx "hot_path_alloc_words" hot_words)
+
 let micro () =
   [
     micro_deque ();
@@ -208,6 +228,7 @@ let micro () =
     micro_checkpoint_capture ();
     micro_domains_dispatch ();
     micro_native_untraced_overhead ();
+    micro_overhead_attribution ();
   ]
 
 (* --------------------------- macro probes ------------------------- *)

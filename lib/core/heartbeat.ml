@@ -212,7 +212,7 @@ let consume t ~worker ~count_poll =
           + cm.Sim.Cost_model.rollforward_lookup_cost
         in
         Sim.Engine.advance t.eng c;
-        Sim.Metrics.add_overhead t.metrics "interrupt" c;
+        Sim.Metrics.add_overhead t.metrics Sim.Metrics.Interrupt c;
         emit t worker Obs.Trace.Heartbeat_detected;
         true
       end

@@ -106,16 +106,16 @@ let add_work b c =
   if c > 0 then Sim.Engine.advance b.eng c
 
 (* Work plus overheads in a single advance (hot path: one event per
-   batch). Memory traffic is booked on the shared bus; time past the
-   compute cost is a bandwidth stall. *)
-let advance_mixed b ~work ~bytes parts =
+   batch). The caller attributes [overhead] to its kinds after the call.
+   Memory traffic is booked on the shared bus; time past the compute cost
+   is a bandwidth stall. *)
+let advance_mixed b ~work ~overhead ~bytes =
   let m = b.metrics in
-  let compute = List.fold_left (fun acc (_, c) -> acc + c) work parts in
+  let compute = work + overhead in
   let total = Sim.Membus.serve b.bus ~now:(Sim.Engine.now b.eng) ~compute ~bytes in
   if total > 0 then Sim.Engine.advance b.eng total;
   m.Sim.Metrics.work_cycles <- m.Sim.Metrics.work_cycles + work;
-  List.iter (fun (k, c) -> if c > 0 then Sim.Metrics.add_overhead m k c) parts;
-  if total > compute then Sim.Metrics.add_overhead m "membus" (total - compute)
+  if total > compute then Sim.Metrics.add_overhead m Sim.Metrics.Membus (total - compute)
 
 let push b task = Sim.Deque.push_bottom b.deques.(worker_id b) task
 
@@ -144,7 +144,7 @@ let pre_task b =
   let c = Sim.Fault_injector.stall_cycles b.inj ~worker:(worker_id b) in
   if c > 0 then begin
     Sim.Engine.advance b.eng c;
-    Sim.Metrics.add_overhead b.metrics "fault-stall" c
+    Sim.Metrics.add_overhead b.metrics Sim.Metrics.Fault_stall c
   end
 
 let on_task_claim b = b.steal_fails.(worker_id b) <- 0
@@ -182,7 +182,7 @@ let should_park b =
       b.steal_fails.(w) <- f + 1;
       let d = b.cost.Sim.Cost_model.idle_backoff lsl f in
       let d = d + Sim.Fault_injector.backoff_jitter b.inj ~worker:w ~limit:(1 + (d / 2)) in
-      overhead b "idle-backoff" d;
+      overhead b Sim.Metrics.Idle_backoff d;
       false
     end
   end
@@ -191,12 +191,12 @@ let idle b = if should_park b then Sim.Engine.park b.eng
 
 let set_busy b ~worker ~busy = Heartbeat.set_busy b.hb ~worker busy
 
-let charge_push b = overhead b "promotion" b.cost.Sim.Cost_model.deque_push_cost
+let charge_push b = overhead b Sim.Metrics.Promotion b.cost.Sim.Cost_model.deque_push_cost
 
-let charge_pop b = overhead b "join" b.cost.Sim.Cost_model.deque_pop_cost
+let charge_pop b = overhead b Sim.Metrics.Join b.cost.Sim.Cost_model.deque_pop_cost
 
-let charge_steal_attempt b = overhead b "steal" b.cost.Sim.Cost_model.steal_attempt_cost
+let charge_steal_attempt b = overhead b Sim.Metrics.Steal b.cost.Sim.Cost_model.steal_attempt_cost
 
-let charge_steal_success b = overhead b "steal" b.cost.Sim.Cost_model.steal_success_cost
+let charge_steal_success b = overhead b Sim.Metrics.Steal b.cost.Sim.Cost_model.steal_success_cost
 
-let charge_join_slow b = overhead b "join" b.cost.Sim.Cost_model.join_slow_path_cost
+let charge_join_slow b = overhead b Sim.Metrics.Join b.cost.Sim.Cost_model.join_slow_path_cost

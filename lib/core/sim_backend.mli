@@ -99,14 +99,16 @@ val charge_steal_success : t -> unit
 
 val charge_join_slow : t -> unit
 
-val overhead : t -> string -> int -> unit
+val overhead : t -> Sim.Metrics.kind -> int -> unit
 (** Charge overhead cycles: one engine advance, per-kind attribution
     (shared with the executor's interpreter hooks). *)
 
 val add_work : t -> int -> unit
 (** Charge cycles of body work: one engine advance, counted as work. *)
 
-val advance_mixed : t -> work:int -> bytes:int -> (string * int) list -> unit
-(** Body work plus per-kind overhead [parts] in a single engine advance,
-    with [bytes] of memory traffic served by the shared bus; time past the
-    compute cost is attributed to ["membus"]. *)
+val advance_mixed : t -> work:int -> overhead:int -> bytes:int -> unit
+(** Body work plus [overhead] cycles in a single engine advance, with
+    [bytes] of memory traffic served by the shared bus; time past the
+    compute cost is attributed to [Membus]. The caller attributes
+    [overhead] to its kinds with {!Sim.Metrics.add_overhead} after the
+    call, so a charge builds no list and allocates nothing. *)

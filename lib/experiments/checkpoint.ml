@@ -71,9 +71,7 @@ let metrics_to_json (m : Sim.Metrics.t) =
       ( "promotions_by_level",
         Arr (Array.to_list (Array.map (fun n -> Int n) m.Sim.Metrics.promotions_by_level)) );
       ( "overhead",
-        Obj
-          (Hashtbl.fold (fun k v acc -> (k, Int v) :: acc) m.Sim.Metrics.overhead_by_kind []
-          |> List.sort compare) );
+        Obj (List.map (fun (k, v) -> (k, Int v)) (Sim.Metrics.attribution m)) );
     ]
 
 let metrics_of_json j =
@@ -99,8 +97,7 @@ let metrics_of_json j =
       (match mem "overhead" fields with
       | Some (Obj kinds) ->
           List.iter
-            (fun (k, v) ->
-              match v with Int i -> Hashtbl.replace m.Sim.Metrics.overhead_by_kind k i | _ -> ())
+            (fun (k, v) -> match v with Int i -> Sim.Metrics.restore_overhead m k i | _ -> ())
             kinds
       | _ -> ())
   | _ -> ());

@@ -62,12 +62,12 @@ let render config =
           Report.Table.cell_pct (Sim.Run_result.overhead_pct tpal);
           Report.Table.cell_pct (Sim.Run_result.overhead_pct km);
           Report.Table.cell_pct (Sim.Run_result.overhead_pct poll);
-          component "outline-call";
-          component "closure";
-          component "chunking";
-          component "promotion-branch";
-          component "chunk-transfer";
-          component "poll";
+          component Sim.Metrics.Outline_call;
+          component Sim.Metrics.Closure;
+          component Sim.Metrics.Chunking;
+          component Sim.Metrics.Promotion_branch;
+          component Sim.Metrics.Chunk_transfer;
+          component Sim.Metrics.Poll;
         ])
     entries;
   Report.Table.render table

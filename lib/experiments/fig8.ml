@@ -34,7 +34,8 @@ let render config =
         let m = r.Sim.Run_result.metrics in
         100.0
         *. Float.of_int
-             (Sim.Metrics.overhead_of m "poll" + Sim.Metrics.overhead_of m "promotion-branch")
+             (Sim.Metrics.overhead_of m Sim.Metrics.Poll
+              + Sim.Metrics.overhead_of m Sim.Metrics.Promotion_branch)
         /. Float.of_int (Stdlib.max 1 r.Sim.Run_result.work_cycles)
       in
       Report.Table.add_row table

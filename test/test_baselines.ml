@@ -124,8 +124,8 @@ let omp_guided_correct_and_coarser () =
   let dyn1 = Baselines.Openmp.run_program (Baselines.Openmp.dynamic ~workers:16 ()) p in
   (* guided grabs far fewer, bigger chunks: fewer dispatch events *)
   check_bool "fewer dispatches than dynamic(1)" true
-    (Sim.Metrics.overhead_of guided.Sim.Run_result.metrics "omp-dispatch"
-    < Sim.Metrics.overhead_of dyn1.Sim.Run_result.metrics "omp-dispatch" / 2)
+    (Sim.Metrics.overhead_of guided.Sim.Run_result.metrics Sim.Metrics.Omp_dispatch
+    < Sim.Metrics.overhead_of dyn1.Sim.Run_result.metrics Sim.Metrics.Omp_dispatch / 2)
 
 let tpal_wrapper () =
   let p = nested_program ~rows:300 ~cols:60 in

@@ -124,10 +124,7 @@ let golden_row (label, program) (workers, mechanism, promotion) =
   let cfg = { Hbc_core.Rt_config.default with workers; mechanism; promotion } in
   let r = Hbc_core.Fork_join.run ~cfg program in
   let m = r.Hbc_core.Fork_join.metrics in
-  let kinds =
-    Hashtbl.fold (fun k v acc -> Printf.sprintf "%s:%d" k v :: acc) m.Sim.Metrics.overhead_by_kind []
-    |> List.sort compare |> String.concat ","
-  in
+  let kinds = Test_sched.attribution m in
   Printf.sprintf
     "%s P=%d %s%s makespan=%d overhead=%d [%s] promotions=%d sequential=%d steals=%d attempts=%d slow_joins=%d polls=%d beats=%d"
     label workers

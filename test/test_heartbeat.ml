@@ -80,7 +80,7 @@ let kernel_module_pending_and_missed () =
   in
   check_bool "some generated" true (m.Sim.Metrics.heartbeats_generated >= 3);
   check_int "overwritten beat missed" 1 m.Sim.Metrics.heartbeats_missed;
-  check_bool "interrupt cost attributed" true (Sim.Metrics.overhead_of m "interrupt" > 0)
+  check_bool "interrupt cost attributed" true (Sim.Metrics.overhead_of m Sim.Metrics.Interrupt > 0)
 
 let ping_thread_stretch_accounting () =
   (* With one busy worker the ping thread keeps up; its delivery is late by

@@ -47,7 +47,7 @@ let sample_result () =
   metrics.Sim.Metrics.heartbeats_detected <- 40;
   metrics.Sim.Metrics.promotions <- 7;
   metrics.Sim.Metrics.promotions_by_level.(2) <- 5;
-  Sim.Metrics.add_overhead metrics "poll" 123;
+  Sim.Metrics.add_overhead metrics Sim.Metrics.Poll 123;
   metrics.Sim.Metrics.downgrades <- 2;
   {
     Sim.Run_result.makespan = 123_456;
@@ -91,7 +91,7 @@ let roundtrip_completed () =
           let m = r.Sim.Run_result.metrics in
           check_int "counter" 41 m.Sim.Metrics.heartbeats_generated;
           check_int "per-level promotions" 5 m.Sim.Metrics.promotions_by_level.(2);
-          check_int "overhead kind" 123 (Sim.Metrics.overhead_of m "poll");
+          check_int "overhead kind" 123 (Sim.Metrics.overhead_of m Sim.Metrics.Poll);
           check_int "downgrade counter" 2 (Sim.Metrics.downgrade_count m);
           check_bool "trace round-trips exactly" true (r.Sim.Run_result.trace = sample_trace);
           check_bool "downgrade events queryable" true
@@ -121,6 +121,42 @@ let roundtrip_failed () =
       | Experiments.Checkpoint.Failed (Experiments.Trial_error.Timeout d) ->
           check_string "detail" "cycle budget 100 exceeded" d
       | _ -> Alcotest.fail "expected Failed Timeout")
+
+(* The journal's "overhead" object lists the nonzero kinds by name. A
+   kind this build does not know (written by a newer one) is dropped on
+   decode, as unknown counters are, and the rest of the line survives. *)
+let unknown_overhead_kind_ignored () =
+  let entry =
+    {
+      Experiments.Checkpoint.key = "k";
+      bench = "b";
+      tag = "t";
+      scale = 1.0;
+      workers = 64;
+      seed = 1;
+      status = Experiments.Checkpoint.Completed (sample_result ());
+    }
+  in
+  let line = Experiments.Checkpoint.entry_to_json entry in
+  let known = "\"overhead\":{\"poll\":123}" in
+  let n = String.length known in
+  let rec at i = if String.sub line i n = known then i else at (i + 1) in
+  let at = at 0 in
+  let future =
+    String.sub line 0 at ^ "\"overhead\":{\"poll\":123,\"warp-drive\":9}"
+    ^ String.sub line (at + n) (String.length line - at - n)
+  in
+  match Experiments.Checkpoint.entry_of_json future with
+  | Error msg -> Alcotest.failf "decode failed: %s" msg
+  | Ok e -> (
+      match e.Experiments.Checkpoint.status with
+      | Experiments.Checkpoint.Failed _ -> Alcotest.fail "expected Completed"
+      | Experiments.Checkpoint.Completed r ->
+          let m = r.Sim.Run_result.metrics in
+          check_int "known kind kept" 123 (Sim.Metrics.overhead_of m Sim.Metrics.Poll);
+          check_int "total untouched" 123 m.Sim.Metrics.overhead_cycles;
+          check_string "re-encodes to the known kinds" line
+            (Experiments.Checkpoint.entry_to_json e))
 
 let torn_lines_skipped () =
   let path = temp_journal () in
@@ -419,6 +455,7 @@ let suite =
   [
     Alcotest.test_case "journal: completed round-trip" `Quick roundtrip_completed;
     Alcotest.test_case "journal: failed round-trip" `Quick roundtrip_failed;
+    Alcotest.test_case "journal: unknown overhead kind ignored" `Quick unknown_overhead_kind_ignored;
     Alcotest.test_case "journal: torn lines skipped" `Quick torn_lines_skipped;
     Alcotest.test_case "resume skips completed trials" `Quick resume_skips_completed;
     Alcotest.test_case "config hash invalidates entries" `Quick config_change_invalidates;
