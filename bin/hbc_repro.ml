@@ -163,7 +163,8 @@ let fault_plan_term =
   let wakeup =
     let doc =
       "Fault injection: probability (0-1) that a parked-worker wakeup signal is suppressed \
-       (domains backend; the monitor's bounded park timeout recovers it)."
+       (domains backend; the wakeup is owed, and the next wake, idle worker or shutdown \
+       re-issues it)."
     in
     Arg.(value & opt float 0.0 & info [ "fault-wakeup" ] ~docv:"P" ~doc)
   in

@@ -52,22 +52,13 @@ type run_state = {
   last_seen : int array;
 }
 
-let overhead st kind c =
-  if c > 0 then begin
-    Sim.Engine.advance st.eng c;
-    Sim.Metrics.add_overhead st.metrics kind c
-  end
+let overhead st kind c = Hbc_core.Sim_backend.charge_overhead st.eng st.metrics kind c
 
-let add_work st c =
-  st.metrics.Sim.Metrics.work_cycles <- st.metrics.Sim.Metrics.work_cycles + c;
-  if c > 0 then Sim.Engine.advance st.eng c
+let add_work st c = Hbc_core.Sim_backend.charge_work st.eng st.metrics c
 
 (* Work with its memory traffic booked on the shared bus. *)
 let add_work_bytes st c bytes =
-  st.metrics.Sim.Metrics.work_cycles <- st.metrics.Sim.Metrics.work_cycles + c;
-  let total = Sim.Membus.serve st.bus ~now:(Sim.Engine.now st.eng) ~compute:c ~bytes in
-  if total > 0 then Sim.Engine.advance st.eng total;
-  if total > c then Sim.Metrics.add_overhead st.metrics Sim.Metrics.Membus (total - c)
+  Hbc_core.Sim_backend.charge_mixed st.eng st.metrics st.bus ~work:c ~overhead:0 ~bytes
 
 let reduction_cost (spec : Ir.Locals.spec) =
   8 + (2 * (spec.Ir.Locals.nfloats + spec.Ir.Locals.nints))

@@ -94,28 +94,35 @@ let critical _b f = f ()
 
 let emit b ev = Obs.Trace.Sink.emit b.trace ~time:(now b) ~worker:(worker_id b) ev
 
-(* Charge overhead cycles: one engine advance, per-kind attribution. *)
-let overhead b kind c =
+(* The simulated charging path, over the engine, the metrics and the
+   shared bus alone, so the OpenMP baseline charges through this one copy
+   too. Overhead: one engine advance, per-kind attribution. *)
+let charge_overhead eng metrics kind c =
   if c > 0 then begin
-    Sim.Engine.advance b.eng c;
-    Sim.Metrics.add_overhead b.metrics kind c
+    Sim.Engine.advance eng c;
+    Sim.Metrics.add_overhead metrics kind c
   end
 
-let add_work b c =
-  b.metrics.Sim.Metrics.work_cycles <- b.metrics.Sim.Metrics.work_cycles + c;
-  if c > 0 then Sim.Engine.advance b.eng c
+let charge_work eng metrics c =
+  metrics.Sim.Metrics.work_cycles <- metrics.Sim.Metrics.work_cycles + c;
+  if c > 0 then Sim.Engine.advance eng c
 
 (* Work plus overheads in a single advance (hot path: one event per
    batch). The caller attributes [overhead] to its kinds after the call.
    Memory traffic is booked on the shared bus; time past the compute cost
    is a bandwidth stall. *)
-let advance_mixed b ~work ~overhead ~bytes =
-  let m = b.metrics in
+let charge_mixed eng metrics bus ~work ~overhead ~bytes =
   let compute = work + overhead in
-  let total = Sim.Membus.serve b.bus ~now:(Sim.Engine.now b.eng) ~compute ~bytes in
-  if total > 0 then Sim.Engine.advance b.eng total;
-  m.Sim.Metrics.work_cycles <- m.Sim.Metrics.work_cycles + work;
-  if total > compute then Sim.Metrics.add_overhead m Sim.Metrics.Membus (total - compute)
+  let total = Sim.Membus.serve bus ~now:(Sim.Engine.now eng) ~compute ~bytes in
+  if total > 0 then Sim.Engine.advance eng total;
+  metrics.Sim.Metrics.work_cycles <- metrics.Sim.Metrics.work_cycles + work;
+  if total > compute then Sim.Metrics.add_overhead metrics Sim.Metrics.Membus (total - compute)
+
+let overhead b kind c = charge_overhead b.eng b.metrics kind c
+
+let add_work b c = charge_work b.eng b.metrics c
+
+let advance_mixed b ~work ~overhead ~bytes = charge_mixed b.eng b.metrics b.bus ~work ~overhead ~bytes
 
 let push b task = Sim.Deque.push_bottom b.deques.(worker_id b) task
 
@@ -187,7 +194,9 @@ let should_park b =
     end
   end
 
-let idle b = if should_park b then Sim.Engine.park b.eng
+(* The wait count is ignored: a parked fiber stays parked until an
+   explicit unpark, and reading the count here would move no virtual time. *)
+let idle b ~until:_ = if should_park b then Sim.Engine.park b.eng
 
 let set_busy b ~worker ~busy = Heartbeat.set_busy b.hb ~worker busy
 

@@ -85,7 +85,7 @@ val wake_one : t -> unit
 
 val unpark : t -> worker:int -> unit
 
-val idle : t -> unit
+val idle : t -> until:int Atomic.t -> unit
 
 val set_busy : t -> worker:int -> busy:bool -> unit
 
@@ -98,6 +98,17 @@ val charge_steal_attempt : t -> unit
 val charge_steal_success : t -> unit
 
 val charge_join_slow : t -> unit
+
+val charge_overhead : Sim.Engine.t -> Sim.Metrics.t -> Sim.Metrics.kind -> int -> unit
+(** {!overhead} over an engine and its metrics alone: the one charging
+    path, shared with the OpenMP baseline. *)
+
+val charge_work : Sim.Engine.t -> Sim.Metrics.t -> int -> unit
+(** {!add_work} over an engine and its metrics alone. *)
+
+val charge_mixed :
+  Sim.Engine.t -> Sim.Metrics.t -> Sim.Membus.t -> work:int -> overhead:int -> bytes:int -> unit
+(** {!advance_mixed} over an engine, its metrics and a bus alone. *)
 
 val overhead : t -> Sim.Metrics.kind -> int -> unit
 (** Charge overhead cycles: one engine advance, per-kind attribution

@@ -31,7 +31,8 @@ type fault =
           counted polls on the domains backend *)
   | Wakeup_delayed
       (** an injected suppression of a parked-worker wakeup signal; the
-          parked worker only recovers via the bounded park timeout *)
+          wakeup is owed, and the next wake, an idle worker or shutdown
+          re-issues it *)
 
 type event =
   | Heartbeat_generated

@@ -13,9 +13,11 @@ type t = {
   polls : int array;  (* per worker, Every_polls only *)
   progress : int array;
       (* per-worker scheduling-point counter, bumped on every [consume].
-         Plain stores — monitor reads race, which the watchdog tolerates. *)
+         Plain stores — rung-2 reads from other domains race, which the
+         watchdog tolerates. *)
   mutable next_mark : int;  (* progress value of the armed mark; max_int when none *)
   mutable on_mark : unit -> unit;
+  mutable on_sample : unit -> unit;  (* watchdog rung 2, chaos leaf polls only *)
   inj : Sim.Fault_injector.t;
   chaos : bool;  (* [inj] is active *)
   watchdog_k : int;
@@ -45,6 +47,7 @@ let create source ~workers ~injector ~watchdog_k ~on_downgrade =
     progress = Array.make n 0;
     next_mark = Stdlib.max_int;
     on_mark = ignore;
+    on_sample = ignore;
     inj = injector;
     chaos = Sim.Fault_injector.active injector;
     watchdog_k;
@@ -57,6 +60,8 @@ let create source ~workers ~injector ~watchdog_k ~on_downgrade =
 let arm t ~at f =
   t.next_mark <- at;
   t.on_mark <- f
+
+let on_sample t f = t.on_sample <- f
 
 let progress t ~worker = t.progress.(worker)
 
@@ -93,9 +98,15 @@ let chaos_beat t w =
     else false
   end
 
+(* A leaf poll under chaos: an injected stall window counts down, and
+   every 64th poll offers watchdog rung 2 a sample. *)
+let chaos_poll t w =
+  if t.stall_left.(w) > 0 then t.stall_left.(w) <- t.stall_left.(w) - 1;
+  if t.progress.(w) land 63 = 0 then t.on_sample ()
+
 let consume t w ~count_poll =
   t.progress.(w) <- t.progress.(w) + 1;
-  if count_poll && t.chaos && t.stall_left.(w) > 0 then t.stall_left.(w) <- t.stall_left.(w) - 1;
+  if count_poll && t.chaos then chaos_poll t w;
   if t.progress.(w) = t.next_mark then t.on_mark ();
   let boundary =
     match t.source with

@@ -59,6 +59,11 @@ val progress : t -> worker:int -> int
     one worker and the liveness signal of watchdog rung 2. Racy reads
     from another domain are fine. *)
 
+val on_sample : t -> (unit -> unit) -> unit
+(** Call [f] synchronously, from {!consume}, at every 64th leaf poll of
+    each worker, in chaos runs only: the sampling point of watchdog
+    rung 2. A fault-free run never calls it. *)
+
 val arm : t -> at:int -> (unit -> unit) -> unit
 (** Call [f] synchronously, from {!consume}, when a worker's progress
     reaches [at] ([max_int] disarms). One mark at a time. *)

@@ -18,14 +18,29 @@
    injector attached ([chaos] false) every hook short-circuits on one
    immutable bool — the lock-free fast path is untouched.
 
-   Parking: an idle worker spins [spin_rounds], then blocks on
-   [park_cond] under [park_mu]. Wakeups hand out tickets under the same
-   mutex, so a wakeup that races the spin-to-park transition is banked
-   rather than lost: the worker consumes the ticket instead of waiting.
-   The monitor domain (started by {!start}) broadcasts every
-   [park_timeout_s] as the robustness backstop — a wakeup the chaos
-   layer suppressed (or a genuinely lost signal) strands a worker for at
-   most one timeout, not forever. *)
+   Parking: an idle worker spins [spin_rounds], then parks on [park_cond]
+   under [park_mu]. No other domain ever wakes a parked worker on a timer,
+   so the protocol itself must lose no wakeup. A parker, holding
+   [park_mu], first takes a banked ticket if there is one. Otherwise it
+   announces itself ([Atomic.incr parked]) and re-checks readiness before
+   [Condition.wait]: it is ready when its wait count (a join's pending
+   count, or the core's live flag) reads 0 or some deque holds a task. A
+   waker publishes first — a deque push, a pending decrement, the live
+   flag's clear — and only then reads [parked]. Every one of these is an
+   [Atomic], and OCaml atomics are sequentially consistent, so the
+   waker's read of [parked] and the parker's increment are ordered. If
+   the read comes after the increment, the waker sees the parker; it then
+   takes [park_mu], which the parker holds until [Condition.wait]
+   releases it, so its signal reaches the waiting parker or banks a
+   ticket for one that already left. If the read comes first, the
+   publication precedes the increment, and the parker's re-check sees the
+   work and does not wait. Either way no wakeup is lost.
+
+   A wakeup the chaos layer suppresses is owed, not lost: the next
+   [wake_one] or [unpark], any worker entering [idle], and [stop] each
+   re-issue it as a broadcast, with no new draw. The waker itself enters
+   [idle] or calls [stop] eventually, so even a run that suppresses
+   every wakeup finishes. *)
 
 type t = {
   n : int;
@@ -37,15 +52,14 @@ type t = {
   tick : int Atomic.t;  (* logical trace clock; bumped per emission *)
   rng : int array;  (* per-worker xorshift state for victim selection *)
   spins : int array;  (* consecutive idle rounds, drives spin-then-park *)
-  busy : bool array;  (* per-worker task-depth busy flag, monitor-sampled *)
+  busy : bool array;  (* per-worker task-depth busy flag, sampled by watchdog rung 2 *)
   mutable injector : Sim.Fault_injector.t;
   mutable chaos : bool;  (* injector attached and active *)
   park_mu : Mutex.t;
   park_cond : Condition.t;
   mutable tickets : int;  (* banked wakeups, guarded by [park_mu] *)
-  parked : int Atomic.t;  (* wake_one fast-path mirror of the wait count *)
-  monitor_stop : bool Atomic.t;
-  mutable monitor : unit Domain.t option;
+  parked : int Atomic.t;  (* workers announced to park; read by every waker *)
+  owed : bool Atomic.t;  (* a chaos-suppressed wakeup awaits re-issue *)
 }
 
 (* The worker index of the calling domain. Domains a pool did not
@@ -73,8 +87,7 @@ let create ~workers ~trace ~capture =
     park_cond = Condition.create ();
     tickets = 0;
     parked = Atomic.make 0;
-    monitor_stop = Atomic.make false;
-    monitor = None;
+    owed = Atomic.make false;
   }
 
 let set_injector b inj =
@@ -144,46 +157,47 @@ let on_task_claim b = b.spins.(worker_id b) <- 0
 
 (* --- parked-worker wakeup ----------------------------------------- *)
 
-(* How long a parked worker can be stranded by a lost or chaos-suppressed
-   wakeup before the monitor's broadcast frees it. *)
-let park_timeout_s = 200e-6
+(* Bank a ticket and wake the parked workers. A join owner needs a
+   broadcast: the condition variable is shared, and a targeted signal
+   could wake the wrong sleeper while the owner keeps waiting. *)
+let signal b ~all =
+  Mutex.lock b.park_mu;
+  if b.tickets < b.n then b.tickets <- b.tickets + 1;
+  if all then Condition.broadcast b.park_cond else Condition.signal b.park_cond;
+  Mutex.unlock b.park_mu
 
 let wake_all b =
+  Atomic.set b.owed false;
   Mutex.lock b.park_mu;
   b.tickets <- b.n;
   Condition.broadcast b.park_cond;
   Mutex.unlock b.park_mu
 
+(* Re-issue a suppressed wakeup, without a new draw. *)
+let pay_owed b = if Atomic.get b.owed && Atomic.exchange b.owed false then signal b ~all:true
+
 (* The [parked = 0] fast path keeps the promotion path allocation-free
    and lock-free when nobody sleeps (the common heartbeat-scheduling
    case: deques are empty, workers spin). The chaos draw models a lost
-   futex wake; the monitor broadcast is the bounded recovery. *)
-let wake_one b =
+   futex wake; the wakeup is owed until re-issued. *)
+let wake b ~all =
+  if b.chaos then pay_owed b;
   if Atomic.get b.parked > 0 then begin
-    if not (b.chaos && Sim.Fault_injector.delay_wakeup b.injector ~worker:(worker_id b)) then begin
-      Mutex.lock b.park_mu;
-      if b.tickets < b.n then b.tickets <- b.tickets + 1;
-      Condition.signal b.park_cond;
-      Mutex.unlock b.park_mu
-    end
+    if b.chaos && Sim.Fault_injector.delay_wakeup b.injector ~worker:(worker_id b) then
+      Atomic.set b.owed true
+    else signal b ~all
   end
 
-(* Join-owner wakeup: broadcast, because the condition variable is shared
-   and a targeted signal could wake the wrong sleeper while the owner
-   keeps waiting for a ticket. *)
-let unpark b ~worker:_ =
-  if Atomic.get b.parked > 0 then begin
-    if not (b.chaos && Sim.Fault_injector.delay_wakeup b.injector ~worker:(worker_id b)) then begin
-      Mutex.lock b.park_mu;
-      if b.tickets < b.n then b.tickets <- b.tickets + 1;
-      Condition.broadcast b.park_cond;
-      Mutex.unlock b.park_mu
-    end
-  end
+let wake_one b = wake b ~all:false
+
+let unpark b ~worker:_ = wake b ~all:true
 
 let spin_rounds = 64
 
-let idle b =
+let rec work_visible b w = w < b.n && (Ws_deque.size b.deques.(w) > 0 || work_visible b (w + 1))
+
+let idle b ~until =
+  if b.chaos then pay_owed b;
   let w = worker_id b in
   let s = b.spins.(w) in
   if s < spin_rounds then begin
@@ -200,7 +214,8 @@ let idle b =
     if b.tickets > 0 then b.tickets <- b.tickets - 1
     else begin
       Atomic.incr b.parked;
-      Condition.wait b.park_cond b.park_mu;
+      (* The re-check after the announcement: see the header comment. *)
+      if Atomic.get until > 0 && not (work_visible b 0) then Condition.wait b.park_cond b.park_mu;
       Atomic.decr b.parked;
       if b.tickets > 0 then b.tickets <- b.tickets - 1
     end;
@@ -209,49 +224,21 @@ let idle b =
     b.spins.(w) <- 0
   end
 
-(* --- monitor domain ------------------------------------------------ *)
-
-let start_monitor ?(tick = fun () -> ()) b =
-  if b.n > 1 && b.monitor = None then begin
-    Atomic.set b.monitor_stop false;
-    b.monitor <-
-      Some
-        (Domain.spawn (fun () ->
-             while not (Atomic.get b.monitor_stop) do
-               Unix.sleepf park_timeout_s;
-               Mutex.lock b.park_mu;
-               Condition.broadcast b.park_cond;
-               Mutex.unlock b.park_mu;
-               tick ()
-             done))
-  end
-
-let stop_monitor b =
-  match b.monitor with
-  | None -> ()
-  | Some d ->
-      Atomic.set b.monitor_stop true;
-      Domain.join d;
-      b.monitor <- None
-
 (* --- pool lifecycle ------------------------------------------------ *)
 
-let start ?tick b ~work =
+let start b ~work =
   register ~worker:0;
-  start_monitor ?tick b;
   List.init (b.n - 1) (fun i ->
       Domain.spawn (fun () ->
           register ~worker:(i + 1);
           work ()))
 
-(* Wake every parked worker so it observes the caller's finished flag;
-   the monitor keeps broadcasting until after the joins, so a worker that
-   parks in the race window is freed within one timeout. Only then is the
-   monitor stopped. *)
+(* The caller cleared the core's live flag before calling, so a worker
+   that parks after this broadcast sees the flag in its re-check and does
+   not wait. *)
 let stop b domains =
   wake_all b;
-  List.iter Domain.join domains;
-  stop_monitor b
+  List.iter Domain.join domains
 
 let set_busy b ~worker ~busy = b.busy.(worker) <- busy
 

@@ -4,8 +4,10 @@
     Worker identity lives in domain-local storage ({!register}); deques
     are the lock-free Chase–Lev {!Ws_deque}; victim selection is a
     per-worker xorshift; idling spins briefly, then parks on a condition
-    variable until a wakeup ticket arrives (or the monitor's bounded
-    park timeout fires). An untraced backend is fully lock-free on the
+    variable until a wakeup ticket arrives. A parker re-checks its wait
+    count and the deques after announcing itself, and wakers publish
+    before they look for parkers, so no wakeup is lost and no timer
+    domain is needed. An untraced backend is fully lock-free on the
     scheduling fast path. A traced one (enabled sink) linearizes every
     deque-op + emission group under one global mutex and stamps events
     with a logical tick, so {!Sanitizer.Checker} validates native
@@ -15,8 +17,9 @@
     An attached {!Sim.Fault_injector} ({!set_injector}) arms chaos mode:
     steal attempts can be vetoed and parked-worker wakeups suppressed
     from per-worker seeded decision streams, reproducible from
-    [(plan seed, P)]. Without an injector every chaos hook
-    short-circuits on one bool. *)
+    [(plan seed, P)]. A suppressed wakeup is owed: the next wake, any
+    worker entering [idle] and {!stop} re-issue it. Without an injector
+    every chaos hook short-circuits on one bool. *)
 
 type t
 
@@ -42,23 +45,21 @@ val deque_task_ids : t -> worker:int -> int list
 (** Task ids in [worker]'s deque, oldest (steal end) first. Quiescent
     snapshots only (the single-worker pause boundary). *)
 
-val start : ?tick:(unit -> unit) -> t -> work:(unit -> unit) -> unit Domain.t list
-(** Start the pool: register the caller as worker 0, start the monitor
-    domain (when [workers > 1]) and spawn [workers - 1] domains, each
-    registered as worker 1..n-1 and running [work]. The monitor
-    broadcasts the park condition every bounded timeout, so a lost or
-    chaos-suppressed wakeup strands a worker for at most one period, and
-    calls [tick] once per period — the watchdog's sampling hook. *)
+val start : t -> work:(unit -> unit) -> unit Domain.t list
+(** Start the pool: register the caller as worker 0 and spawn
+    [workers - 1] domains, each registered as worker 1..n-1 and running
+    [work]. No other domain is started. *)
 
 val stop : t -> unit Domain.t list -> unit
 (** Shut down what {!start} started: wake every parked worker (never
-    chaos-suppressed), join the domains, then stop the monitor. Set the
-    core's finished flag first, so [work] returns. *)
+    chaos-suppressed; it also pays any owed wakeup), then join the
+    domains. Set the core's finished flag first, so [work] returns. *)
 
 val is_busy : t -> worker:int -> bool
 (** The [set_busy] flag for [worker] — true while it runs inside an
-    outermost task. Monitor-sampled (racy reads are fine: the watchdog
-    tolerates sampling error, it only needs eventual accuracy). *)
+    outermost task. Sampled by watchdog rung 2 from other domains (racy
+    reads are fine: the watchdog tolerates sampling error, it only needs
+    eventual accuracy). *)
 
 (** {2 BACKEND implementation} *)
 
@@ -96,7 +97,7 @@ val wake_one : t -> unit
 
 val unpark : t -> worker:int -> unit
 
-val idle : t -> unit
+val idle : t -> until:int Atomic.t -> unit
 
 val set_busy : t -> worker:int -> busy:bool -> unit
 

@@ -28,10 +28,11 @@
 
    - Watchdog ladder: rung 1 ([Beat]) detects a beat-starved worker
      ([watchdog_k] consecutive suppressed beats) and downgrades it to
-     polling fallback — beats always deliver from then on; rung 2 runs
-     on the monitor domain, samples [Beat]'s progress counters, and
-     disables further promotions when a busy worker makes no progress
-     for a bounded window. Both rungs emit [Mechanism_downgrade].
+     polling fallback — beats always deliver from then on; rung 2 is
+     sampled from the leaf polls of the workers that still make
+     progress: it reads [Beat]'s progress counters and disables further
+     promotions when a busy worker makes no progress for a bounded
+     window. Both rungs emit [Mechanism_downgrade].
 
    - Pause/checkpoint-resume: under the deterministic [Every_polls]
      beat with one worker, a run can pause at a scheduling-point
@@ -212,34 +213,40 @@ let run_program ?(request = Run_request.default) ?(beat = Wall_us 100.0) (cfg : 
            (fun (cyc, g) -> (cyc, fun () -> if g >= 0 then I.set_promo_left ist g))
            ck.Sim.Checkpoint_state.regrants
         @ [ (ck.Sim.Checkpoint_state.at_cycle, verify) ]));
-  (* Watchdog rung 2, sampled on the monitor domain: a busy worker whose
-     progress counter has not moved for [stuck_after] consecutive samples
-     (one sample every [sample_every] park-timeout periods) is considered
-     stuck; further promotions are disabled so no new tasks land behind
-     it, and the run degrades to finishing what is already split. *)
-  let tick =
-    if not (Sim.Fault_injector.active injector) then fun () -> ()
-    else begin
-      let sample_every = 16 and stuck_after = 8 in
-      let last = Array.make n (-1) in
-      let stuck = Array.make n 0 in
-      let ticks = ref 0 in
-      fun () ->
-        incr ticks;
-        if !ticks mod sample_every = 0 then
-          for w = 0 to n - 1 do
-            let p = Beat.progress beat ~worker:w in
-            if Domains_backend.is_busy b ~worker:w && p = last.(w) then begin
-              stuck.(w) <- stuck.(w) + 1;
-              if stuck.(w) = stuck_after && I.disable_promotions ist then
-                note Obs.Trace.Mechanism_downgrade
-            end
-            else stuck.(w) <- 0;
-            last.(w) <- p
-          done
-    end
-  in
-  let domains = Domains_backend.start ~tick b ~work:(fun () -> C.scavenge core) in
+  (* Watchdog rung 2, sampled from chaos leaf polls ([Beat.on_sample]):
+     one sample per 3.2 ms, taken by whichever polling worker gets the
+     sampler's lock first. A busy worker whose progress counter has not
+     moved for [stuck_after] consecutive samples (about 25 ms) is
+     considered stuck; further promotions are disabled so no new tasks
+     land behind it, and the run degrades to finishing what is already
+     split. Only a worker that polls can promote, so sampling from polls
+     covers every case in which disabling promotions changes anything. *)
+  if Sim.Fault_injector.active injector && n > 1 then begin
+    let sample_ns = 3_200_000 and stuck_after = 8 in
+    let last = Array.make n (-1) in
+    let stuck = Array.make n 0 in
+    let due = ref (Beat.now_ns () + sample_ns) in
+    let mu = Mutex.create () in
+    Beat.on_sample beat (fun () ->
+        if Mutex.try_lock mu then begin
+          let now = Beat.now_ns () in
+          if now >= !due then begin
+            due := now + sample_ns;
+            for w = 0 to n - 1 do
+              let p = Beat.progress beat ~worker:w in
+              if Domains_backend.is_busy b ~worker:w && p = last.(w) then begin
+                stuck.(w) <- stuck.(w) + 1;
+                if stuck.(w) = stuck_after && I.disable_promotions ist then
+                  note Obs.Trace.Mechanism_downgrade
+              end
+              else stuck.(w) <- 0;
+              last.(w) <- p
+            done
+          end;
+          Mutex.unlock mu
+        end)
+  end;
+  let domains = Domains_backend.start b ~work:(fun () -> C.scavenge core) in
   let t_start = Beat.now_ns () in
   let termination = ref Sim.Run_result.Finished in
   (try

@@ -19,8 +19,9 @@
     sequences} are reproducible from [(plan seed, P)]; results never
     change — only performance. A starvation watchdog bounds the damage:
     a worker missing [cfg.watchdog_k] consecutive beats downgrades itself
-    to polling fallback, and a monitor-sampled progress check disables
-    further promotions when a busy worker stops progressing; both emit
+    to polling fallback, and a progress check sampled from the other
+    workers' leaf polls disables further promotions when a busy worker
+    stops progressing; both emit
     {!Obs.Trace.Mechanism_downgrade}.
 
     {b Pause/resume.} Under [Every_polls] with one worker, [pause_at]

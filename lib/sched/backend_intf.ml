@@ -107,8 +107,13 @@ module type BACKEND = sig
   val unpark : t -> worker:int -> unit
   (** A join completed: wake its owner, if parked. *)
 
-  val idle : t -> unit
-  (** Nothing to pop or steal: park, back off, or spin — backend's choice. *)
+  val idle : t -> until:int Atomic.t -> unit
+  (** Nothing to pop or steal: park, back off, or spin — backend's choice.
+      [until] is the caller's wait count (a join's pending count, or the
+      core's live flag for a scavenger): the caller can move on once it
+      reads 0 or some deque holds a task. A parking backend re-checks
+      both after announcing itself, so a wakeup published before that
+      re-check is never needed; the simulator ignores it. *)
 
   val set_busy : t -> worker:int -> busy:bool -> unit
   (** Outermost task-nesting transition (drives the heartbeat busy flag in

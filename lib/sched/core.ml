@@ -7,7 +7,7 @@
    the golden fingerprint/makespan tests.
 
    Concurrency notes (the simulator is single-fibered, so these only
-   matter natively): join pending counts and the finished/task-id
+   matter natively): join pending counts, the live flag and the task-id
    counters are Atomics; [last_pusher] is a racy affinity hint (reads
    may be stale, which only costs a wasted probe). Deque-op + emission
    groups go through [B.critical] so a tracing concurrent backend can
@@ -18,7 +18,7 @@ module Make (B : Backend_intf.BACKEND) = struct
     b : B.t;
     depth : int array;  (* task-nesting depth per worker, drives the busy flag *)
     mutable last_pusher : int;  (* steal-affinity hint: deque that grew last *)
-    finished : bool Atomic.t;
+    live : int Atomic.t;  (* 1 until [set_finished]; scavengers idle until it reads 0 *)
     next_id : int Atomic.t;  (* trace-only task serial (captured runs) *)
   }
 
@@ -29,7 +29,7 @@ module Make (B : Backend_intf.BACKEND) = struct
       b;
       depth = Array.make (B.num_workers b) 0;
       last_pusher = 0;
-      finished = Atomic.make false;
+      live = Atomic.make 1;
       next_id = Atomic.make 0;
     }
 
@@ -46,9 +46,9 @@ module Make (B : Backend_intf.BACKEND) = struct
     t.depth.(0) <- 0;
     B.set_busy t.b ~worker:0 ~busy:false
 
-  let finished t = Atomic.get t.finished
+  let finished t = Atomic.get t.live = 0
 
-  let set_finished t = Atomic.set t.finished true
+  let set_finished t = Atomic.set t.live 0
 
   let next_task_id t = Atomic.get t.next_id
 
@@ -156,16 +156,16 @@ module Make (B : Backend_intf.BACKEND) = struct
       | None -> (
           match try_steal t with
           | Some task -> run_task t task
-          | None -> if Atomic.get join.pending > 0 then B.idle t.b)
+          | None -> if Atomic.get join.pending > 0 then B.idle t.b ~until:join.pending)
     done
 
   let scavenge t =
-    while not (Atomic.get t.finished) do
+    while not (finished t) do
       match pop_own t ~charge:false with
       | Some task -> run_task t task
       | None -> (
           match try_steal t with
           | Some task -> run_task t task
-          | None -> if not (Atomic.get t.finished) then B.idle t.b)
+          | None -> if not (finished t) then B.idle t.b ~until:t.live)
     done
 end

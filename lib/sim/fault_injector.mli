@@ -59,8 +59,9 @@ val stall_polls : t -> worker:int -> int
     consume disjoint plan knobs. *)
 
 val delay_wakeup : t -> worker:int -> bool
-(** Should this parked-worker wakeup signal be suppressed? (The bounded
-    park timeout then bounds the stranding.) *)
+(** Should this parked-worker wakeup signal be suppressed? (The backend
+    then owes it, and re-issues it at the next wake, idle worker or
+    shutdown.) *)
 
 val backoff_jitter : t -> worker:int -> limit:int -> int
 (** Uniform jitter in [\[0, limit)] for the executor's steal backoff; 0 when

@@ -46,7 +46,8 @@ type t = {
           stalled worker ignores that many of its own heartbeat polls *)
   delay_wakeup_prob : float;
       (** probability that a parked-worker wakeup signal is suppressed
-          (domains backend; the bounded park timeout is the recovery path) *)
+          (domains backend; the owed wakeup is re-issued at the next wake,
+          idle worker or shutdown) *)
 }
 
 val none : t
