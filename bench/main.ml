@@ -7,16 +7,12 @@
    bench/baseline.json with `hbc_repro bench-diff`. Nothing else runs in
    this mode.
 
-   Part 1 — bechamel micro-benchmarks of the runtime primitives whose costs
-   the simulator's cost model abstracts (deque operations, polls/AC, the
-   perfect-hash leftover table, the rollforward compiler, the compilation
-   pipeline itself), plus one Test.make per reproduced table/figure running
-   a miniature configuration of that experiment.
-
-   Part 2 — regeneration of every table and figure of the paper's evaluation
-   (Figs. 4-16) at full scale, printing the same rows/series the paper
-   reports. Scale/workers can be overridden with HBC_BENCH_SCALE and
-   HBC_BENCH_WORKERS. *)
+   Without --report — bechamel micro-benchmarks of the runtime primitives
+   whose costs the simulator's cost model abstracts (deque operations,
+   polls/AC, the perfect-hash leftover table, the rollforward compiler, the
+   compilation pipeline itself, fork-join, the native pool), plus one
+   Test.make per reproduced table/figure running a miniature configuration
+   of that experiment. The figures themselves are `hbc_repro all`'s job. *)
 
 open Bechamel
 open Toolkit
@@ -224,24 +220,7 @@ let () =
   match flag_value "--report" with
   | Some path -> report_mode path
   | None ->
-  let scale =
-    match Sys.getenv_opt "HBC_BENCH_SCALE" with Some s -> float_of_string s | None -> 1.0
-  in
-  let workers =
-    match Sys.getenv_opt "HBC_BENCH_WORKERS" with Some s -> int_of_string s | None -> 64
-  in
-  print_endline "=== Part 1: micro-benchmarks (bechamel) ===";
-  run_bechamel micro_tests;
-  print_endline "\n=== Part 1b: per-figure miniature benchmarks (bechamel) ===";
-  run_bechamel (List.map bench_figure Experiments.Run_all.figures);
-  Printf.printf "\n=== Part 2: full reproduction of Figures 4-16 (scale %.2f, %d workers) ===\n\n%!"
-    scale workers;
-  Experiments.Harness.clear_cache ();
-  let config = { Experiments.Harness.default_config with scale; workers } in
-  print_string (Experiments.Run_all.render_all config);
-  match Experiments.Harness.validation_failures () with
-  | [] -> print_endline "\nAll runs validated against the sequential reference."
-  | fails ->
-      Printf.printf "\nVALIDATION FAILURES: %s\n"
-        (String.concat ", " (List.map (fun (b, t) -> b ^ "/" ^ t) fails));
-      exit 1
+      print_endline "=== Part 1: micro-benchmarks (bechamel) ===";
+      run_bechamel micro_tests;
+      print_endline "\n=== Part 1b: per-figure miniature benchmarks (bechamel) ===";
+      run_bechamel (List.map bench_figure Experiments.Run_all.figures)

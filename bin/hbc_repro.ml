@@ -92,16 +92,17 @@ let with_journal spec f =
           Experiments.Checkpoint.close j)
         f
 
+(* Every figure command, the ablations and [all] end here: exit 2 when any
+   trial's output diverged from the sequential reference. *)
+let exit_on_divergence () = exit (Experiments.Run_all.exit_code ())
+
 let fig_cmd (f : Experiments.Figure.t) =
   let doc = f.Experiments.Figure.caption in
   let run config journal =
     with_journal journal (fun () ->
         print_string (Experiments.Run_all.render_one config f);
         print_string (Experiments.Run_all.campaign_summary ()));
-    (match Experiments.Harness.validation_failures () with
-    | [] -> ()
-    | _ -> exit 2);
-    ()
+    exit_on_divergence ()
   in
   Cmd.v (Cmd.info f.Experiments.Figure.id ~doc) Term.(const run $ config_term $ journal_term)
 
@@ -117,7 +118,8 @@ let all_cmd =
   in
   let run config journal domains =
     with_journal journal (fun () ->
-        print_string (Experiments.Run_all.render_all_parallel config ~domains))
+        print_string (Experiments.Run_all.render_all_parallel config ~domains));
+    exit_on_divergence ()
   in
   Cmd.v (Cmd.info "all" ~doc) Term.(const run $ config_term $ journal_term $ parallel_trials)
 
@@ -211,7 +213,7 @@ let run_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCHMARK" ~doc:"Benchmark name.")
   in
   let exec_arg =
-    let doc = "Executor: seq, hbc, hbc-km, hbc-ping, tpal, omp-static, or omp-dynamic." in
+    let doc = Printf.sprintf "Executor: %s." (String.concat ", " Sched_run.names) in
     Arg.(value & opt string "hbc" & info [ "executor"; "e" ] ~docv:"EXEC" ~doc)
   in
   let backend_arg =
@@ -321,6 +323,29 @@ let run_cmd =
               exit 2)
         resume_path
     in
+    let native = backend = Sched.Policy.Domains in
+    let direct = pause_at <> None || resume_from <> None in
+    let named = Sched_run.of_name ~chunk:entry.Workloads.Registry.tpal_chunk executor in
+    if native && not (List.mem executor [ "seq"; "hbc"; "tpal" ]) then begin
+      Printf.eprintf "run: --backend domains supports seq, hbc, and tpal, not %s\n" executor;
+      exit 2
+    end;
+    (match named with
+    | Some (_, Sched_run.Hbc _) -> ()
+    | _ when direct && not native ->
+        Printf.eprintf "run: --pause-at/--resume-from need an hbc executor, not %s\n" executor;
+        exit 2
+    | _ -> ());
+    let tag, engine =
+      match named with
+      | Some (tag, engine) ->
+          ( tag,
+            Sched_run.with_machine ~workers:config.Experiments.Harness.workers
+              ~seed:config.Experiments.Harness.seed engine )
+      | None ->
+          Printf.eprintf "unknown executor %s\n" executor;
+          exit 1
+    in
     let base = Experiments.Harness.baseline config entry in
     let san =
       if sanitize then
@@ -372,26 +397,11 @@ let run_cmd =
           Printf.printf "trace            : %d events -> %s\n"
             (List.length r.Sim.Run_result.trace) path
     in
-    if backend = Sched.Policy.Domains then begin
+    if native then begin
       (* Native runs bypass the trial journal: wall-clock makespans are not
          reproducible measurements, and the harness's virtual-time stats do
          not apply. Validation is still against the simulated sequential
          reference — fingerprints are backend-independent. *)
-      let engine =
-        match executor with
-        | "seq" -> Sched_run.Serial
-        | "hbc" ->
-            Sched_run.Hbc
-              {
-                Hbc_core.Rt_config.default with
-                workers = config.Experiments.Harness.workers;
-                seed = config.Experiments.Harness.seed;
-              }
-        | "tpal" -> Sched_run.Tpal { chunk = entry.Workloads.Registry.tpal_chunk }
-        | other ->
-            Printf.eprintf "run: --backend domains supports seq, hbc, and tpal, not %s\n" other;
-            exit 2
-      in
       let (Ir.Program.Any p) = entry.Workloads.Registry.make config.Experiments.Harness.scale in
       let r = Sched_run.run ~request ?beat engine p in
       Printf.printf "benchmark        : %s (%s on %s)\n" entry.Workloads.Registry.name executor
@@ -399,7 +409,7 @@ let run_cmd =
       Printf.printf "baseline work    : %d cycles (simulated reference)\n"
         base.Sim.Run_result.work_cycles;
       Printf.printf "makespan         : %d us wall on %d domains\n" r.Sim.Run_result.makespan
-        config.Experiments.Harness.workers;
+        (Sched_run.workers engine);
       Printf.printf "body work        : %d cycles\n" r.Sim.Run_result.work_cycles;
       Printf.printf "promotions       : %d\n" r.Sim.Run_result.metrics.Sim.Metrics.promotions;
       (match fault_plan with
@@ -454,18 +464,10 @@ let run_cmd =
     in
     (* A paused (or resumed) run is not a campaign trial: the harness
        would journal it as a poisoned entry and flag the pause as an
-       invariant error. Drive the executor directly instead. *)
-    let run_direct cfg_fn =
+       invariant error. Drive the engine directly instead. *)
+    let run_direct () =
       let (Ir.Program.Any p) = entry.Workloads.Registry.make config.Experiments.Harness.scale in
-      let rt =
-        cfg_fn
-          {
-            Hbc_core.Rt_config.default with
-            workers = config.Experiments.Harness.workers;
-            seed = config.Experiments.Harness.seed;
-          }
-      in
-      let r = Sched_run.run ~request (Sched_run.Hbc rt) p in
+      let r = Sched_run.run ~request engine p in
       let valid =
         match r.Sim.Run_result.termination with
         | Sim.Run_result.Finished -> Sim.Run_result.fingerprints_close base r
@@ -478,60 +480,12 @@ let run_cmd =
         error = None;
       }
     in
-    let direct = pause_at <> None || resume_from <> None in
-    (if direct then
-       match executor with
-       | "hbc" | "hbc-km" | "hbc-ping" -> ()
-       | other ->
-           Printf.eprintf "run: --pause-at/--resume-from need an hbc executor, not %s\n" other;
-           exit 2);
     let outcome =
-      match executor with
-      | "seq" -> { Experiments.Harness.result = base; speedup = 1.0; valid = true; error = None }
-      | "hbc" when direct -> run_direct (fun c -> c)
-      | "hbc-km" when direct ->
-          run_direct (fun c ->
-              {
-                c with
-                Hbc_core.Rt_config.mechanism = Hbc_core.Rt_config.Interrupt_kernel_module;
-                chunk = Hbc_core.Compiled.Static entry.Workloads.Registry.tpal_chunk;
-              })
-      | "hbc-ping" when direct ->
-          run_direct (fun c ->
-              {
-                c with
-                Hbc_core.Rt_config.mechanism = Hbc_core.Rt_config.Interrupt_ping_thread;
-                chunk = Hbc_core.Compiled.Static entry.Workloads.Registry.tpal_chunk;
-              })
-      | "hbc" -> Experiments.Harness.run_hbc config ~tag:(tag_of "hbc") ~request entry
-      | "hbc-km" ->
-          Experiments.Harness.run_hbc config ~tag:(tag_of "hbc-km") ~request
-            ~cfg:(fun c ->
-              {
-                c with
-                Hbc_core.Rt_config.mechanism = Hbc_core.Rt_config.Interrupt_kernel_module;
-                chunk = Hbc_core.Compiled.Static entry.Workloads.Registry.tpal_chunk;
-              })
-            entry
-      | "hbc-ping" ->
-          Experiments.Harness.run_hbc config ~tag:(tag_of "hbc-ping") ~request
-            ~cfg:(fun c ->
-              {
-                c with
-                Hbc_core.Rt_config.mechanism = Hbc_core.Rt_config.Interrupt_ping_thread;
-                chunk = Hbc_core.Compiled.Static entry.Workloads.Registry.tpal_chunk;
-              })
-            entry
-      | "tpal" -> Experiments.Harness.run_tpal config ~tag:(tag_of "tpal") ~request entry
-      | "omp-static" ->
-          Experiments.Harness.run_omp config ~tag:(tag_of "omp-static") ~request
-            ~cfg:(fun c -> { c with Baselines.Openmp.schedule = Baselines.Openmp.Static })
-            entry
-      | "omp-dynamic" ->
-          Experiments.Harness.run_omp config ~tag:(tag_of "omp") ~request entry
-      | other ->
-          Printf.eprintf "unknown executor %s\n" other;
-          exit 1
+      match engine with
+      | Sched_run.Serial ->
+          { Experiments.Harness.result = base; speedup = 1.0; valid = true; error = None }
+      | _ when direct -> run_direct ()
+      | _ -> Experiments.Harness.run config ~tag:(tag_of tag) ~request engine entry
     in
     let r = outcome.Experiments.Harness.result in
     let m = r.Sim.Run_result.metrics in
@@ -676,7 +630,6 @@ let ablation_cmd =
     Arg.(value & pos 0 string "all" & info [] ~docv:"STUDY" ~doc:"Study name or `all`.")
   in
   let run config journal which =
-    with_journal journal @@ fun () ->
     let studies =
       if which = "all" then Experiments.Ablations.all
       else
@@ -687,16 +640,16 @@ let ablation_cmd =
               (String.concat ", " (List.map fst Experiments.Ablations.all));
             exit 1
     in
-    List.iter
-      (fun (name, f) ->
-        Printf.printf "== ablation: %s ==\n%s\n\n" name (f config))
-      studies;
-    match Experiments.Harness.validation_failures () with
-    | [] -> ()
-    | fails ->
-        Printf.printf "VALIDATION FAILURES: %s\n"
-          (String.concat ", " (List.map (fun (b, t) -> b ^ "/" ^ t) fails));
-        exit 2
+    with_journal journal (fun () ->
+        List.iter
+          (fun (name, f) -> Printf.printf "== ablation: %s ==\n%s\n\n" name (f config))
+          studies;
+        match Experiments.Harness.validation_failures () with
+        | [] -> ()
+        | fails ->
+            Printf.printf "VALIDATION FAILURES: %s\n"
+              (String.concat ", " (List.map (fun (b, t) -> b ^ "/" ^ t) fails)));
+    exit_on_divergence ()
   in
   Cmd.v (Cmd.info "ablations" ~doc) Term.(const run $ config_term $ journal_term $ which_arg)
 
@@ -713,12 +666,9 @@ let timeline_cmd =
         exit 1
     in
     let (Ir.Program.Any p) = entry.Workloads.Registry.make config.Experiments.Harness.scale in
-    let rt =
-      {
-        Hbc_core.Rt_config.default with
-        workers = config.Experiments.Harness.workers;
-        seed = config.Experiments.Harness.seed;
-      }
+    let engine =
+      Sched_run.with_machine ~workers:config.Experiments.Harness.workers
+        ~seed:config.Experiments.Harness.seed Sched_run.hbc
     in
     let request =
       Hbc_core.Run_request.make
@@ -728,7 +678,7 @@ let timeline_cmd =
              ())
         ()
     in
-    let r = Sched_run.run ~request (Sched_run.Hbc rt) p in
+    let r = Sched_run.run ~request engine p in
     print_string
       (Report.Gantt.render ~workers:config.Experiments.Harness.workers
          ~makespan:r.Sim.Run_result.makespan r.Sim.Run_result.trace)
@@ -1138,7 +1088,10 @@ let serve_cmd =
   let service_arg =
     Arg.(
       value & opt string "hbc"
-      & info [ "service" ] ~docv:"SVC" ~doc:"Service executor: hbc, tpal, omp-static, or omp-dynamic.")
+      & info [ "service" ] ~docv:"SVC"
+          ~doc:
+            (Printf.sprintf "Service executor: %s."
+               (String.concat ", " (List.map fst Experiments.Serve_bench.services))))
   in
   let sseed_arg =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Server seed: the whole run.")
@@ -1242,15 +1195,10 @@ let serve_cmd =
         deadline
     in
     let service =
-      match service with
-      | "hbc" -> Serve.Server.Hbc
-      | "tpal" -> Serve.Server.Tpal { chunk = 64 }
-      | "omp-static" ->
-          Serve.Server.Omp
-            { (Baselines.Openmp.dynamic ()) with Baselines.Openmp.schedule = Baselines.Openmp.Static }
-      | "omp-dynamic" -> Serve.Server.Omp (Baselines.Openmp.dynamic ())
-      | other ->
-          Printf.eprintf "serve: unknown service %s\n" other;
+      match List.assoc_opt service Experiments.Serve_bench.services with
+      | Some engine -> engine
+      | None ->
+          Printf.eprintf "serve: unknown service %s\n" service;
           exit 2
     in
     let tenant i =
@@ -1324,7 +1272,7 @@ let serve_cmd =
     let s = r.Serve.Server.stats in
     Printf.printf
       "service          : %s (%d tenants x %d jobs, pool %d, queue %d, seed %d, preempt %s)\n"
-      (Serve.Server.service_name service)
+      (Sched_run.family service)
       tenants jobs pool qcap seed
       (Serve.Server.preempt_name preempt);
     (match wal with

@@ -2,7 +2,8 @@
 # Repo health check: build, full test suite, the dune-file format gate, the
 # recursive fork-join and native pool examples (checked against their
 # references), a tiny-scale smoke run of the fault-injection sweep (exits
-# non-zero on any output-validation failure), a perf-gate report +
+# non-zero on any output-validation failure), a run of every executor name
+# on sim and of seq/hbc/tpal on 2 domains, a perf-gate report +
 # bench-diff smoke, and (unless skipped) a kill-and-resume exercise of the
 # campaign journal.
 #
@@ -45,6 +46,35 @@ T=$(mktemp "$TMP/hbc-trace.XXXXXX.json")
 "$REPRO" run spmv-powerlaw --scale 0.05 --workers 8 --trace "$T" > /dev/null
 "$REPRO" trace-lint "$T"
 rm -f "$T"
+
+# --- executor smoke test: every executor name must validate against the
+# sequential reference on sim, and seq, hbc and tpal on 2 real domains
+# (tpal on exactly the 2 asked for). hbc-km and omp-static stay refused on
+# domains (exit 2); an unknown name exits 1 on sim and 2 on domains ---
+X=$(mktemp "$TMP/hbc-exec.XXXXXX.txt")
+for e in seq hbc hbc-km hbc-ping tpal omp-static omp-dynamic; do
+    "$REPRO" run spmv-powerlaw --scale 0.05 --workers 8 -e "$e" > "$X"
+    grep -q "output valid     : true" "$X" \
+        || { echo "check.sh: -e $e not validated on sim" >&2; exit 1; }
+done
+for e in seq hbc tpal; do
+    timeout 300 "$REPRO" run spmv-powerlaw --scale 0.05 --backend domains -w 2 -e "$e" > "$X"
+    grep -q "output valid     : true" "$X" \
+        || { echo "check.sh: -e $e not validated on domains" >&2; exit 1; }
+done
+grep -q "on 2 domains" "$X" \
+    || { echo "check.sh: -e tpal -w 2 did not run on 2 domains" >&2; exit 1; }
+for e in hbc-km omp-static no-such-executor; do
+    rc=0
+    "$REPRO" run spmv-powerlaw --scale 0.05 --backend domains -w 2 -e "$e" \
+        > /dev/null 2>&1 || rc=$?
+    [ "$rc" -eq 2 ] || { echo "check.sh: -e $e on domains exited $rc, not 2" >&2; exit 1; }
+done
+rc=0
+"$REPRO" run spmv-powerlaw --scale 0.05 -e no-such-executor > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 1 ] || { echo "check.sh: unknown executor exited $rc, not 1" >&2; exit 1; }
+rm -f "$X"
+echo "check.sh: executor smoke OK"
 
 # --- sanitizer & fuzz smoke test: a sanitized run must report zero
 # violations; the fixed-seed fuzz sweep must pass; a forced seeded bug must

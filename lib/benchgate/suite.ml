@@ -247,55 +247,46 @@ let result_metrics ctx (r : Sim.Run_result.t) =
 
 (* Macro bodies run the effect-handler executor, whose fiber machinery
    allocates nondeterministically (see Probe): alloc words advisory. *)
-let hbc_probe ~name ?(cfg = fun c -> c) bench =
+let engine_probe ~name engine bench =
   Probe.run ~name ~det_alloc:false (fun ctx ->
       let entry = Workloads.Registry.find bench in
-      let rt =
-        { (cfg Hbc_core.Rt_config.default) with Hbc_core.Rt_config.workers = tiny_workers; seed }
-      in
+      let engine = Sched_run.with_machine ~workers:tiny_workers ~seed engine in
       let (Ir.Program.Any p) = entry.Workloads.Registry.make tiny_scale in
-      result_metrics ctx (Sched_run.run (Sched_run.Hbc rt) p))
+      result_metrics ctx (Sched_run.run engine p))
 
-let omp_probe ~name ~schedule bench =
-  Probe.run ~name ~det_alloc:false (fun ctx ->
-      let entry = Workloads.Registry.find bench in
-      let oc =
-        { (Baselines.Openmp.dynamic ()) with Baselines.Openmp.workers = tiny_workers; seed; schedule }
-      in
-      let (Ir.Program.Any p) = entry.Workloads.Registry.make tiny_scale in
-      result_metrics ctx (Baselines.Openmp.run_program oc p))
+let tpal_chunk bench = (Workloads.Registry.find bench).Workloads.Registry.tpal_chunk
 
 let macro () =
   [
     (* Figs. 4-5: nested parallelism on the irregular suite. *)
-    hbc_probe ~name:"macro/fig4-5/spmv-powerlaw-hbc" "spmv-powerlaw";
+    engine_probe ~name:"macro/fig4-5/spmv-powerlaw-hbc" Sched_run.hbc "spmv-powerlaw";
     (* Figs. 6-7: the TPAL runtime (static chunks, ping thread, inline
        leftover) on its own suite. *)
-    hbc_probe ~name:"macro/fig6-7/plus-reduce-array-tpal"
-      ~cfg:(fun _ ->
-        Hbc_core.Rt_config.tpal
-          ~chunk:(Workloads.Registry.find "plus-reduce-array").Workloads.Registry.tpal_chunk)
+    engine_probe ~name:"macro/fig6-7/plus-reduce-array-tpal"
+      (Sched_run.tpal ~chunk:(tpal_chunk "plus-reduce-array"))
       "plus-reduce-array";
     (* Figs. 8, 10, 11: chunking mechanisms under software polling. *)
-    hbc_probe ~name:"macro/fig8-10-11/mandelbrot-static-chunk"
-      ~cfg:(fun c ->
-        {
-          c with
-          Hbc_core.Rt_config.chunk =
-            Hbc_core.Compiled.Static (Workloads.Registry.find "mandelbrot").Workloads.Registry.tpal_chunk;
-        })
+    engine_probe ~name:"macro/fig8-10-11/mandelbrot-static-chunk"
+      (Sched_run.Hbc
+         {
+           Hbc_core.Rt_config.hbc with
+           chunk = Hbc_core.Compiled.Static (tpal_chunk "mandelbrot");
+         })
       "mandelbrot";
-    (* Fig. 9: interrupt-based signaling (kernel-module broadcast). *)
-    hbc_probe ~name:"macro/fig9/spmv-arrowhead-kernel-module"
-      ~cfg:(fun c ->
-        { c with Hbc_core.Rt_config.mechanism = Hbc_core.Rt_config.Interrupt_kernel_module })
+    (* Fig. 9: interrupt-based signaling (kernel-module broadcast), under
+       adaptive chunking rather than Fig. 9's static chunk. *)
+    engine_probe ~name:"macro/fig9/spmv-arrowhead-kernel-module"
+      (Sched_run.Hbc
+         { Hbc_core.Rt_config.hbc with mechanism = Hbc_core.Rt_config.Interrupt_kernel_module })
       "spmv-arrowhead";
     (* Figs. 12-13: adaptive chunking (the default HBC configuration). *)
-    hbc_probe ~name:"macro/fig12-13/kmeans-adaptive" "kmeans";
+    engine_probe ~name:"macro/fig12-13/kmeans-adaptive" Sched_run.hbc "kmeans";
     (* Figs. 14-15: the hand-written irregular graph kernels. *)
-    hbc_probe ~name:"macro/fig14-15/bfs-hbc" "bfs";
+    engine_probe ~name:"macro/fig14-15/bfs-hbc" Sched_run.hbc "bfs";
     (* Fig. 16: regular workloads against OpenMP static. *)
-    omp_probe ~name:"macro/fig16/srad-omp-static" ~schedule:Baselines.Openmp.Static "srad";
+    engine_probe ~name:"macro/fig16/srad-omp-static"
+      (Sched_run.Openmp (Baselines.Openmp.static ()))
+      "srad";
   ]
 
 (* --------------------------- P-sweep probes ----------------------- *)

@@ -65,11 +65,11 @@ let signature t =
 
 let hbc = default
 
-let hbc_kernel_module =
-  { default with mechanism = Interrupt_kernel_module; chunk = Compiled.Static 64 }
+let hbc_kernel_module ~chunk =
+  { default with mechanism = Interrupt_kernel_module; chunk = Compiled.Static chunk }
 
-let hbc_ping_thread =
-  { default with mechanism = Interrupt_ping_thread; chunk = Compiled.Static 64 }
+let hbc_ping_thread ~chunk =
+  { default with mechanism = Interrupt_ping_thread; chunk = Compiled.Static chunk }
 
 let tpal ~chunk =
   {

@@ -57,9 +57,13 @@ val default : t
 val hbc : t
 (** Alias of {!default}: the configuration the paper calls "HBC". *)
 
-val hbc_kernel_module : t
+val hbc_kernel_module : chunk:int -> t
+(** HBC under the kernel-module interrupt mechanism with a static chunk
+    (Fig. 9). *)
 
-val hbc_ping_thread : t
+val hbc_ping_thread : chunk:int -> t
+(** HBC under the ping-thread interrupt mechanism with a static chunk
+    (Fig. 9). *)
 
 val tpal : chunk:int -> t
 (** TPAL's manual runtime: ping-thread interrupts, static per-benchmark

@@ -1,5 +1,7 @@
 let speedup_cell o = Harness.speedup_cell ~decimals:1 o
 
+let omp_static = Sched_run.Openmp (Baselines.Openmp.static ())
+
 (* ----------------- leftover task: spawned vs inline ---------------- *)
 
 let leftover_task config =
@@ -11,10 +13,10 @@ let leftover_task config =
   in
   List.iter
     (fun entry ->
-      let spawned = Harness.run_hbc config entry in
+      let spawned = Harness.run config Sched_run.hbc entry in
       let inline_ =
-        Harness.run_hbc config
-          ~cfg:(fun c -> { c with Hbc_core.Rt_config.leftover = Hbc_core.Rt_config.Inline })
+        Harness.run config
+          (Sched_run.Hbc { Hbc_core.Rt_config.hbc with leftover = Hbc_core.Rt_config.Inline })
           ~tag:"abl-leftover-inline" entry
       in
       Report.Table.add_row table
@@ -42,10 +44,11 @@ let promotion_policy config =
   in
   List.iter
     (fun entry ->
-      let outer = Harness.run_hbc config entry in
+      let outer = Harness.run config Sched_run.hbc entry in
       let inner =
-        Harness.run_hbc config
-          ~cfg:(fun c -> { c with Hbc_core.Rt_config.policy = Hbc_core.Rt_config.Innermost_first })
+        Harness.run config
+          (Sched_run.Hbc
+             { Hbc_core.Rt_config.hbc with policy = Hbc_core.Rt_config.Innermost_first })
           ~tag:"abl-innermost" entry
       in
       Report.Table.add_row table
@@ -77,10 +80,10 @@ let chunk_transferring config =
   in
   List.iter
     (fun entry ->
-      let on = Harness.run_hbc config entry in
+      let on = Harness.run config Sched_run.hbc entry in
       let off =
-        Harness.run_hbc config
-          ~cfg:(fun c -> { c with Hbc_core.Rt_config.chunk_transferring = false })
+        Harness.run config
+          (Sched_run.Hbc { Hbc_core.Rt_config.hbc with chunk_transferring = false })
           ~tag:"abl-no-transfer" entry
       in
       let det o = o.Harness.result.Sim.Run_result.metrics.Sim.Metrics.heartbeats_detected in
@@ -106,18 +109,14 @@ let leftover_pairs config =
   in
   List.iter
     (fun (entry : Workloads.Registry.entry) ->
-      let all_pairs = Harness.run_hbc config entry in
+      let all_pairs = Harness.run config Sched_run.hbc entry in
       let rt =
-        {
-          Hbc_core.Rt_config.default with
-          workers = config.Harness.workers;
-          seed = config.Harness.seed;
-        }
+        { Hbc_core.Rt_config.hbc with workers = config.Harness.workers; seed = config.Harness.seed }
       in
       let leaves_cell =
         match
           Harness.trial config ~bench:entry.Workloads.Registry.name ~tag:"abl-leaves-only"
-            ~signature:(Hbc_core.Rt_config.signature rt ^ "+leaves-only")
+            ~signature:(Sched_run.signature (Sched_run.Hbc rt) ^ "+leaves-only")
             (fun () ->
               let (Ir.Program.Any p) = entry.Workloads.Registry.make config.Harness.scale in
               let compiled = Hbc_core.Pipeline.compile_program ~all_leftover_pairs:false p in
@@ -151,13 +150,12 @@ let heartbeat_rate config =
         List.map
           (fun h ->
             let o =
-              Harness.run_hbc config
-                ~cfg:(fun c ->
-                  {
-                    c with
-                    Hbc_core.Rt_config.cost =
-                      { c.Hbc_core.Rt_config.cost with Sim.Cost_model.heartbeat_interval = h };
-                  })
+              Harness.run config
+                (Sched_run.Hbc
+                   {
+                     Hbc_core.Rt_config.hbc with
+                     cost = { Sim.Cost_model.default with heartbeat_interval = h };
+                   })
                 ~tag:(Printf.sprintf "abl-h%d" h) entry
             in
             speedup_cell o)
@@ -183,8 +181,8 @@ let ac_window config =
         List.map
           (fun w ->
             let o =
-              Harness.run_hbc config
-                ~cfg:(fun c -> { c with Hbc_core.Rt_config.ac_window = w })
+              Harness.run config
+                (Sched_run.Hbc { Hbc_core.Rt_config.hbc with ac_window = w })
                 ~tag:(Printf.sprintf "abl-w%d" w) entry
             in
             speedup_cell o)
@@ -209,7 +207,7 @@ let worker_scaling config =
         List.map
           (fun w ->
             let cfg = { config with Harness.workers = w } in
-            speedup_cell (Harness.run_hbc cfg entry))
+            speedup_cell (Harness.run cfg Sched_run.hbc entry))
           counts
       in
       Report.Table.add_row table (entry.Workloads.Registry.name :: cells))
@@ -228,12 +226,8 @@ let hybrid config =
   let statics = ref [] and hbcs = ref [] and hybrids = ref [] in
   List.iter
     (fun (entry : Workloads.Registry.entry) ->
-      let static =
-        Harness.run_omp config
-          ~cfg:(fun c -> { c with Baselines.Openmp.schedule = Baselines.Openmp.Static })
-          ~tag:"omp-static" entry
-      in
-      let hbc = Harness.run_hbc config entry in
+      let static = Harness.run config omp_static ~tag:"omp-static" entry in
+      let hbc = Harness.run config Sched_run.hbc entry in
       let hybrid = if entry.Workloads.Registry.regular then static else hbc in
       statics := static :: !statics;
       hbcs := hbc :: !hbcs;
@@ -274,18 +268,14 @@ let omp_schedules config =
   in
   List.iter
     (fun entry ->
-      let static =
-        Harness.run_omp config
-          ~cfg:(fun c -> { c with Baselines.Openmp.schedule = Baselines.Openmp.Static })
-          ~tag:"omp-static" entry
+      let static = Harness.run config omp_static ~tag:"omp-static" entry in
+      let dynamic =
+        Harness.run config (Sched_run.Openmp (Baselines.Openmp.dynamic ())) ~tag:"omp-dyn1" entry
       in
-      let dynamic = Harness.run_omp ~tag:"omp-dyn1" config entry in
       let guided =
-        Harness.run_omp config
-          ~cfg:(fun c -> { c with Baselines.Openmp.schedule = Baselines.Openmp.Guided 1 })
-          ~tag:"omp-guided" entry
+        Harness.run config (Sched_run.Openmp (Baselines.Openmp.guided ())) ~tag:"omp-guided" entry
       in
-      let hbc = Harness.run_hbc config entry in
+      let hbc = Harness.run config Sched_run.hbc entry in
       Report.Table.add_row table
         [
           entry.Workloads.Registry.name;

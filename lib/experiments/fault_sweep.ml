@@ -10,25 +10,12 @@ let drop_rates = [ 0.0; 0.1; 0.2; 0.3; 0.4; 0.5 ]
 
 let benchmarks = [ "plus-reduce-array"; "spmv-powerlaw"; "mandelbrot" ]
 
+(* Each mechanism's runtime for a benchmark's static chunk. *)
 let mechanisms =
   [
-    ("software polling (control)", "poll", fun _entry c -> c);
-    ( "kernel module",
-      "km",
-      fun entry c ->
-        {
-          c with
-          Hbc_core.Rt_config.mechanism = Hbc_core.Rt_config.Interrupt_kernel_module;
-          chunk = Hbc_core.Compiled.Static entry.Workloads.Registry.tpal_chunk;
-        } );
-    ( "ping thread",
-      "ping",
-      fun entry c ->
-        {
-          c with
-          Hbc_core.Rt_config.mechanism = Hbc_core.Rt_config.Interrupt_ping_thread;
-          chunk = Hbc_core.Compiled.Static entry.Workloads.Registry.tpal_chunk;
-        } );
+    ("software polling (control)", "poll", fun _chunk -> Hbc_core.Rt_config.hbc);
+    ("kernel module", "km", fun chunk -> Hbc_core.Rt_config.hbc_kernel_module ~chunk);
+    ("ping thread", "ping", fun chunk -> Hbc_core.Rt_config.hbc_ping_thread ~chunk);
   ]
 
 let plan config rate =
@@ -36,7 +23,8 @@ let plan config rate =
   else Some { Sim.Fault_plan.none with Sim.Fault_plan.beat_drop_prob = rate; seed = config.Harness.seed }
 
 let run config entry short cfg rate =
-  Harness.run_hbc config ~cfg:(cfg entry)
+  Harness.run config
+    (Sched_run.Hbc (cfg entry.Workloads.Registry.tpal_chunk))
     ~request:(Hbc_core.Run_request.make ?fault_plan:(plan config rate) ())
     ~tag:(Printf.sprintf "fault-%s-%.0f" short (rate *. 100.))
     entry

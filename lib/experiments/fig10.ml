@@ -9,23 +9,19 @@ let render config =
   (* A custom (non-registry) executor sweep, still journaled and watchdogged
      like any other trial via Harness.trial. *)
   let run_view view tag chunk =
-    let rt =
-      {
-        Hbc_core.Rt_config.default with
-        workers = config.Harness.workers;
-        seed = config.Harness.seed;
-        chunk = Hbc_core.Compiled.Static chunk;
-      }
+    let rt = { Hbc_core.Rt_config.hbc with chunk = Hbc_core.Compiled.Static chunk } in
+    let engine =
+      Sched_run.with_machine ~workers:config.Harness.workers ~seed:config.Harness.seed
+        (Sched_run.Hbc rt)
     in
     match
       Harness.trial config ~bench:tag
         ~tag:(Printf.sprintf "chunk-%d" chunk)
-        ~signature:(Hbc_core.Rt_config.signature rt)
+        ~signature:(Sched_run.signature engine)
         (fun () ->
           let program = Workloads.Mandelbrot.program_of_view ~name:tag view in
-          Sched_run.run
-            ~request:(Harness.guarded config Hbc_core.Run_request.default)
-            (Sched_run.Hbc rt) program)
+          Sched_run.run ~request:(Harness.guarded config Hbc_core.Run_request.default) engine
+            program)
     with
     | Ok r ->
         Report.Table.cell_f ~decimals:3

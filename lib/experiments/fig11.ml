@@ -20,28 +20,24 @@ let render config =
      journaled trials; if the reference itself fails, every cell degrades to
      its error instead of dividing by garbage. *)
   let compiled_baseline =
-    Harness.trial config ~bench:"mandelbrot-mixed" ~tag:"seq" ~signature:"serial-exec" (fun () ->
-        Baselines.Serial_exec.run_program program)
+    Harness.trial config ~bench:"mandelbrot-mixed" ~tag:"seq"
+      ~signature:(Sched_run.signature Sched_run.Serial) (fun () ->
+        Sched_run.run Sched_run.Serial program)
   in
   let run tag chunk =
     match compiled_baseline with
     | Error e -> Trial_error.cell e
     | Ok baseline -> (
-        let rt =
-          {
-            Hbc_core.Rt_config.default with
-            workers = config.Harness.workers;
-            seed = config.Harness.seed;
-            chunk;
-          }
+        let engine =
+          Sched_run.with_machine ~workers:config.Harness.workers ~seed:config.Harness.seed
+            (Sched_run.Hbc { Hbc_core.Rt_config.hbc with chunk })
         in
         match
           Harness.trial config ~bench:"mandelbrot-mixed" ~tag
-            ~signature:(Hbc_core.Rt_config.signature rt)
+            ~signature:(Sched_run.signature engine)
             (fun () ->
-              Sched_run.run
-                ~request:(Harness.guarded config Hbc_core.Run_request.default)
-                (Sched_run.Hbc rt) program)
+              Sched_run.run ~request:(Harness.guarded config Hbc_core.Run_request.default) engine
+                program)
         with
         | Ok r -> Report.Table.cell_f (Sim.Run_result.speedup ~baseline r)
         | Error e -> Trial_error.cell e)

@@ -17,12 +17,9 @@ let render config =
   let buf = Buffer.create 4096 in
   List.iter
     (fun (name, program) ->
-      let rt =
-        {
-          Hbc_core.Rt_config.default with
-          workers = config.Harness.workers;
-          seed = config.Harness.seed;
-        }
+      let engine =
+        Sched_run.with_machine ~workers:config.Harness.workers ~seed:config.Harness.seed
+          Sched_run.hbc
       in
       (* Capture only the AC decisions: a keep-filtered stream sink keeps the
          journaled trace proportional to the number of chunk updates, not to
@@ -37,10 +34,8 @@ let render config =
       in
       match
         Harness.trial config ~bench:("spmv-" ^ name) ~tag:"fig12-trace"
-          ~signature:
-            (Hbc_core.Rt_config.signature rt ^ "+" ^ Hbc_core.Run_request.signature request)
-          (fun () ->
-            Sched_run.run ~request:(Harness.guarded config request) (Sched_run.Hbc rt) program)
+          ~signature:(Sched_run.signature engine ^ "+" ^ Hbc_core.Run_request.signature request)
+          (fun () -> Sched_run.run ~request:(Harness.guarded config request) engine program)
       with
       | Error e ->
           Buffer.add_string buf

@@ -33,8 +33,8 @@ let render config =
         List.map
           (fun target ->
             let o =
-              Harness.run_hbc config
-                ~cfg:(fun c -> { c with Hbc_core.Rt_config.ac_target_polls = target })
+              Harness.run config
+                (Sched_run.Hbc { Hbc_core.Rt_config.hbc with ac_target_polls = target })
                 ~request:(heartbeat_request ())
                 ~tag:(Printf.sprintf "ac-target-%d" target)
                 entry

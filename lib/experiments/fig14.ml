@@ -18,8 +18,8 @@ let render config =
         List.map
           (fun chunk ->
             let o =
-              Harness.run_omp config
-                ~cfg:(fun c -> { c with Baselines.Openmp.schedule = Baselines.Openmp.Dynamic chunk })
+              Harness.run config
+                (Sched_run.Openmp (Baselines.Openmp.dynamic ~chunk ()))
                 ~tag:(Printf.sprintf "omp-dyn%d" chunk)
                 entry
             in

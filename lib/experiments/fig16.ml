@@ -14,11 +14,9 @@ let render config =
   List.iter
     (fun entry ->
       let omp =
-        Harness.run_omp config
-          ~cfg:(fun c -> { c with Baselines.Openmp.schedule = Baselines.Openmp.Static })
-          ~tag:"omp-static" entry
+        Harness.run config (Sched_run.Openmp (Baselines.Openmp.static ())) ~tag:"omp-static" entry
       in
-      let hbc = Harness.run_hbc config entry in
+      let hbc = Harness.run config Sched_run.hbc entry in
       omps := omp :: !omps;
       hbcs := hbc :: !hbcs;
       Report.Table.add_row table

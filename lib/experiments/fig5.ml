@@ -11,7 +11,7 @@ let render config =
   in
   List.iter
     (fun entry ->
-      let hbc = Harness.run_hbc config entry in
+      let hbc = Harness.run config Sched_run.hbc entry in
       let shares = Sim.Metrics.promotion_share_by_level hbc.Harness.result.Sim.Run_result.metrics in
       let cell l = Report.Table.cell_f ~decimals:2 shares.(l) in
       Report.Table.add_row table

@@ -12,8 +12,10 @@ let render config =
   let tpals = ref [] and hbcs = ref [] in
   List.iter
     (fun entry ->
-      let tpal = Harness.run_tpal config entry in
-      let hbc = Harness.run_hbc config entry in
+      let tpal =
+        Harness.run config (Sched_run.tpal ~chunk:entry.Workloads.Registry.tpal_chunk) entry
+      in
+      let hbc = Harness.run config Sched_run.hbc entry in
       tpals := tpal :: !tpals;
       hbcs := hbc :: !hbcs;
       Report.Table.add_row table

@@ -6,11 +6,7 @@
 
 let overhead_run config entry cfg tag =
   let o =
-    Harness.run_hbc config
-      ~cfg:(fun c ->
-        let c = cfg c in
-        { c with Hbc_core.Rt_config.promotion = false; workers = 1 })
-      ~tag entry
+    Harness.run config ~tag (Sched_run.Hbc { cfg with Hbc_core.Rt_config.promotion = false }) entry
   in
   o.Harness.result
 
@@ -40,19 +36,9 @@ let render config =
   List.iter
     (fun entry ->
       let chunk = entry.Workloads.Registry.tpal_chunk in
-      let tpal =
-        overhead_run config entry
-          (fun _ ->
-            { (Hbc_core.Rt_config.tpal ~chunk) with Hbc_core.Rt_config.promotion = false })
-          "ovh-tpal"
-      in
-      let km =
-        overhead_run config entry
-          (fun _ ->
-            { Hbc_core.Rt_config.hbc_kernel_module with chunk = Hbc_core.Compiled.Static chunk })
-          "ovh-km"
-      in
-      let poll = overhead_run config entry (fun c -> c) "ovh-poll" in
+      let tpal = overhead_run config entry (Hbc_core.Rt_config.tpal ~chunk) "ovh-tpal" in
+      let km = overhead_run config entry (Hbc_core.Rt_config.hbc_kernel_module ~chunk) "ovh-km" in
+      let poll = overhead_run config entry Hbc_core.Rt_config.hbc "ovh-poll" in
       let m = poll.Sim.Run_result.metrics in
       let work = poll.Sim.Run_result.work_cycles in
       let component k = Report.Table.cell_pct (pct_of work (Sim.Metrics.overhead_of m k)) in

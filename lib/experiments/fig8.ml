@@ -16,9 +16,8 @@ let render config =
   List.iter
     (fun entry ->
       let run chunk tag =
-        (Harness.run_hbc config
-           ~cfg:(fun c ->
-             { c with Hbc_core.Rt_config.promotion = false; chunk; workers = 1 })
+        (Harness.run config
+           (Sched_run.Hbc { Hbc_core.Rt_config.hbc with promotion = false; chunk })
            ~tag entry)
           .Harness.result
       in

@@ -14,28 +14,18 @@ let render config =
   let pings = ref [] and kms = ref [] and polls = ref [] in
   List.iter
     (fun entry ->
-      let chunk = Hbc_core.Compiled.Static entry.Workloads.Registry.tpal_chunk in
+      let chunk = entry.Workloads.Registry.tpal_chunk in
       let ping =
-        Harness.run_hbc config
-          ~cfg:(fun c ->
-            {
-              c with
-              Hbc_core.Rt_config.mechanism = Hbc_core.Rt_config.Interrupt_ping_thread;
-              chunk;
-            })
-          ~tag:"hbc-ping" entry
+        Harness.run config ~tag:"hbc-ping"
+          (Sched_run.Hbc (Hbc_core.Rt_config.hbc_ping_thread ~chunk))
+          entry
       in
       let km =
-        Harness.run_hbc config
-          ~cfg:(fun c ->
-            {
-              c with
-              Hbc_core.Rt_config.mechanism = Hbc_core.Rt_config.Interrupt_kernel_module;
-              chunk;
-            })
-          ~tag:"hbc-km" entry
+        Harness.run config ~tag:"hbc-km"
+          (Sched_run.Hbc (Hbc_core.Rt_config.hbc_kernel_module ~chunk))
+          entry
       in
-      let poll = Harness.run_hbc config entry in
+      let poll = Harness.run config Sched_run.hbc entry in
       pings := ping :: !pings;
       kms := km :: !kms;
       polls := poll :: !polls;

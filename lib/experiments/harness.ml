@@ -277,10 +277,10 @@ let errored_result () =
 
 let baseline config entry =
   let result =
-    trial config ~bench:entry.Workloads.Registry.name ~tag:"seq" ~signature:"serial-exec"
-      (fun () ->
+    trial config ~bench:entry.Workloads.Registry.name ~tag:"seq"
+      ~signature:(Sched_run.signature Sched_run.Serial) (fun () ->
         let (Ir.Program.Any p) = entry.Workloads.Registry.make config.scale in
-        Baselines.Serial_exec.run_program p)
+        Sched_run.run Sched_run.Serial p)
   in
   match result with Ok r -> r | Error _ -> errored_result ()
 
@@ -310,59 +310,14 @@ let outcome_of config entry tag result =
    change results), while the fault plan, cycle cap, and whether a trace is
    captured all land in the hash — a traced trial never aliases an untraced
    one in the journal. *)
-let run_hbc ?(cfg = fun c -> c) ?(request = Hbc_core.Run_request.default) ?(tag = "hbc") config
-    entry =
-  let rt =
-    { (cfg Hbc_core.Rt_config.default) with
-      Hbc_core.Rt_config.workers = config.workers;
-      seed = config.seed;
-    }
-  in
-  let signature =
-    Hbc_core.Rt_config.signature rt ^ "+" ^ Hbc_core.Run_request.signature request
-  in
+let run ?(request = Hbc_core.Run_request.default) ?tag config engine entry =
+  let engine = Sched_run.with_machine ~workers:config.workers ~seed:config.seed engine in
+  let tag = Option.value tag ~default:(Sched_run.family engine) in
+  let signature = Sched_run.signature engine ^ "+" ^ Hbc_core.Run_request.signature request in
   let result =
-    trial config ~bench:entry.Workloads.Registry.name ~tag ~signature
-      (fun () ->
+    trial config ~bench:entry.Workloads.Registry.name ~tag ~signature (fun () ->
         let (Ir.Program.Any p) = entry.Workloads.Registry.make config.scale in
-        Sched_run.run ~request:(guarded config request) (Sched_run.Hbc rt) p)
-  in
-  outcome_of config entry tag result
-
-let run_tpal ?(request = Hbc_core.Run_request.default) ?(tag = "tpal") config entry =
-  let rt =
-    { (Hbc_core.Rt_config.tpal ~chunk:entry.Workloads.Registry.tpal_chunk) with
-      Hbc_core.Rt_config.workers = config.workers;
-      seed = config.seed;
-    }
-  in
-  let signature =
-    Hbc_core.Rt_config.signature rt ^ "+" ^ Hbc_core.Run_request.signature request
-  in
-  let result =
-    trial config ~bench:entry.Workloads.Registry.name ~tag ~signature
-      (fun () ->
-        let (Ir.Program.Any p) = entry.Workloads.Registry.make config.scale in
-        Sched_run.run ~request:(guarded config request) (Sched_run.Hbc rt) p)
-  in
-  outcome_of config entry tag result
-
-let run_omp ?(cfg = fun c -> c) ?(request = Hbc_core.Run_request.default) ?(tag = "omp") config
-    entry =
-  let oc =
-    { (cfg (Baselines.Openmp.dynamic ())) with
-      Baselines.Openmp.workers = config.workers;
-      seed = config.seed;
-    }
-  in
-  let signature =
-    Baselines.Openmp.signature oc ^ "+" ^ Hbc_core.Run_request.signature request
-  in
-  let result =
-    trial config ~bench:entry.Workloads.Registry.name ~tag ~signature
-      (fun () ->
-        let (Ir.Program.Any p) = entry.Workloads.Registry.make config.scale in
-        Baselines.Openmp.run_program ~request:(guarded config request) oc p)
+        Sched_run.run ~request:(guarded config request) engine p)
   in
   outcome_of config entry tag result
 

@@ -51,9 +51,9 @@ val trial :
   (Sim.Run_result.t, Trial_error.t) result
 (** Run one journaled, quarantine-aware, retried trial. [signature] must be
     a content hash/string covering every result-affecting knob not already
-    in [config] (use {!Hbc_core.Rt_config.signature} /
-    {!Baselines.Openmp.signature}). Figures with custom executors call this
-    directly so they checkpoint and degrade like the standard runs. *)
+    in [config] (use {!Sched_run.signature}). Figures with custom executors
+    call this directly so they checkpoint and degrade like the standard
+    runs. *)
 
 val guarded : config -> Hbc_core.Run_request.t -> Hbc_core.Run_request.t
 (** Arm the campaign's trial watchdogs (cycle budget, wall-clock guard) on a
@@ -66,34 +66,20 @@ val baseline : config -> Workloads.Registry.entry -> Sim.Run_result.t
     failure returns a zero-work placeholder, degrading dependent speedups
     to 0 instead of aborting. *)
 
-val run_hbc :
-  ?cfg:(Hbc_core.Rt_config.t -> Hbc_core.Rt_config.t) ->
+val run :
   ?request:Hbc_core.Run_request.t ->
   ?tag:string ->
   config ->
+  Sched_run.engine ->
   Workloads.Registry.entry ->
   outcome
-(** Run under the heartbeat runtime; [cfg] tweaks the default HBC
-    configuration (workers and seed are applied afterwards), [request]
-    carries per-run knobs (fault plan, cycle cap, trace sink) and is armed
-    with the campaign watchdogs via {!guarded}. Results are cached and
-    journaled under [tag]; the trial key covers both the config and the
-    request signatures, so e.g. traced and untraced runs never alias. *)
-
-val run_tpal :
-  ?request:Hbc_core.Run_request.t ->
-  ?tag:string ->
-  config ->
-  Workloads.Registry.entry ->
-  outcome
-
-val run_omp :
-  ?cfg:(Baselines.Openmp.config -> Baselines.Openmp.config) ->
-  ?request:Hbc_core.Run_request.t ->
-  ?tag:string ->
-  config ->
-  Workloads.Registry.entry ->
-  outcome
+(** Run [entry] under [engine] with the campaign's workers and seed
+    ({!Sched_run.with_machine}). [request] carries per-run knobs (fault
+    plan, cycle cap, trace sink) and is armed with the campaign watchdogs
+    via {!guarded}. Results are cached and journaled under [tag] (default
+    {!Sched_run.family}: hbc, tpal, omp); the trial key covers the engine
+    and request signatures, so e.g. traced and untraced runs never
+    alias. *)
 
 val dnf_cap : Sim.Run_result.t -> int
 (** Virtual-time cap marking a run as DNF: twice the sequential time — a

@@ -60,6 +60,8 @@ let campaign_summary () =
         qs);
   Buffer.contents buf
 
+let exit_code () = if Harness.validation_failures () = [] then 0 else 2
+
 let render_all config =
   let body = String.concat "\n" (List.map (render_one config) figures) in
   match campaign_summary () with "" -> body | summary -> body ^ "\n" ^ summary

@@ -15,6 +15,11 @@ val campaign_summary : unit -> string
 (** Journal reuse statistics and the quarantine list for the trials run so
     far; empty when there is nothing to report. *)
 
+val exit_code : unit -> int
+(** The exit status of a figure command, the ablations and the whole
+    campaign: 2 when any trial's output diverged from the sequential
+    reference since the last {!Harness.clear_cache}, 0 otherwise. *)
+
 val render_all : Harness.config -> string
 (** Render every figure (each guarded against aborts) followed by the
     campaign summary. *)

@@ -4,6 +4,11 @@
     overload, sheds, and deadline misses. Deterministic from the seed;
     every run carries the serve sanitizers. *)
 
+val services : (string * Sched_run.engine) list
+(** The service executors by name — hbc, tpal, omp-static, omp-dynamic —
+    with TPAL's static chunk at 64, since one service runs every
+    workload. [hbc_repro serve --service] takes the same names. *)
+
 val render : Harness.config -> string
 
 val figure : Figure.t

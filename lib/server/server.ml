@@ -1,7 +1,3 @@
-type service = Hbc | Tpal of { chunk : int } | Omp of Baselines.Openmp.config
-
-let service_name = function Hbc -> "hbc" | Tpal _ -> "tpal" | Omp _ -> "omp"
-
 type preempt_policy = Cancel | Pause_and_requeue
 
 let preempt_name = function Cancel -> "cancel" | Pause_and_requeue -> "pause"
@@ -49,8 +45,7 @@ type config = {
   pool : int;
   queue_capacity : int;
   seed : int;
-  service : service;
-  rt : Hbc_core.Rt_config.t;
+  service : Sched_run.engine;
   breaker : Breaker.config;
   meter : Meter.config;
   sanitize : bool;
@@ -67,8 +62,7 @@ let default_config =
     pool = 8;
     queue_capacity = 16;
     seed = 1;
-    service = Hbc;
-    rt = Hbc_core.Rt_config.hbc;
+    service = Sched_run.hbc;
     breaker = Breaker.default_config;
     meter = Meter.default_config;
     sanitize = false;
@@ -263,14 +257,13 @@ let serial_reference cache ~workload ~scale =
 
 let tenant_scale cfg (p : pending) = cfg.tenants.(p.p_tenant).scale
 
-let job_rt cfg (p : pending) =
-  let rt_base =
-    match cfg.service with
-    | Hbc -> cfg.rt
-    | Tpal { chunk } -> Hbc_core.Rt_config.tpal ~chunk
-    | Omp _ -> cfg.rt
-  in
-  { rt_base with Hbc_core.Rt_config.workers = p.workers; seed = p.jseed }
+(* Job checkers check the service runtime's promotion policy; engines
+   without one are checked against HBC's. *)
+let checker_config cfg =
+  Sanitizer.Checker.config_of_rt
+    (match cfg.service with
+    | Sched_run.Hbc rt | Sched_run.Tpal rt -> rt
+    | Sched_run.Openmp _ | Sched_run.Serial | Sched_run.Hybrid _ -> Hbc_core.Rt_config.hbc)
 
 let checker_violations c =
   List.map
@@ -283,7 +276,6 @@ let run_job cfg serial_cache (p : pending) ~fault_plan ~grant ~checker ~pause_at
     ~resume_from =
   let entry = Workloads.Registry.find p.p_workload in
   let (Ir.Program.Any prog) = entry.Workloads.Registry.make (tenant_scale cfg p) in
-  let rt = job_rt cfg p in
   let boundary =
     match resume_from with Some ck -> ck.Sim.Checkpoint_state.at_cycle | None -> 0
   in
@@ -294,15 +286,11 @@ let run_job cfg serial_cache (p : pending) ~fault_plan ~grant ~checker ~pause_at
     Hbc_core.Run_request.make ?deadline ?cycle_budget:p.budget_cap ?fault_plan ?pause_at
       ?resume_from ~trace ~sanitize:(checker <> None) ~promotion_budget:grant ()
   in
-  let run () =
-    match cfg.service with
-    | Hbc | Tpal _ -> Sched_run.run ~request (Sched_run.Hbc rt) prog
-    | Omp ocfg ->
-        Baselines.Openmp.run_program ~request
-          { ocfg with Baselines.Openmp.workers = p.workers; seed = p.jseed }
-          prog
-  in
-  match run () with
+  match
+    Sched_run.run ~request
+      (Sched_run.with_machine ~workers:p.workers ~seed:p.jseed cfg.service)
+      prog
+  with
   | exception e ->
       (* A structured abort never escapes the executor as an exception, so
          anything raised here is a crash (e.g. an engine deadlock under an
@@ -403,7 +391,7 @@ let run_job cfg serial_cache (p : pending) ~fault_plan ~grant ~checker ~pause_at
 
 let wal_header cfg =
   Printf.sprintf "#wal v1 seed=%d pool=%d queue=%d tenants=%d service=%s policy=%s preempts=%d"
-    cfg.seed cfg.pool cfg.queue_capacity (Array.length cfg.tenants) (service_name cfg.service)
+    cfg.seed cfg.pool cfg.queue_capacity (Array.length cfg.tenants) (Sched_run.family cfg.service)
     (preempt_name cfg.preempt) cfg.max_preempts
 
 let read_file path =
@@ -636,7 +624,7 @@ let run cfg =
                   first_start = !now;
                   jchecker =
                     (if cfg.sanitize then
-                       Some (Sanitizer.Checker.create (Sanitizer.Checker.config_of_rt (job_rt cfg p)))
+                       Some (Sanitizer.Checker.create (checker_config cfg))
                      else None);
                 }
               in

@@ -45,10 +45,6 @@
     a killed serve process resumes with byte-identical subsequent
     decisions and zero lost or duplicated jobs. *)
 
-type service = Hbc | Tpal of { chunk : int } | Omp of Baselines.Openmp.config
-
-val service_name : service -> string
-
 type preempt_policy =
   | Cancel  (** deadline kills the job; partial results journaled *)
   | Pause_and_requeue
@@ -93,8 +89,10 @@ type config = {
   pool : int;  (** simulated workers shared by all jobs (>= 1) *)
   queue_capacity : int;  (** 0 is legal: everything sheds *)
   seed : int;
-  service : service;
-  rt : Hbc_core.Rt_config.t;  (** base runtime config (workers/seed overridden per job) *)
+  service : Sched_run.engine;
+      (** the engine every job runs under; each job sets its own workers
+          and seed ({!Sched_run.with_machine}). Its {!Sched_run.family}
+          names the service in the WAL header and the CLI summary. *)
   breaker : Breaker.config;
   meter : Meter.config;
   sanitize : bool;  (** per-job scheduler invariant checkers *)

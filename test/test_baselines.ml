@@ -130,7 +130,7 @@ let omp_guided_correct_and_coarser () =
 let tpal_wrapper () =
   let p = nested_program ~rows:300 ~cols:60 in
   let seq = Baselines.Serial_exec.run_program p in
-  let tpal = Sched_run.run (Sched_run.Tpal { chunk = 32 }) p in
+  let tpal = Sched_run.run (Sched_run.tpal ~chunk:32) p in
   check_bool "correct" true (Sim.Run_result.fingerprints_close seq tpal)
 
 let suite =

@@ -29,10 +29,25 @@ let harness_caching () =
 let harness_speedup_sane () =
   Experiments.Harness.clear_cache ();
   let entry = Workloads.Registry.find "spmv-powerlaw" in
-  let o = Experiments.Harness.run_hbc tiny entry in
+  let o = Experiments.Harness.run tiny Sched_run.hbc entry in
   check_bool "valid" true o.Experiments.Harness.valid;
   check_bool "speedup in (1, 16]" true
     (o.Experiments.Harness.speedup > 1.0 && o.Experiments.Harness.speedup <= 16.5)
+
+(* A seeded scheduler bug that changes fingerprints must surface twice: as
+   the figure's WARNING line and as exit status 2. *)
+let divergence_exits_2 () =
+  Experiments.Harness.clear_cache ();
+  Fun.protect
+    ~finally:(fun () ->
+      Hbc_core.Executor.set_seeded_bug None;
+      Experiments.Harness.clear_cache ())
+    (fun () ->
+      Hbc_core.Executor.set_seeded_bug (Some Hbc_core.Executor.Duplicate_leftover);
+      let out = Experiments.Run_all.render_one tiny (Experiments.Run_all.find "fig6") in
+      check_bool "warns" true (contains ~needle:"WARNING: output mismatch" out);
+      Alcotest.(check int) "diverged exit" 2 (Experiments.Run_all.exit_code ()));
+  Alcotest.(check int) "clean exit" 0 (Experiments.Run_all.exit_code ())
 
 let figure_ids () =
   Alcotest.(check (list string))
@@ -45,6 +60,7 @@ let suite =
     Alcotest.test_case "figure registry" `Quick figure_ids;
     Alcotest.test_case "harness: caching" `Quick harness_caching;
     Alcotest.test_case "harness: hbc outcome" `Quick harness_speedup_sane;
+    Alcotest.test_case "divergence exits 2" `Quick divergence_exits_2;
     Alcotest.test_case "fig5 renders" `Slow (renders_with_rows "fig5" [ "nesting level"; "mandelbulb" ]);
     Alcotest.test_case "fig10 renders" `Slow (renders_with_rows "fig10" [ "1024"; "input 1" ]);
     Alcotest.test_case "fig12 renders" `Slow (renders_with_rows "fig12" [ "powerlaw-reverse"; "avg AC chunk" ]);

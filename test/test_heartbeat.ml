@@ -64,7 +64,7 @@ let set_busy_resets_polling_baseline () =
 
 let kernel_module_pending_and_missed () =
   let m =
-    with_worker Hbc_core.Rt_config.hbc_kernel_module (fun eng hb _ ->
+    with_worker (Hbc_core.Rt_config.hbc_kernel_module ~chunk:64) (fun eng hb _ ->
         check_int "no poll cost under interrupts" 0 (Hbc_core.Heartbeat.poll_cost hb ~worker:0);
         (* the broadcast fires while we compute; the flag is consumed at the
            next check and charges the delivery cost *)
@@ -86,7 +86,7 @@ let ping_thread_stretch_accounting () =
   (* With one busy worker the ping thread keeps up; its delivery is late by
      one send slot but no beats are lost. *)
   let m =
-    with_worker Hbc_core.Rt_config.hbc_ping_thread (fun eng hb _ ->
+    with_worker (Hbc_core.Rt_config.hbc_ping_thread ~chunk:64) (fun eng hb _ ->
         Sim.Engine.advance eng (interval + 2_000);
         check_bool "delivered" true (Hbc_core.Heartbeat.consume hb ~worker:0 ~count_poll:false))
   in
@@ -95,7 +95,9 @@ let ping_thread_stretch_accounting () =
 let stop_cancels_beats () =
   let eng = Sim.Engine.create ~num_workers:1 () in
   let metrics = Sim.Metrics.create () in
-  let hb = Hbc_core.Heartbeat.create Hbc_core.Rt_config.hbc_kernel_module eng metrics in
+  let hb =
+    Hbc_core.Heartbeat.create (Hbc_core.Rt_config.hbc_kernel_module ~chunk:64) eng metrics
+  in
   Hbc_core.Heartbeat.start hb;
   Sim.Engine.run eng (fun _ ->
       Hbc_core.Heartbeat.set_busy hb ~worker:0 true;

@@ -351,13 +351,31 @@ let lost_wakeup_regression () =
 (* The pool is the only domain a run starts: P=2 spawns exactly one. Domain
    ids are handed out in spawn order, so two probe domains around the run
    bracket every spawn it made. *)
-let one_extra_domain_at_p2 () =
+let domains_spawned run =
   let probe () = Domain.join (Domain.spawn (fun () -> (Domain.self () :> int))) in
   let before = probe () in
-  let r = run_native 2 in
+  let r = run () in
   let after = probe () in
+  (r, after - before - 1)
+
+let one_extra_domain_at_p2 () =
+  let r, spawned = domains_spawned (fun () -> run_native 2) in
   check_bool "P=2 run matches serial" true (Sim.Run_result.fingerprints_close (serial ()) r);
-  check_int "domains spawned by a P=2 run" 1 (after - before - 1)
+  check_int "domains spawned by a P=2 run" 1 spawned
+
+(* A TPAL engine carries its whole machine, so [with_machine] reaches it:
+   workers=2 spawns one domain, not the 63 of the default 64 workers. *)
+let tpal_takes_its_workers () =
+  let engine = Sched_run.with_machine ~workers:2 ~seed:1 (Sched_run.tpal ~chunk:32) in
+  let request = { Hbc_core.Run_request.default with backend = Sched.Policy.Domains } in
+  let r, spawned =
+    domains_spawned (fun () ->
+        Sched_run.run ~request ~beat:(Hb_parallel.Native_run.Every_polls 16) engine (prog ()))
+  in
+  check_bool "tpal P=2 run matches serial" true
+    (Sim.Run_result.fingerprints_close (serial ()) r);
+  check_int "domains spawned by a tpal P=2 run" 1 spawned;
+  check_int "workers reported" 2 (Sched_run.workers engine)
 
 let suite =
   [
@@ -376,4 +394,5 @@ let suite =
     Alcotest.test_case "park/wake: pool stress" `Slow park_wake_stress;
     Alcotest.test_case "park/wake: no lost wakeup in 600 pools" `Slow lost_wakeup_regression;
     Alcotest.test_case "park/wake: P=2 spawns one domain" `Quick one_extra_domain_at_p2;
+    Alcotest.test_case "tpal: P=2 spawns one domain" `Quick tpal_takes_its_workers;
   ]

@@ -260,7 +260,7 @@ let budget_watchdog_times_out () =
   Experiments.Harness.clear_cache ();
   let config = { tiny with trial_budget = Some 500 } in
   let entry = Workloads.Registry.find "plus-reduce-array" in
-  let o = Experiments.Harness.run_hbc config ~tag:"watchdog" entry in
+  let o = Experiments.Harness.run config ~tag:"watchdog" Sched_run.hbc entry in
   (match o.Experiments.Harness.error with
   | Some (Experiments.Trial_error.Timeout _) -> ()
   | Some e -> Alcotest.failf "expected Timeout, got %s" (Experiments.Trial_error.to_string e)

@@ -160,8 +160,8 @@ let all_mechanisms_correct () =
       check_bool name true (fingerprints_match seq r))
     [
       ("polling", Hbc_core.Rt_config.default);
-      ("kernel module", Hbc_core.Rt_config.hbc_kernel_module);
-      ("ping thread", Hbc_core.Rt_config.hbc_ping_thread);
+      ("kernel module", Hbc_core.Rt_config.hbc_kernel_module ~chunk:64);
+      ("ping thread", Hbc_core.Rt_config.hbc_ping_thread ~chunk:64);
       ("tpal", Hbc_core.Rt_config.tpal ~chunk:32);
       ("no chunking", { Hbc_core.Rt_config.default with chunk = Hbc_core.Compiled.No_chunking });
       ("static 7", { Hbc_core.Rt_config.default with chunk = Hbc_core.Compiled.Static 7 });
@@ -263,7 +263,7 @@ let tpal_skips_chunk_transfer () =
 
 let interrupt_mode_has_no_polls () =
   let p = make_irregular ~rows:2_000 ~max_size:12 ~seed:11 in
-  let r = run_hbc ~cfg:Hbc_core.Rt_config.hbc_kernel_module p in
+  let r = run_hbc ~cfg:(Hbc_core.Rt_config.hbc_kernel_module ~chunk:64) p in
   check_int "polls" 0 r.Sim.Run_result.metrics.Sim.Metrics.polls
 
 (* 3-level nest exercising multi-level leftovers and deep promotions. *)

@@ -406,7 +406,7 @@ let facade_dispatch () =
   let seq = Sched_run.run Sched_run.Serial p in
   let sim_hbc = Sched_run.run Sched_run.hbc p in
   check_bool "facade serial = facade hbc" true (Sim.Run_result.fingerprints_close seq sim_hbc);
-  let tpal = Sched_run.run (Sched_run.Tpal { chunk = 16 }) p in
+  let tpal = Sched_run.run (Sched_run.tpal ~chunk:16) p in
   check_bool "facade tpal" true (Sim.Run_result.fingerprints_close seq tpal);
   check_bool "omp on domains rejected" true
     (try
@@ -438,6 +438,25 @@ let facade_dispatch () =
        false
      with Invalid_argument _ -> true)
 
+(* Every executor name resolves, and [with_machine] reaches every engine it
+   names: a run uses the workers it is given (one for the sequential
+   reference), and a different seed changes the journal signature. *)
+let vocabulary_applies_machine () =
+  check_bool "unknown name" true (Sched_run.of_name ~chunk:8 "no-such-executor" = None);
+  List.iter
+    (fun name ->
+      match Sched_run.of_name ~chunk:8 name with
+      | None -> Alcotest.failf "%s does not resolve" name
+      | Some (_, engine) ->
+          let on seed = Sched_run.with_machine ~workers:3 ~seed engine in
+          Alcotest.(check int)
+            (name ^ " workers")
+            (if engine = Sched_run.Serial then 1 else 3)
+            (Sched_run.workers (on 1));
+          check_bool (name ^ " seed in signature") (engine <> Sched_run.Serial)
+            (Sched_run.signature (on 1) <> Sched_run.signature (on 2)))
+    Sched_run.names
+
 let request_signature_keyed_by_backend () =
   let sim = Hbc_core.Run_request.make () in
   let dom = Hbc_core.Run_request.make ~backend:Sched.Policy.Domains () in
@@ -464,4 +483,5 @@ let suite =
     Alcotest.test_case "native trace: sanitizer clean" `Slow native_trace_sanitizer_clean;
     Alcotest.test_case "facade: dispatch and guards" `Quick facade_dispatch;
     Alcotest.test_case "request: backend in signature" `Quick request_signature_keyed_by_backend;
+    Alcotest.test_case "facade: vocabulary applies the machine" `Quick vocabulary_applies_machine;
   ]

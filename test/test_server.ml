@@ -330,7 +330,7 @@ let omp_service_honours_deadlines () =
         {
           c with
           Serve.Server.tenants = tenants;
-          service = Serve.Server.Omp (Baselines.Openmp.dynamic ());
+          service = Sched_run.Openmp (Baselines.Openmp.dynamic ());
         })
   in
   check Alcotest.int "four jobs" 4 (List.length r.Serve.Server.reports);
