@@ -220,9 +220,9 @@ let run_cmd =
     let doc =
       "Scheduler backend: $(b,sim) (the virtual-time engine; the default) or $(b,domains) (real \
        OCaml 5 domains via the native runner — same policy core, wall-clock heartbeats). The \
-       domains backend supports the seq, hbc, and tpal executors; makespan is wall microseconds. \
-       Portable fault kinds (drop/steal/stall-polls/wakeup) inject natively; pause/resume needs \
-       $(b,--beat polls:N) and one worker."
+       domains backend supports the seq, hbc, and tpal executors; makespan is wall microseconds \
+       (seq prints its simulated cycles). Portable fault kinds (drop/steal/stall-polls/wakeup) \
+       inject natively; pause/resume needs $(b,--beat polls:N) and one worker."
     in
     Arg.(value & opt string "sim" & info [ "backend" ] ~docv:"BACKEND" ~doc)
   in
@@ -408,8 +408,15 @@ let run_cmd =
         backend_s;
       Printf.printf "baseline work    : %d cycles (simulated reference)\n"
         base.Sim.Run_result.work_cycles;
-      Printf.printf "makespan         : %d us wall on %d domains\n" r.Sim.Run_result.makespan
-        (Sched_run.workers engine);
+      (match engine with
+      | Sched_run.Serial ->
+          (* The sequential reference never enters the domains backend: its
+             makespan is simulated cycles, with no wall-clock reading. *)
+          Printf.printf "makespan         : %d cycles (simulated serial reference)\n"
+            r.Sim.Run_result.makespan
+      | _ ->
+          Printf.printf "makespan         : %d us wall on %d domains\n" r.Sim.Run_result.makespan
+            (Sched_run.workers engine));
       Printf.printf "body work        : %d cycles\n" r.Sim.Run_result.work_cycles;
       Printf.printf "promotions       : %d\n" r.Sim.Run_result.metrics.Sim.Metrics.promotions;
       (match fault_plan with
@@ -743,12 +750,46 @@ let trace_lint_cmd =
   in
   Cmd.v (Cmd.info "trace-lint" ~doc) Term.(const run $ path_arg)
 
+let bench_report_cmd =
+  let doc =
+    "Run the deterministic perf-gate suite (micro probes over the runtime primitives and hot \
+     paths; one tiny-scale macro probe per figure family, the P-sweep and serving) and write \
+     its report to PATH, for $(b,bench-diff) to compare against $(b,bench/baseline.json)."
+  in
+  let path_arg =
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"PATH" ~doc:"Report JSON to write.")
+  in
+  let label_arg =
+    Arg.(value & opt string "dev" & info [ "label" ] ~docv:"L" ~doc:"Report label.")
+  in
+  let suites =
+    Benchgate.Suite.[ ("all", all); ("micro", micro); ("macro", macro) ]
+  in
+  let suite_arg =
+    let doc =
+      "Probe families to run: $(b,all), $(b,micro) or $(b,macro). $(b,micro) and $(b,macro) \
+       partition $(b,all) (CI's two bench steps)."
+    in
+    Arg.(
+      value
+      & opt (enum (List.map (fun (n, _) -> (n, n)) suites)) "all"
+      & info [ "suite" ] ~docv:"SUITE" ~doc)
+  in
+  let run path label suite =
+    let probes = List.assoc suite suites () in
+    let report = Benchgate.Suite.report ~notes:[ ("suite", suite) ] ~probes ~label () in
+    Benchgate.Report.write_file path report;
+    Printf.printf "benchgate: wrote %d probes (suite %s, label %s) to %s\n"
+      (List.length report.Benchgate.Report.probes) suite label path
+  in
+  Cmd.v (Cmd.info "bench-report" ~doc) Term.(const run $ path_arg $ label_arg $ suite_arg)
+
 let bench_diff_cmd =
   let doc =
-    "Compare two perf-gate reports (written by $(b,bench/main.exe --report)). Deterministic \
-     metrics (virtual cycles, scheduler counters, allocation words) that regressed past the \
-     threshold hard-fail (exit 1); wall-time drift and metric-set skew (probes present on only \
-     one side) warn but exit 0. Prints a per-metric delta table."
+    "Compare two perf-gate reports (written by $(b,bench-report)). Every metric is \
+     deterministic (virtual cycles, scheduler counters, allocation words); one that regressed \
+     past the threshold hard-fails (exit 1). Metric-set skew (probes present on only one side) \
+     warns but exits 0. Prints a per-metric delta table."
   in
   let old_arg =
     Arg.(
@@ -760,12 +801,8 @@ let bench_diff_cmd =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"NEW" ~doc:"Candidate report JSON.")
   in
   let threshold_arg =
-    let doc = "Hard-fail threshold for deterministic metrics (relative; 0.02 = 2%)." in
+    let doc = "Hard-fail threshold (relative; 0.02 = 2%)." in
     Arg.(value & opt float 0.02 & info [ "threshold" ] ~docv:"T" ~doc)
-  in
-  let adv_threshold_arg =
-    let doc = "Warn threshold for advisory metrics such as wall time (relative)." in
-    Arg.(value & opt float 0.25 & info [ "adv-threshold" ] ~docv:"T" ~doc)
   in
   let subset_arg =
     let doc =
@@ -788,7 +825,7 @@ let bench_diff_cmd =
         Printf.eprintf "bench-diff: %s is not a benchmark report: %s\n" path msg;
         exit 2
   in
-  let run old_path new_path threshold adv_threshold subset =
+  let run old_path new_path threshold subset =
     let old = read_report old_path in
     let new_ = read_report new_path in
     let old =
@@ -803,13 +840,13 @@ let bench_diff_cmd =
               old.Benchgate.Report.probes;
         }
     in
-    let lines, verdict = Benchgate.Diff.compare ~threshold ~adv_threshold ~old ~new_ () in
+    let lines, verdict = Benchgate.Diff.compare ~threshold ~old ~new_ () in
     print_string (Benchgate.Diff.render ~threshold ~old ~new_ lines verdict);
     exit (Benchgate.Diff.exit_code verdict)
   in
   Cmd.v
     (Cmd.info "bench-diff" ~doc)
-    Term.(const run $ old_arg $ new_arg $ threshold_arg $ adv_threshold_arg $ subset_arg)
+    Term.(const run $ old_arg $ new_arg $ threshold_arg $ subset_arg)
 
 let fuzz_cmd =
   let doc =
@@ -1361,6 +1398,7 @@ let () =
       ablation_cmd;
       timeline_cmd;
       trace_lint_cmd;
+      bench_report_cmd;
       bench_diff_cmd;
       fuzz_cmd;
       serve_cmd;

@@ -207,7 +207,7 @@ echo "check.sh: serve kill-and-recover smoke OK"
 # committed baseline; deterministic regressions exit non-zero here exactly
 # as they do in CI ---
 B=$(mktemp "$TMP/hbc-bench.XXXXXX.json")
-dune exec bench/main.exe -- --report "$B" --label check > /dev/null
+"$REPRO" bench-report "$B" --label check > /dev/null
 "$REPRO" bench-diff bench/baseline.json "$B"
 rm -f "$B"
 

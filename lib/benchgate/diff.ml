@@ -1,9 +1,8 @@
-type status = Unchanged | Improved | Regressed | Changed | Added | Removed
+type status = Unchanged | Improved | Regressed | Added | Removed
 
 type line = {
   probe : string;
   metric : string;
-  kind : Report.kind option;
   old_v : float option;
   new_v : float option;
   delta_pct : float option;
@@ -16,7 +15,6 @@ let status_name = function
   | Unchanged -> "ok"
   | Improved -> "improved"
   | Regressed -> "REGRESSED"
-  | Changed -> "changed"
   | Added -> "added"
   | Removed -> "removed"
 
@@ -32,44 +30,33 @@ let probe_names (r : Report.t) = List.map (fun p -> p.Report.probe) r.Report.pro
 let metric_names (p : Report.probe) = List.map (fun m -> m.Report.metric) p.Report.metrics
 
 let whole_probe_line ~probe status =
-  { probe; metric = "*"; kind = None; old_v = None; new_v = None; delta_pct = None; status }
+  { probe; metric = "*"; old_v = None; new_v = None; delta_pct = None; status }
 
-let compare_metric ~threshold ~adv_threshold ~probe (old_m : Report.metric option)
+let compare_metric ~threshold ~probe (old_m : Report.metric option)
     (new_m : Report.metric option) name =
-  let kind =
-    match (old_m, new_m) with
-    | _, Some m | Some m, _ -> Some m.Report.kind
-    | None, None -> None
-  in
   let old_v = Option.map (fun m -> m.Report.value) old_m in
   let new_v = Option.map (fun m -> m.Report.value) new_m in
   match (old_v, new_v) with
   | None, None -> None
   | Some _, None ->
-      Some { probe; metric = name; kind; old_v; new_v; delta_pct = None; status = Removed }
+      Some { probe; metric = name; old_v; new_v; delta_pct = None; status = Removed }
   | None, Some _ ->
-      Some { probe; metric = name; kind; old_v; new_v; delta_pct = None; status = Added }
+      Some { probe; metric = name; old_v; new_v; delta_pct = None; status = Added }
   | Some o, Some n ->
       let delta_pct = if o = 0.0 then None else Some (100.0 *. (n -. o) /. o) in
       let rel = match delta_pct with Some p -> p /. 100.0 | None -> 0.0 in
+      (* Lower is better: every metric is a cost. A baseline of exactly
+         zero is a zero-cost guarantee, so any nonzero candidate is a
+         regression. *)
       let status =
-        match kind with
-        | Some Report.Deterministic ->
-            (* Lower is better: every deterministic metric is a cost. A
-               baseline of exactly zero is a zero-cost guarantee, so any
-               nonzero candidate is a regression. *)
-            if o = 0.0 then if n = 0.0 then Unchanged else Regressed
-            else if rel > threshold then Regressed
-            else if rel < -.threshold then Improved
-            else Unchanged
-        | Some Report.Advisory ->
-            if o <> 0.0 && Float.abs rel > adv_threshold then Changed else Unchanged
-        | None -> Unchanged
+        if o = 0.0 then if n = 0.0 then Unchanged else Regressed
+        else if rel > threshold then Regressed
+        else if rel < -.threshold then Improved
+        else Unchanged
       in
-      Some { probe; metric = name; kind; old_v; new_v; delta_pct; status }
+      Some { probe; metric = name; old_v; new_v; delta_pct; status }
 
-let compare ?(threshold = 0.02) ?(adv_threshold = 0.25) ~(old : Report.t) ~(new_ : Report.t) ()
-    =
+let compare ?(threshold = 0.02) ~(old : Report.t) ~(new_ : Report.t) () =
   let lines = ref [] in
   let push l = lines := l :: !lines in
   List.iter
@@ -82,7 +69,7 @@ let compare ?(threshold = 0.02) ?(adv_threshold = 0.25) ~(old : Report.t) ~(new_
           List.iter
             (fun mname ->
               match
-                compare_metric ~threshold ~adv_threshold ~probe:name
+                compare_metric ~threshold ~probe:name
                   (Report.find_metric op mname) (Report.find_metric np mname) mname
               with
               | Some l -> push l
@@ -95,7 +82,7 @@ let compare ?(threshold = 0.02) ?(adv_threshold = 0.25) ~(old : Report.t) ~(new_
       (fun acc l ->
         match (acc, l.status) with
         | Fail, _ | _, Regressed -> Fail
-        | Warn, _ | _, (Changed | Added | Removed) -> Warn
+        | Warn, _ | _, (Added | Removed) -> Warn
         | Pass, (Unchanged | Improved) -> Pass)
       Pass lines
   in
@@ -143,7 +130,6 @@ let render ?(threshold = 0.02) ~(old : Report.t) ~(new_ : Report.t) lines verdic
         [
           l.probe;
           l.metric;
-          (match l.kind with Some k -> Report.kind_tag k | None -> "-");
           cell_opt l.old_v;
           cell_opt l.new_v;
           cell_pct l.delta_pct;
@@ -153,17 +139,17 @@ let render ?(threshold = 0.02) ~(old : Report.t) ~(new_ : Report.t) lines verdic
   in
   let count st = List.length (List.filter (fun l -> l.status = st) lines) in
   let header =
-    Printf.sprintf "bench-diff: %s -> %s (gate: deterministic metric +%.0f%% hard-fails)\n"
+    Printf.sprintf "bench-diff: %s -> %s (gate: any metric +%.0f%% hard-fails)\n"
       old.Report.label new_.Report.label (100.0 *. threshold)
   in
   let body =
     if interesting = [] then "  no differences\n"
-    else render_rows [ "probe"; "metric"; "class"; "old"; "new"; "delta"; "status" ] rows
+    else render_rows [ "probe"; "metric"; "old"; "new"; "delta"; "status" ] rows
   in
   let summary =
     Printf.sprintf
-      "%s: %d comparisons, %d regressed, %d improved, %d advisory-changed, %d added, %d removed\n"
-      (verdict_name verdict) (List.length lines) (count Regressed) (count Improved)
-      (count Changed) (count Added) (count Removed)
+      "%s: %d comparisons, %d regressed, %d improved, %d added, %d removed\n"
+      (verdict_name verdict) (List.length lines) (count Regressed) (count Improved) (count Added)
+      (count Removed)
   in
   header ^ body ^ summary

@@ -1,22 +1,19 @@
-(** Regression diff between two {!Report.t} values: the binding half of the
-    perf gate.
+(** Regression diff between two {!Report.t} values: the perf gate's
+    verdict.
 
-    All deterministic metrics are costs (cycles, allocation words, event
-    counts): lower is better. A deterministic metric that grew by more than
-    [threshold] (relative; default 2%) is a {!Regressed} line and makes the
-    verdict {!Fail}; one that shrank past the threshold is {!Improved}
-    (still {!Pass}). Advisory metrics (wall time) can at most {!Warn}, and
-    only past the looser [adv_threshold] (default 25%) so timer jitter does
-    not drown the table. Probes or metrics present on only one side —
+    All metrics are deterministic costs (cycles, allocation words, event
+    counts): lower is better. A metric that grew by more than [threshold]
+    (relative; default 2%) is a {!Regressed} line and makes the verdict
+    {!Fail}; one that shrank past the threshold is {!Improved} (still
+    {!Pass}). Probes or metrics present on only one side —
     metric-set skew between an old baseline and a new suite — never fail
     the gate: they surface as {!Added} / {!Removed} warnings. *)
 
-type status = Unchanged | Improved | Regressed | Changed | Added | Removed
+type status = Unchanged | Improved | Regressed | Added | Removed
 
 type line = {
   probe : string;
-  metric : string;
-  kind : Report.kind option;  (** [None] for whole-probe Added/Removed lines *)
+  metric : string;  (** ["*"] for whole-probe Added/Removed lines *)
   old_v : float option;
   new_v : float option;
   delta_pct : float option;  (** [None] when either side is missing or old = 0 *)
@@ -30,12 +27,12 @@ val status_name : status -> string
 val verdict_name : verdict -> string
 
 val compare :
-  ?threshold:float -> ?adv_threshold:float -> old:Report.t -> new_:Report.t -> unit -> line list * verdict
+  ?threshold:float -> old:Report.t -> new_:Report.t -> unit -> line list * verdict
 (** Lines come out in the old report's probe order, new-only probes last;
     within a probe, old metric order then new-only metrics. *)
 
 val exit_code : verdict -> int
-(** [Fail -> 1], [Pass | Warn -> 0]: only deterministic regressions gate. *)
+(** [Fail -> 1], [Pass | Warn -> 0]: only regressions gate. *)
 
 val render : ?threshold:float -> old:Report.t -> new_:Report.t -> line list -> verdict -> string
 (** Human delta table (non-[Unchanged] lines, plus a one-line summary). *)

@@ -1,6 +1,4 @@
-type kind = Deterministic | Advisory
-
-type metric = { metric : string; value : float; kind : kind }
+type metric = { metric : string; value : float }
 
 type probe = { probe : string; metrics : metric list }
 
@@ -11,7 +9,7 @@ type t = {
   probes : probe list;
 }
 
-let schema_version = 1
+let schema_version = 2
 
 let make ?(notes = []) ~label probes = { schema = schema_version; label; notes; probes }
 
@@ -19,24 +17,12 @@ let find_probe t name = List.find_opt (fun p -> p.probe = name) t.probes
 
 let find_metric p name = List.find_opt (fun m -> m.metric = name) p.metrics
 
-let kind_tag = function Deterministic -> "det" | Advisory -> "adv"
-
 exception Malformed of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
 
-let kind_of_tag = function
-  | "det" -> Deterministic
-  | "adv" -> Advisory
-  | other -> fail "unknown metric kind %S" other
-
 let metric_to_json m =
-  Obs.Json.Obj
-    [
-      ("metric", Obs.Json.Str m.metric);
-      ("value", Obs.Json.Float m.value);
-      ("kind", Obs.Json.Str (kind_tag m.kind));
-    ]
+  Obs.Json.Obj [ ("metric", Obs.Json.Str m.metric); ("value", Obs.Json.Float m.value) ]
 
 let probe_to_json p =
   Obs.Json.Obj
@@ -66,12 +52,7 @@ let metric_of_json = function
         | Some v -> v
         | None -> fail "metric %S without a numeric value" metric
       in
-      let kind =
-        match Obs.Json.get_str "kind" fields with
-        | Some tag -> kind_of_tag tag
-        | None -> fail "metric %S without a kind" metric
-      in
-      { metric; value; kind }
+      { metric; value }
   | _ -> fail "metric is not an object"
 
 let probe_of_json = function

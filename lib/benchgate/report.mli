@@ -1,16 +1,15 @@
 (** Machine-readable benchmark reports: the perf-gate's unit of exchange.
 
     A report is a suite of named probes, each carrying a flat list of
-    metrics. Every metric is classed {!Deterministic} (virtual cycles,
-    event/operation counts, allocation words — a pure function of the code
-    under test, so any drift is a real change) or {!Advisory} (wall-clock
-    time — machine-dependent, never gated on). Reports serialize with
-    {!Obs.Json} to the committed [BENCH_PR<k>.json] files and to
-    [bench/baseline.json], and {!Diff} compares two of them. *)
+    metrics. Every metric is deterministic (virtual cycles, event/operation
+    counts, allocation words — a pure function of the code under test, so
+    any drift is a real change); wall-clock time is measured by
+    [benchmark/hbc_bench], not here. Reports serialize with {!Obs.Json} to
+    [bench/baseline.json], and {!Diff} compares two of them. The committed
+    [BENCH_PR4.json] and [BENCH_PR9.json] are frozen schema-1 records
+    (with per-metric kind tags) that this codec no longer reads. *)
 
-type kind = Deterministic | Advisory
-
-type metric = { metric : string; value : float; kind : kind }
+type metric = { metric : string; value : float }
 
 type probe = { probe : string; metrics : metric list }
 
@@ -30,9 +29,6 @@ val find_probe : t -> string -> probe option
 
 val find_metric : probe -> string -> metric option
 
-val kind_tag : kind -> string
-(** ["det"] / ["adv"], the on-disk tags. *)
-
 (** {2 Codec}
 
     Serialization is deterministic (field order fixed, floats as
@@ -40,7 +36,7 @@ val kind_tag : kind -> string
 
 exception Malformed of string
 (** Raised by {!of_string} / {!read_file} on JSON that parses but does not
-    describe a report (wrong schema, missing fields, bad kind tags). *)
+    describe a report (wrong schema, missing fields). *)
 
 val to_json : t -> Obs.Json.t
 

@@ -97,7 +97,7 @@ let micro_engine_dispatch () =
    iteration counts pin the capture itself; the resumed makespan equalling
    the uninterrupted one pins the replay (hot-path cost shows up in the
    makespan/overhead metrics of the macro probes, which share the
-   executor's pause-check). Effect fibers: alloc advisory. *)
+   executor's pause-check). Effect fibers: no alloc metric. *)
 let micro_checkpoint_capture () =
   Probe.run ~name:"micro/checkpoint-capture" ~det_alloc:false (fun ctx ->
       let entry = Workloads.Registry.find "spmv-powerlaw" in
@@ -137,10 +137,11 @@ let micro_checkpoint_capture () =
    poll-count heartbeats, untraced (the backend's lock-free fast path —
    identity critical sections, no-op emission). Single-worker scheduling
    is fully deterministic (the owner pops its own spawned halves in
-   order), so promotions and body work gate; real time is advisory. No
-   effect fibers run here and slice entry allocates nothing beyond the
-   program's own bounds tuples, so the minor words repeat exactly and gate
-   too: a per-slice closure or hash key shows up as a det regression. *)
+   order), so promotions and body work gate; wall time is measured by
+   benchmark/hbc_bench, not here. No effect fibers run here and slice
+   entry allocates nothing beyond the program's own bounds tuples, so the
+   minor words repeat exactly and gate too: a per-slice closure or hash
+   key shows up as a regression. *)
 let micro_domains_dispatch () =
   Probe.run ~name:"micro/domains-dispatch" (fun ctx ->
       let entry = Workloads.Registry.find "spmv-powerlaw" in
@@ -152,8 +153,7 @@ let micro_domains_dispatch () =
           ~beat:(Hb_parallel.Native_run.Every_polls 64) (Sched_run.Hbc rt) p
       in
       Probe.deti ctx "promotions" r.Sim.Run_result.metrics.Sim.Metrics.promotions;
-      Probe.deti ctx "work_cycles" r.Sim.Run_result.work_cycles;
-      Probe.adv ctx "makespan_wall_us" (Float.of_int r.Sim.Run_result.makespan))
+      Probe.deti ctx "work_cycles" r.Sim.Run_result.work_cycles)
 
 (* The chaos-era guarantee on the untraced native fast path: with no
    injector attached and no sink enabled, the backend hooks the scheduler
@@ -246,7 +246,7 @@ let result_metrics ctx (r : Sim.Run_result.t) =
   Probe.deti ctx "heartbeats_detected" m.Sim.Metrics.heartbeats_detected
 
 (* Macro bodies run the effect-handler executor, whose fiber machinery
-   allocates nondeterministically (see Probe): alloc words advisory. *)
+   allocates nondeterministically (see Probe): no alloc metric. *)
 let engine_probe ~name engine bench =
   Probe.run ~name ~det_alloc:false (fun ctx ->
       let entry = Workloads.Registry.find bench in
@@ -255,39 +255,6 @@ let engine_probe ~name engine bench =
       result_metrics ctx (Sched_run.run engine p))
 
 let tpal_chunk bench = (Workloads.Registry.find bench).Workloads.Registry.tpal_chunk
-
-let macro () =
-  [
-    (* Figs. 4-5: nested parallelism on the irregular suite. *)
-    engine_probe ~name:"macro/fig4-5/spmv-powerlaw-hbc" Sched_run.hbc "spmv-powerlaw";
-    (* Figs. 6-7: the TPAL runtime (static chunks, ping thread, inline
-       leftover) on its own suite. *)
-    engine_probe ~name:"macro/fig6-7/plus-reduce-array-tpal"
-      (Sched_run.tpal ~chunk:(tpal_chunk "plus-reduce-array"))
-      "plus-reduce-array";
-    (* Figs. 8, 10, 11: chunking mechanisms under software polling. *)
-    engine_probe ~name:"macro/fig8-10-11/mandelbrot-static-chunk"
-      (Sched_run.Hbc
-         {
-           Hbc_core.Rt_config.hbc with
-           chunk = Hbc_core.Compiled.Static (tpal_chunk "mandelbrot");
-         })
-      "mandelbrot";
-    (* Fig. 9: interrupt-based signaling (kernel-module broadcast), under
-       adaptive chunking rather than Fig. 9's static chunk. *)
-    engine_probe ~name:"macro/fig9/spmv-arrowhead-kernel-module"
-      (Sched_run.Hbc
-         { Hbc_core.Rt_config.hbc with mechanism = Hbc_core.Rt_config.Interrupt_kernel_module })
-      "spmv-arrowhead";
-    (* Figs. 12-13: adaptive chunking (the default HBC configuration). *)
-    engine_probe ~name:"macro/fig12-13/kmeans-adaptive" Sched_run.hbc "kmeans";
-    (* Figs. 14-15: the hand-written irregular graph kernels. *)
-    engine_probe ~name:"macro/fig14-15/bfs-hbc" Sched_run.hbc "bfs";
-    (* Fig. 16: regular workloads against OpenMP static. *)
-    engine_probe ~name:"macro/fig16/srad-omp-static"
-      (Sched_run.Openmp (Baselines.Openmp.static ()))
-      "srad";
-  ]
 
 (* --------------------------- P-sweep probes ----------------------- *)
 
@@ -328,14 +295,12 @@ let p_sweep_probe p =
       Probe.deti ctx "makespan_cycles" (Sim.Engine.max_time eng);
       Probe.deti ctx "timer_ticks" !ticks)
 
-let p_sweep () = List.map p_sweep_probe [ 16; 64; 256; 1024 ]
-
 (* --------------------------- serve probes ------------------------- *)
 
 (* Multi-tenant serving: tail latency and goodput are deterministic
    functions of the seed (virtual time end to end), so p50/p99 sojourn and
    goodput-under-overload are gated like any other det metric. Inner runs
-   use effect fibers: alloc advisory. *)
+   use effect fibers: no alloc metric. *)
 let serve_probe ~name mk =
   Probe.run ~name ~det_alloc:false (fun ctx ->
       let r = Serve.Server.run (mk ()) in
@@ -443,9 +408,42 @@ let serve_preempt () =
       Probe.deti ctx "makespan_cycles" s.Serve.Server.makespan;
       Probe.det ctx "sojourn_p50_cycles" s.Serve.Server.sojourn_p50)
 
-let serve () = [ serve_steady (); serve_overload (); serve_preempt () ]
+let macro () =
+  [
+    (* Figs. 4-5: nested parallelism on the irregular suite. *)
+    engine_probe ~name:"macro/fig4-5/spmv-powerlaw-hbc" Sched_run.hbc "spmv-powerlaw";
+    (* Figs. 6-7: the TPAL runtime (static chunks, ping thread, inline
+       leftover) on its own suite. *)
+    engine_probe ~name:"macro/fig6-7/plus-reduce-array-tpal"
+      (Sched_run.tpal ~chunk:(tpal_chunk "plus-reduce-array"))
+      "plus-reduce-array";
+    (* Figs. 8, 10, 11: chunking mechanisms under software polling. *)
+    engine_probe ~name:"macro/fig8-10-11/mandelbrot-static-chunk"
+      (Sched_run.Hbc
+         {
+           Hbc_core.Rt_config.hbc with
+           chunk = Hbc_core.Compiled.Static (tpal_chunk "mandelbrot");
+         })
+      "mandelbrot";
+    (* Fig. 9: interrupt-based signaling (kernel-module broadcast), under
+       adaptive chunking rather than Fig. 9's static chunk. *)
+    engine_probe ~name:"macro/fig9/spmv-arrowhead-kernel-module"
+      (Sched_run.Hbc
+         { Hbc_core.Rt_config.hbc with mechanism = Hbc_core.Rt_config.Interrupt_kernel_module })
+      "spmv-arrowhead";
+    (* Figs. 12-13: adaptive chunking (the default HBC configuration). *)
+    engine_probe ~name:"macro/fig12-13/kmeans-adaptive" Sched_run.hbc "kmeans";
+    (* Figs. 14-15: the hand-written irregular graph kernels. *)
+    engine_probe ~name:"macro/fig14-15/bfs-hbc" Sched_run.hbc "bfs";
+    (* Fig. 16: regular workloads against OpenMP static. *)
+    engine_probe ~name:"macro/fig16/srad-omp-static"
+      (Sched_run.Openmp (Baselines.Openmp.static ()))
+      "srad";
+  ]
+  @ List.map p_sweep_probe [ 16; 64; 256; 1024 ]
+  @ [ serve_steady (); serve_overload (); serve_preempt () ]
 
-let all () = micro () @ macro () @ p_sweep () @ serve ()
+let all () = micro () @ macro ()
 
 let report ?(notes = []) ?probes ~label () =
   let provenance =

@@ -2,10 +2,12 @@
 
     Micro probes cover the runtime primitives whose costs the cost model
     abstracts (deque, rng, perfect-hash leftover table, adaptive chunking)
-    plus the two measured hot paths of the simulator itself (trace emission
-    into the null-sink fast path, the engine's event-dispatch loop). Macro
-    probes run one tiny-scale simulation per figure family of the paper's
-    evaluation and record its deterministic scheduler counters.
+    plus the measured hot paths of the simulator and the native backend
+    (trace emission into the null-sink fast path, the engine's
+    event-dispatch loop, checkpoint capture, native dispatch and its
+    untraced hooks, overhead attribution). Macro probes run one tiny-scale
+    simulation per figure family of the paper's evaluation and record its
+    deterministic scheduler counters.
 
     Probe names are stable identifiers: [bench/baseline.json] is keyed on
     them, so renaming one shows up as metric-set skew (warn), not silently
@@ -18,18 +20,13 @@ val tiny_workers : int
 val micro : unit -> Report.probe list
 
 val macro : unit -> Report.probe list
-
-val p_sweep : unit -> Report.probe list
-(** The event-engine scaling gate: a fixed-iteration synthetic engine
-    workload at P ∈ {16, 64, 256, 1024} simulated cores. Events dispatched,
-    work cycles, makespan, and (engine fibers being deterministic
-    allocators) alloc words all gate det, so P-scaling regressions fail
-    CI like alloc regressions do. *)
-
-val serve : unit -> Report.probe list
+(** One tiny-scale run per figure family, then the event-engine scaling
+    gate (a fixed-iteration synthetic engine workload at P ∈ {16, 64, 256,
+    1024} simulated cores, whose events dispatched, work cycles, makespan
+    and alloc words gate like any other metric), then the serving probes. *)
 
 val all : unit -> Report.probe list
-(** [micro () @ macro () @ p_sweep () @ serve ()]. *)
+(** [micro () @ macro ()]. *)
 
 val report :
   ?notes:(string * string) list -> ?probes:Report.probe list -> label:string -> unit -> Report.t

@@ -2,7 +2,7 @@
 
 open Benchgate
 
-let metric ?(kind = Report.Deterministic) name value = { Report.metric = name; value; kind }
+let metric name value = { Report.metric = name; value }
 
 let probe name metrics = { Report.probe = name; metrics }
 
@@ -11,7 +11,7 @@ let sample_report ?(label = "t") probes = Report.make ~notes:[ ("k", "v") ] ~lab
 let base () =
   sample_report
     [
-      probe "micro/a" [ metric "cycles" 100.; metric ~kind:Report.Advisory "wall_ns" 5000. ];
+      probe "micro/a" [ metric "cycles" 100. ];
       probe "macro/b" [ metric "promotions" 40.; metric "steals" 8. ];
     ]
 
@@ -26,10 +26,7 @@ let test_roundtrip () =
   Alcotest.(check int) "probes" (List.length r.Report.probes) (List.length r'.Report.probes);
   let p = Option.get (Report.find_probe r' "micro/a") in
   let m = Option.get (Report.find_metric p "cycles") in
-  Alcotest.(check (float 0.0)) "value" 100. m.Report.value;
-  Alcotest.(check bool) "kind" true (m.Report.kind = Report.Deterministic);
-  let adv = Option.get (Report.find_metric p "wall_ns") in
-  Alcotest.(check bool) "adv kind" true (adv.Report.kind = Report.Advisory)
+  Alcotest.(check (float 0.0)) "value" 100. m.Report.value
 
 let test_roundtrip_bytes () =
   (* Deterministic serialization: decode/encode is the identity on bytes. *)
@@ -37,12 +34,17 @@ let test_roundtrip_bytes () =
   Alcotest.(check string) "byte-stable" s (Report.to_string (Report.of_string s))
 
 let test_malformed () =
-  Alcotest.check_raises "wrong schema"
-    (Report.Malformed "unsupported report schema 999 (this build reads 1)") (fun () ->
-      ignore (Report.of_string {|{"schema": 999, "label": "x", "notes": {}, "probes": []}|}));
-  (match Report.of_string {|{"schema": 1, "label": "x", "notes": {}, "probes": [{"probe": "p", "metrics": [{"metric": "m", "value": 1, "kind": "bogus"}]}]}|} with
-  | exception Report.Malformed _ -> ()
-  | _ -> Alcotest.fail "bad kind tag accepted");
+  (* Schema 1 tagged every metric with a kind; such files are refused. *)
+  Alcotest.check_raises "schema 1"
+    (Report.Malformed "unsupported report schema 1 (this build reads 2)") (fun () ->
+      ignore
+        (Report.of_string
+           {|{"schema": 1, "label": "x", "notes": {}, "probes": [{"probe": "p", "metrics": [{"metric": "m", "value": 1, "kind": "det"}]}]}|}));
+  Alcotest.check_raises "non-numeric value"
+    (Report.Malformed "metric \"m\" without a numeric value") (fun () ->
+      ignore
+        (Report.of_string
+           {|{"schema": 2, "label": "x", "notes": {}, "probes": [{"probe": "p", "metrics": [{"metric": "m", "value": "1"}]}]}|}));
   match Report.of_string "{nope" with
   | exception Obs.Json.Parse_error _ -> ()
   | _ -> Alcotest.fail "syntax error accepted"
@@ -60,7 +62,7 @@ let test_file_roundtrip () =
 
 (* -------------------------------- diff ---------------------------- *)
 
-let diff ?threshold ?adv_threshold old new_ = Diff.compare ?threshold ?adv_threshold ~old ~new_ ()
+let diff ?threshold old new_ = Diff.compare ?threshold ~old ~new_ ()
 
 let statuses lines = List.map (fun l -> l.Diff.status) lines
 
@@ -106,18 +108,6 @@ let test_diff_zero_baseline () =
   let _, verdict = diff old new_ in
   Alcotest.(check bool) "0 -> 5 fails" true (verdict = Diff.Fail)
 
-let test_diff_advisory_warns_only () =
-  let old = sample_report [ probe "p" [ metric ~kind:Report.Advisory "wall_ns" 1000. ] ] in
-  let new_ = sample_report [ probe "p" [ metric ~kind:Report.Advisory "wall_ns" 4000. ] ] in
-  let lines, verdict = diff old new_ in
-  Alcotest.(check bool) "warn, never fail" true (verdict = Diff.Warn);
-  Alcotest.(check bool) "changed" true (statuses lines = [ Diff.Changed ]);
-  Alcotest.(check int) "exit 0" 0 (Diff.exit_code verdict);
-  (* Below the advisory threshold it does not even warn. *)
-  let small = sample_report [ probe "p" [ metric ~kind:Report.Advisory "wall_ns" 1100. ] ] in
-  let _, v2 = diff old small in
-  Alcotest.(check bool) "10% wall jitter ignored" true (v2 = Diff.Pass)
-
 let test_diff_skew () =
   (* Probe/metric set skew between baseline and suite warns, never fails. *)
   let old =
@@ -149,18 +139,14 @@ let test_render_mentions_regression () =
 (* ----------------------------- suite ------------------------------ *)
 
 (* The acceptance property of the whole subsystem: running the suite twice
-   in one process yields identical deterministic metrics (virtual cycles,
-   event counts, gated allocation words). *)
+   in one process yields identical metrics (virtual cycles, event counts,
+   allocation words). *)
 let test_suite_deterministic () =
   let strip probes =
     List.map
       (fun (p : Report.probe) ->
         ( p.Report.probe,
-          List.filter_map
-            (fun (m : Report.metric) ->
-              if m.Report.kind = Report.Deterministic then Some (m.Report.metric, m.Report.value)
-              else None)
-            p.Report.metrics ))
+          List.map (fun (m : Report.metric) -> (m.Report.metric, m.Report.value)) p.Report.metrics ))
       probes
   in
   let a = strip (Suite.all ()) in
@@ -168,13 +154,7 @@ let test_suite_deterministic () =
   Alcotest.(check (list (pair string (list (pair string (float 0.0)))))) "identical" a b;
   let r1, _ = Diff.compare ~old:(Report.make ~label:"a" (Suite.all ()))
       ~new_:(Report.make ~label:"b" (Suite.all ())) () in
-  Alcotest.(check bool) "no deterministic drift" true
-    (List.for_all
-       (fun l ->
-         match l.Diff.kind with
-         | Some Report.Deterministic -> l.Diff.status = Diff.Unchanged
-         | _ -> true)
-       r1)
+  Alcotest.(check bool) "no drift" true (List.for_all (fun l -> l.Diff.status = Diff.Unchanged) r1)
 
 let test_suite_shape () =
   let r = Suite.report ~label:"shape" () in
@@ -186,7 +166,29 @@ let test_suite_shape () =
   List.iter
     (fun m ->
       Alcotest.(check bool) (m ^ " present") true (Option.is_some (Report.find_metric p m)))
-    [ "makespan_cycles"; "promotions"; "steals"; "polls"; "alloc_minor_words"; "wall_ns" ];
+    [ "makespan_cycles"; "promotions"; "steals"; "polls" ];
+  Alcotest.(check bool) "fiber probe records no allocation" true
+    (Option.is_none (Report.find_metric p "alloc_minor_words"));
+  (* The whole metric vocabulary: every name a probe reports is a
+     deterministic count, so no wall-clock or major-heap row slips back. *)
+  let names =
+    List.sort_uniq String.compare
+      (List.concat_map
+         (fun (p : Report.probe) -> List.map (fun m -> m.Report.metric) p.Report.metrics)
+         r.Report.probes)
+  in
+  Alcotest.(check (list string)) "metric names"
+    [
+      "alloc_minor_words"; "beats"; "breaker_opens"; "charges"; "checkpoint_bytes";
+      "checkpointed"; "completed"; "counted_promotions"; "deadline_exceeded"; "draws";
+      "encodes"; "events"; "events_dispatched"; "events_processed"; "failed"; "goodput";
+      "heartbeats_detected"; "hot_path_alloc_words"; "identical"; "kinds_attributed";
+      "live_slices"; "lookups"; "makespan_cycles"; "ops"; "overhead_cycles"; "polls";
+      "promotions"; "remaining_iters"; "resumed"; "resumed_makespan"; "rounds"; "shed";
+      "sojourn_p50_cycles"; "sojourn_p99_cycles"; "steal_attempts"; "steals"; "submitted";
+      "tasks_spawned"; "timer_ticks"; "vetoes"; "work_cycles"
+    ]
+    names;
   Alcotest.(check bool) "provenance recorded" true (List.mem_assoc "suite_seed" r.Report.notes)
 
 let suite =
@@ -200,7 +202,6 @@ let suite =
     Alcotest.test_case "diff: threshold boundary" `Quick test_diff_within_threshold;
     Alcotest.test_case "diff: improvement passes" `Quick test_diff_improvement_passes;
     Alcotest.test_case "diff: zero-baseline growth fails" `Quick test_diff_zero_baseline;
-    Alcotest.test_case "diff: advisory warns only" `Quick test_diff_advisory_warns_only;
     Alcotest.test_case "diff: metric-set skew warns only" `Quick test_diff_skew;
     Alcotest.test_case "diff: render names regressions" `Quick test_render_mentions_regression;
     Alcotest.test_case "suite: deterministic metrics stable" `Slow test_suite_deterministic;
