@@ -343,7 +343,7 @@ module Make (H : HOOKS) = struct
           | Compiled.Static s -> s
           | Compiled.Adaptive -> Sched.Adaptive_chunking.chunk_size ac);
       let start = ctx.Ir.Ctx.lo in
-      let todo = Stdlib.min ts.residual.(ord) (ctx.Ir.Ctx.hi - start) in
+      let todo = Int.min ts.residual.(ord) (ctx.Ir.Ctx.hi - start) in
       ts.work <- 0;
       ts.bytes <- todo * info.Compiled.loop.Ir.Nest.bytes_per_iter;
       for k = 0 to todo - 1 do

@@ -57,8 +57,11 @@ val clock_of : t -> int -> int
 
 val advance : t -> int -> unit
 (** [advance t c] consumes [c] cycles on the current worker, yielding to any
-    worker or callback whose virtual time is earlier. Must be called from
-    worker context. *)
+    worker or callback whose virtual time is earlier. When nothing queued
+    is due at or before the new clock and no pause, budget or guard
+    boundary falls there, the worker runs on without a context switch;
+    the step still counts as one dispatch in {!events_processed}. Must be
+    called from worker context. *)
 
 val park : t -> unit
 (** Block the current worker until {!unpark} or {!unpark_all}. Its clock

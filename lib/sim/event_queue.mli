@@ -1,9 +1,10 @@
 (** The engine's event queue: a binary min-heap of unboxed
     (virtual time, seq, code) events.
 
-    Pops come out in strictly increasing (time, seq) order. Events live
-    in three flat int arrays that double when full, so push and pop
-    allocate nothing once the arrays have grown. *)
+    Pops come out in strictly increasing (time, seq) order. An event is
+    two ints in two flat arrays that double when full: its time, and a
+    tag [seq lsl 20 lor code], so the tag order is the seq order. Push
+    and pop allocate nothing once the arrays have grown. *)
 
 type t
 
@@ -16,7 +17,9 @@ val length : t -> int
 
 val push : t -> time:int -> seq:int -> code:int -> unit
 (** Enqueue. [seq] must be globally unique; pops tie-break equal times
-    by it, FIFO when the pusher's stamps are monotone. *)
+    by it, FIFO when the pusher's stamps are monotone. Asserts
+    [0 <= code < 2^20] and [0 <= seq < 2^42], the bounds of the tag
+    layout. *)
 
 val top_time : t -> int
 (** Virtual time of the earliest queued event. Undefined when empty —

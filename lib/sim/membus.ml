@@ -12,7 +12,7 @@ let serve t ~now ~compute ~bytes =
     let finish_mem = start +. mem_cycles in
     t.free_at <- finish_mem;
     let mem_total = int_of_float (Float.ceil (finish_mem -. Float.of_int now)) in
-    Stdlib.max compute mem_total
+    Int.max compute mem_total
   end
 
 let reset t = t.free_at <- 0.0

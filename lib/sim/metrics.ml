@@ -126,7 +126,7 @@ let add_overhead t kind c =
 
 let promotion_at_level t level =
   t.promotions <- t.promotions + 1;
-  let level = Stdlib.min level (Array.length t.promotions_by_level - 1) in
+  let level = Int.min level (Array.length t.promotions_by_level - 1) in
   t.promotions_by_level.(level) <- t.promotions_by_level.(level) + 1
 
 let overhead_of t kind = t.overhead_by_kind.(kind_index kind)
