@@ -551,7 +551,12 @@ let run_cmd =
           executor ckpt_path
     | _ -> ());
     if r.Sim.Run_result.dnf then print_endline "run DID NOT FINISH (virtual-time cap)";
-    finish_sanitizer r
+    finish_sanitizer r;
+    (* As on domains: a failed trial or a wrong output exits 4. A DNF or a
+       paused run is what was asked for and keeps exit 0. *)
+    if outcome.Experiments.Harness.error <> None
+       || (Sim.Run_result.completed r && not outcome.Experiments.Harness.valid)
+    then exit 4
     end
   in
   Cmd.v

@@ -21,6 +21,36 @@ exception Guard_stop of string
    worker, so a yield allocates only the continuation the runtime
    makes for [perform].
 
+   Dispatch. There is no loop that workers return to. One [dispatch]
+   step pops the earliest event and fires it: a callback runs and the
+   next step follows, a resume is continued as the step's last call.
+   The [Yield] and [Park] handlers and [retc] end in a step too, so
+   the handler of a yielding worker resumes the next worker itself.
+   The handlers of a deep effect run on the stack that resumed the
+   fiber, at the depth of that [continue]; with every resume a tail
+   call, the handler that runs next sits where the last one did, and
+   the main stack stays as deep as the worker start-up left it (a few
+   frames per worker started), whatever the number of events.
+   A resume that is not a tail call would leave a frame per event and
+   overflow the stack on long runs.
+
+   Handoff. A yield pushes the worker's resume and pops the top. When
+   the worker's new clock is not below the top's time, the resume
+   sorts after the top (at an equal time it has the larger seq), so
+   the pop takes the old top either way. Unless a pause boundary stops
+   the step before that pop, the handler then swaps the resume in with
+   [Event_queue.replace_top], one sift-down, and fires the old top.
+   Seqs, pop order, [events_processed] and the watchdog countdown are
+   those of a push and a pop.
+
+   Stops. A step stops when no worker is live or when the top event
+   lies at or past the pause boundary; it returns, and the handlers
+   and callbacks below it return in turn, each re-checking the stop,
+   down to [run] or [continue_run]. Deadlock, budget and guard stops,
+   and exceptions from callbacks or worker bodies, are raised on the
+   main stack by a step or a handler, never inside a worker fiber, so
+   they leave [run] unchanged and no worker's own handler sees them.
+
    Run-ahead. [advance] skips the yield altogether when the worker's
    new clock is strictly below the queue's top time and no pause,
    budget or guard boundary falls on this dispatch. The yield would
@@ -33,11 +63,10 @@ exception Guard_stop of string
    virtual time are what the yield path gives. Equal times must yield,
    because a queued event at that time carries an earlier seq and
    pops first. So must a dispatch that a boundary acts on: a pause at
-   or below the new clock stops the loop before the pop, a budget
+   or below the new clock stops the step before the pop, a budget
    below it aborts on the pop, and a guard countdown that reaches zero
-   polls the hook. Those take the yield path, so a stop is raised by
-   the loop and never inside the worker, whose own handlers would see
-   it. *)
+   polls the hook. Those take the yield path, so a stop is raised on
+   the main stack and never inside the worker. *)
 
 (* A continuation slot's empty state. Never resumed: slots are read only
    for codes the queue handed back, and each push fills the slot first.
@@ -64,6 +93,7 @@ type t = {
   mutable current : int;  (* worker id, or -1 in engine/callback context *)
   mutable engine_time : int;
   mutable pending_resumes : int;
+  mutable starved : int;  (* dispatches in a row with no resume queued *)
   rng : Sim_rng.t;
   mutable diagnostics : (int -> string) option;
   mutable budget : int option;  (* virtual-cycle watchdog: abort past this time *)
@@ -95,6 +125,7 @@ let create ?(seed = 42) ~num_workers () =
     current = -1;
     engine_time = 0;
     pending_resumes = 0;
+    starved = 0;
     rng = Sim_rng.create seed;
     diagnostics = None;
     budget = None;
@@ -166,11 +197,16 @@ let now t = if t.current >= 0 then t.clocks.(t.current) else t.engine_time
 
 let clock_of t w = t.clocks.(w)
 
-let push_resume t ~time w k =
+(* Park [k] in worker [w]'s resume slot and stamp the seq its queue
+   entry takes. *)
+let stash_resume t w k =
   t.resume_ks.(w) <- k;
   t.pending_resumes <- t.pending_resumes + 1;
-  Event_queue.push t.q ~time ~seq:t.seq ~code:w;
-  t.seq <- t.seq + 1
+  let seq = t.seq in
+  t.seq <- seq + 1;
+  seq
+
+let push_resume t ~time w k = Event_queue.push t.q ~time ~seq:(stash_resume t w k) ~code:w
 
 let cb_slot t =
   if t.cb_free_len > 0 then begin
@@ -198,8 +234,7 @@ let push_callback t ~time f =
   Event_queue.push t.q ~time ~seq:t.seq ~code:(t.nworkers + slot);
   t.seq <- t.seq + 1
 
-(* Take the payload of the queue's top event out of its slot. Callers
-   drop the queue entry themselves. *)
+(* Take a popped callback out of its slot and free the slot. *)
 let take_callback t code =
   let slot = code - t.nworkers in
   let f = t.cbs.(slot) in
@@ -213,7 +248,7 @@ let take_resume t w =
   t.resume_ks.(w) <- dummy_k (* don't retain resumed continuations *);
   k
 
-(* The boundaries [run_loop] would check when popping a resume at
+(* The boundaries a dispatch step would check when popping a resume at
    [time] that is already known to be the queue's earliest event. *)
 let no_boundary_at t time =
   (match t.pause_at with None -> true | Some p -> time < p)
@@ -271,12 +306,92 @@ let every t ~start ~interval f =
   schedule_at t ~time:start tick;
   fun () -> alive := false
 
+(* A pause boundary is checked *before* the top event is dropped or
+   counted, so a paused engine holds the exact pre-dispatch state:
+   resuming it replays the same dispatch sequence (and [dispatched]
+   counts) an uninterrupted run has. *)
+let must_pause t =
+  match t.pause_at with
+  | None -> false
+  | Some p -> (not (Event_queue.is_empty t.q)) && Event_queue.top_time t.q >= p
+
+(* Fire the event (time, code) just taken off the queue. A resume is
+   continued as the last call, so the caller's frame is gone before the
+   worker runs; a callback runs to completion and the next step
+   follows. *)
+let rec fire t time code =
+  check_watchdogs t time;
+  if code < t.nworkers then begin
+    let k = take_resume t code in
+    t.pending_resumes <- t.pending_resumes - 1;
+    t.current <- code;
+    t.engine_time <- time;
+    Effect.Deep.continue k ()
+  end
+  else begin
+    let f = take_callback t code in
+    t.current <- -1;
+    t.engine_time <- time;
+    f ();
+    dispatch t
+  end
+
+(* One dispatch step: stop, or pop the earliest event and fire it. *)
+and dispatch t =
+  if t.live = 0 then t.current <- -1
+  else if must_pause t then begin
+    t.paused <- true;
+    t.current <- -1
+  end
+  else begin
+    if t.pending_resumes = 0 then begin
+      (* Only callbacks remain. If every live worker is parked, no callback
+         body can produce progress by itself unless it unparks someone, so
+         run callbacks until one does or the queue drains. *)
+      t.starved <- t.starved + 1;
+      if t.starved > 100_000 then
+        deadlock t "workers parked; callbacks firing without waking anyone";
+      if Event_queue.is_empty t.q then deadlock t "live workers parked and event queue empty"
+    end
+    else begin
+      t.starved <- 0;
+      if Event_queue.is_empty t.q then deadlock t "pending resumes not in queue"
+    end;
+    let time = Event_queue.top_time t.q in
+    let code = Event_queue.top_code t.q in
+    Event_queue.drop t.q;
+    fire t time code
+  end
+
 let start_worker t w main =
   t.current <- w;
   let yield_h =
-    Some (fun (k : (unit, unit) Effect.Deep.continuation) -> push_resume t ~time:t.clocks.(w) w k)
+    Some
+      (fun (k : (unit, unit) Effect.Deep.continuation) ->
+        let time = t.clocks.(w) in
+        if
+          (not (Event_queue.is_empty t.q))
+          && time >= Event_queue.top_time t.q
+          && not (must_pause t)
+        then begin
+          (* Handoff: the resume sorts after the top, so the top is the
+             next event either way. *)
+          let top = Event_queue.top_time t.q and code = Event_queue.top_code t.q in
+          Event_queue.replace_top t.q ~time ~seq:(stash_resume t w k) ~code:w;
+          t.starved <- 0;
+          fire t top code
+        end
+        else begin
+          push_resume t ~time w k;
+          dispatch t
+        end)
   in
-  let park_h = Some (fun (k : (unit, unit) Effect.Deep.continuation) -> t.parked.(w) <- Some k) in
+  let park_h =
+    Some
+      (fun (k : (unit, unit) Effect.Deep.continuation) ->
+        t.parked.(w) <- Some k;
+        dispatch t)
+  in
   Effect.Deep.match_with
     (fun () -> main w)
     ()
@@ -284,84 +399,26 @@ let start_worker t w main =
       retc =
         (fun () ->
           t.finished.(w) <- true;
-          t.live <- t.live - 1);
+          t.live <- t.live - 1;
+          dispatch t);
       exnc = (fun e -> raise e);
       effc =
         (fun (type a) (eff : a Effect.t) : ((a, unit) Effect.Deep.continuation -> unit) option ->
           match eff with Yield -> yield_h | Park -> park_h | _ -> None);
     }
 
-(* The dispatch loop, shared by [run] and [continue_run]. A pause boundary
-   is checked *before* the top event is dropped or counted, so a paused
-   engine holds the exact pre-dispatch state: resuming it replays the same
-   dispatch sequence (and [dispatched] counts) an uninterrupted run has. *)
-let run_loop t =
-  let starved = ref 0 in
-  let must_pause () =
-    match t.pause_at with
-    | None -> false
-    | Some p -> (not (Event_queue.is_empty t.q)) && Event_queue.top_time t.q >= p
-  in
-  let rec loop () =
-    if t.live > 0 then begin
-      if must_pause () then t.paused <- true
-      else if t.pending_resumes = 0 then begin
-        (* Only callbacks remain. If every live worker is parked, no callback
-           body can produce progress by itself unless it unparks someone, so
-           run callbacks until one does or the queue drains. *)
-        incr starved;
-        if !starved > 100_000 then
-          deadlock t "workers parked; callbacks firing without waking anyone";
-        if Event_queue.is_empty t.q then deadlock t "live workers parked and event queue empty";
-        let time = Event_queue.top_time t.q in
-        let code = Event_queue.top_code t.q in
-        assert (code >= t.nworkers);
-        let f = take_callback t code in
-        Event_queue.drop t.q;
-        check_watchdogs t time;
-        t.current <- -1;
-        t.engine_time <- time;
-        f ();
-        loop ()
-      end
-      else begin
-        starved := 0;
-        if Event_queue.is_empty t.q then deadlock t "pending resumes not in queue";
-        let time = Event_queue.top_time t.q in
-        let code = Event_queue.top_code t.q in
-        Event_queue.drop t.q;
-        check_watchdogs t time;
-        if code < t.nworkers then begin
-          let k = take_resume t code in
-          t.pending_resumes <- t.pending_resumes - 1;
-          t.current <- code;
-          t.engine_time <- time;
-          Effect.Deep.continue k ()
-        end
-        else begin
-          let f = take_callback t code in
-          t.current <- -1;
-          t.engine_time <- time;
-          f ()
-        end;
-        loop ()
-      end
-    end
-  in
-  loop ();
-  t.current <- -1
-
 let run t main =
   t.live <- t.nworkers;
   for w = 0 to t.nworkers - 1 do
     push_callback t ~time:0 (fun () -> start_worker t w main)
   done;
-  run_loop t
+  dispatch t
 
 let continue_run t =
   if not t.paused then invalid_arg "Engine.continue_run: engine is not paused";
   t.paused <- false;
-  run_loop t
+  t.starved <- 0;
+  dispatch t
 
 let max_time t = Array.fold_left Int.max 0 t.clocks
 

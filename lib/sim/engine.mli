@@ -88,11 +88,18 @@ val run : t -> (int -> unit) -> unit
     or until the {!set_pause_at} boundary is reached, in which case the
     engine stops with its heap and fiber continuations intact ({!paused}
     becomes true) and can be continued with {!continue_run}.
+
+    Events fire in (time, seq) order. A yielding worker's handler resumes
+    the next worker itself, as a tail call, so the OCaml stack does not
+    grow with the number of events. An exception raised by a worker body
+    or a timed callback leaves [run] unchanged, as do {!Deadlock},
+    {!Budget_exceeded} and {!Guard_stop}; the engine is not continuable
+    after one.
     @raise Deadlock if all unfinished workers are parked with nothing
     scheduled to wake them. *)
 
 val set_pause_at : t -> int -> unit
-(** Arm a cooperative pause boundary: the dispatch loop stops *before*
+(** Arm a cooperative pause boundary: dispatch stops *before*
     dispatching any event whose virtual time is [>=] the boundary. Unlike
     {!set_budget} this is not an abort — every continuation, clock, and
     queued event is preserved, so {!continue_run} resumes the identical
@@ -110,7 +117,10 @@ val paused : t -> bool
 val continue_run : t -> unit
 (** Continue a paused engine ({!paused} must be true). Typically the caller
     first moves or clears the boundary with {!set_pause_at}/{!clear_pause};
-    otherwise the engine pauses again immediately. *)
+    otherwise the engine pauses again immediately. Dispatch goes on exactly
+    as in {!run}, with the same events, seqs and {!events_processed} an
+    uninterrupted run has; the count of callback-only dispatches behind
+    the {!Deadlock} check starts afresh. *)
 
 val max_time : t -> int
 (** Largest virtual clock reached across workers (the makespan after

@@ -9,7 +9,8 @@
    value and, once the arrays have grown to the run's peak population,
    allocates nothing. The engine keeps at most one resume per worker
    plus its pending timers and callbacks here, so the heap stays small
-   and O(log n) sifts are cheap.
+   and O(log n) sifts are cheap. A yielding worker's handoff pushes its
+   resume and pops the top in one sift-down ([replace_top]).
 
    Codes must be below 2^20 (the engine's codes are its worker count
    plus its live callback slots), and seqs below 2^42, so a tag stays a
@@ -103,3 +104,35 @@ let drop q =
     done;
     place q !i ~time:times.(n) ~tag:tags.(n)
   end
+
+(* Drop the top and push (time, seq, code) in one pass: the new event
+   takes the root's hole and sifts down, stopping at the first level
+   whose earlier child is not before it. When the new event is not
+   earlier than the top, this is also push followed by [drop], at half
+   the sifting. *)
+let replace_top q ~time ~seq ~code =
+  assert (code >= 0 && code <= code_mask);
+  assert (seq >= 0 && seq < max_seq);
+  let tag = (seq lsl code_bits) lor code in
+  let n = q.size in
+  let times = q.time and tags = q.tag in
+  let i = ref 0 in
+  let continue = ref true in
+  while !continue && (2 * !i) + 1 < n do
+    let l = (2 * !i) + 1 in
+    let r = l + 1 in
+    let c =
+      if r < n && (times.(r) < times.(l) || (times.(r) = times.(l) && tags.(r) < tags.(l)))
+      then r
+      else l
+    in
+    let tc = times.(c) in
+    if tc < time || (tc = time && tags.(c) < tag) then begin
+      times.(!i) <- tc;
+      tags.(!i) <- tags.(c);
+      i := c
+    end
+    else continue := false
+  done;
+  times.(!i) <- time;
+  tags.(!i) <- tag

@@ -3,8 +3,8 @@
 
     Pops come out in strictly increasing (time, seq) order. An event is
     two ints in two flat arrays that double when full: its time, and a
-    tag [seq lsl 20 lor code], so the tag order is the seq order. Push
-    and pop allocate nothing once the arrays have grown. *)
+    tag [seq lsl 20 lor code], so the tag order is the seq order. Push,
+    pop and {!replace_top} allocate nothing once the arrays have grown. *)
 
 type t
 
@@ -34,3 +34,11 @@ val top_code : t -> int
 val drop : t -> unit
 (** Remove the earliest queued event (the one {!top_time}/{!top_code}
     describe). Undefined when empty. *)
+
+val replace_top : t -> time:int -> seq:int -> code:int -> unit
+(** [replace_top q ~time ~seq ~code] is {!drop} then {!push}, in one
+    sift-down from the root. When (time, seq) is not earlier than the
+    top's, it is also {!push} then {!drop}: the engine's worker handoff
+    pushes the yielding worker's resume and pops the next event this
+    way. Same bounds on [code] and [seq] as {!push}. Undefined when
+    empty. *)

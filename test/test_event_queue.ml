@@ -94,6 +94,66 @@ let differential_random =
   QCheck.Test.make ~name:"sorted-model order on random ops" ~count:300
     ops_arbitrary run_ops
 
+(* [replace_top] against its two specifications. A heap of 1 to 300
+   events whose times repeat often (ties broken by seq) takes a run of
+   replacements, each timed relative to the current top and stamped
+   with a fresh seq, as the engine's handoff does. Every replacement
+   must equal [drop] then [push]. While no replacement has been earlier
+   than the top, the heap must also equal one that took [push] then
+   [drop]; half the cases draw no earlier replacement at all. The
+   queues are compared by draining them. *)
+let drain q =
+  let rec go acc =
+    if Sim.Event_queue.is_empty q then List.rev acc
+    else begin
+      let e = Sim.Event_queue.(top_time q, top_seq q, top_code q) in
+      Sim.Event_queue.drop q;
+      go (e :: acc)
+    end
+  in
+  go []
+
+let replace_top_matches (init, deltas) =
+  let fill () =
+    let q = Sim.Event_queue.create () in
+    List.iteri (fun seq time -> Sim.Event_queue.push q ~time ~seq ~code:(seq land 0xff)) init;
+    q
+  in
+  let q = fill () and drop_push = fill () and push_drop = fill () in
+  let none_earlier = ref true in
+  List.iteri
+    (fun i delta ->
+      let time = Sim.Event_queue.top_time q + delta in
+      let seq = List.length init + i and code = i land 0xff in
+      if delta < 0 then none_earlier := false;
+      Sim.Event_queue.replace_top q ~time ~seq ~code;
+      Sim.Event_queue.drop drop_push;
+      Sim.Event_queue.push drop_push ~time ~seq ~code;
+      Sim.Event_queue.push push_drop ~time ~seq ~code;
+      Sim.Event_queue.drop push_drop)
+    deltas;
+  let got = drain q in
+  got = drain drop_push && ((not !none_earlier) || got = drain push_drop)
+
+let replace_top_arbitrary =
+  let open QCheck.Gen in
+  let gen =
+    let* init = list_size (int_range 1 300) (int_range 0 40) in
+    let* earlier = bool in
+    let* deltas = list_size (int_range 1 100) (int_range (if earlier then -10 else 0) 20) in
+    return (init, deltas)
+  in
+  QCheck.make
+    ~print:(fun (init, deltas) ->
+      Printf.sprintf "init=[%s] deltas=[%s]"
+        (String.concat ";" (List.map string_of_int init))
+        (String.concat ";" (List.map string_of_int deltas)))
+    gen
+
+let replace_top_random =
+  QCheck.Test.make ~name:"replace_top is drop+push, and push+drop when not earlier" ~count:500
+    replace_top_arbitrary replace_top_matches
+
 (* ------------------------- directed cases ------------------------- *)
 
 (* Simultaneous events pop FIFO by seq. *)
@@ -183,6 +243,7 @@ let qt = QCheck_alcotest.to_alcotest
 let suite =
   [
     qt differential_random;
+    qt replace_top_random;
     Alcotest.test_case "simultaneous events pop FIFO" `Quick simultaneous_fifo;
     Alcotest.test_case "far-future events pop in order" `Quick far_future_order;
     Alcotest.test_case "pushes behind last pop go first" `Quick behind_last_pop_served_first;

@@ -557,6 +557,52 @@ let engine_unpark_not_parked_is_noop () =
       end);
   check_int "worker 1 resumed at waker's clock" 10 (Sim.Engine.clock_of e 1)
 
+(* Exceptions and deadlocks after many worker handoffs. Equal steps keep
+   the workers' clocks tied, so every advance yields and hands off to
+   the next worker from inside the yield handler; a stop must still
+   leave [run] as raised. *)
+exception Boom
+
+let tied_steps e n = for _ = 1 to n do Sim.Engine.advance e 1 done
+
+let engine_callback_exception_escapes () =
+  let e = Sim.Engine.create ~num_workers:4 () in
+  Sim.Engine.schedule_at e ~time:2_000 (fun () -> raise Boom);
+  (match Sim.Engine.run e (fun _ -> tied_steps e 10_000) with
+  | () -> Alcotest.fail "expected Boom"
+  | exception Boom -> ());
+  check_bool "after >= 1000 handoffs" true (Sim.Engine.events_processed e >= 1_000);
+  check_int "raised at the callback's time" 2_000 (Sim.Engine.now e)
+
+let engine_worker_exception_escapes () =
+  let e = Sim.Engine.create ~num_workers:4 () in
+  let payload = Failure "worker 2" in
+  (match
+     Sim.Engine.run e (fun w ->
+         tied_steps e 3_000;
+         if w = 2 then raise payload;
+         tied_steps e 3_000)
+   with
+  | () -> Alcotest.fail "expected the worker's exception"
+  | exception x -> check_bool "the raised value itself" true (x == payload));
+  check_bool "after >= 1000 handoffs" true (Sim.Engine.events_processed e >= 1_000)
+
+let engine_deadlock_after_handoffs () =
+  let e = Sim.Engine.create ~num_workers:8 () in
+  let msg =
+    try
+      Sim.Engine.run e (fun _ ->
+          tied_steps e 500;
+          Sim.Engine.park e);
+      Alcotest.fail "expected Deadlock"
+    with Sim.Engine.Deadlock m -> m
+  in
+  check_bool "after >= 1000 handoffs" true (Sim.Engine.events_processed e >= 1_000);
+  for w = 0 to 7 do
+    let sub = Printf.sprintf "worker %d: clock=500 parked" w in
+    check_bool (Printf.sprintf "mentions %S" sub) true (contains ~sub msg)
+  done
+
 (* --------------------------- cost model ---------------------------- *)
 
 let cost_model_conversions () =
@@ -618,4 +664,10 @@ let suite =
     qt engine_matches_model;
     Alcotest.test_case "engine: lone worker counts every advance" `Quick
       engine_lone_worker_dispatches;
+    Alcotest.test_case "engine: callback exception escapes after handoffs" `Quick
+      engine_callback_exception_escapes;
+    Alcotest.test_case "engine: worker exception escapes after handoffs" `Quick
+      engine_worker_exception_escapes;
+    Alcotest.test_case "engine: deadlock snapshot after handoffs" `Quick
+      engine_deadlock_after_handoffs;
   ]
