@@ -93,7 +93,8 @@ let with_journal spec f =
         f
 
 (* Every figure command, the ablations and [all] end here: exit 2 when any
-   trial's output diverged from the sequential reference. *)
+   trial's output diverged from the sequential reference, 4 when a trial
+   crashed, deadlocked or broke an invariant. *)
 let exit_on_divergence () = exit (Experiments.Run_all.exit_code ())
 
 let fig_cmd (f : Experiments.Figure.t) =

@@ -48,7 +48,6 @@ type run_state = {
   mutable finished : bool;
   mutable nested_lock_free_at : int;  (* global libomp lock for nested team creation *)
   mutable dispatch_free_at : int;  (* shared dynamic-schedule counter occupancy *)
-  bus : Sim.Membus.t;
   last_seen : int array;
 }
 
@@ -56,9 +55,9 @@ let overhead st kind c = Hbc_core.Sim_backend.charge_overhead st.eng st.metrics 
 
 let add_work st c = Hbc_core.Sim_backend.charge_work st.eng st.metrics c
 
-(* Work with its memory traffic booked on the shared bus. *)
+(* Work with its memory traffic booked on the engine's bus. *)
 let add_work_bytes st c bytes =
-  Hbc_core.Sim_backend.charge_mixed st.eng st.metrics st.bus ~work:c ~overhead:0 ~bytes
+  Hbc_core.Sim_backend.charge_mixed st.eng st.metrics ~work:c ~overhead:0 ~bytes
 
 let reduction_cost (spec : Ir.Locals.spec) =
   8 + (2 * (spec.Ir.Locals.nfloats + spec.Ir.Locals.nints))
@@ -258,7 +257,10 @@ let omp_worker st w =
 
 let run_program ?(request = Hbc_core.Run_request.default) cfg (prog : _ Ir.Program.t) =
   let env = prog.Ir.Program.make_env () in
-  let eng = Sim.Engine.create ~seed:cfg.seed ~num_workers:cfg.workers () in
+  let eng =
+    Sim.Engine.create ~seed:cfg.seed
+      ~bus_bytes_per_cycle:cfg.cost.Sim.Cost_model.dram_bytes_per_cycle ~num_workers:cfg.workers ()
+  in
   let metrics = Sim.Metrics.create () in
   let st =
     {
@@ -272,7 +274,6 @@ let run_program ?(request = Hbc_core.Run_request.default) cfg (prog : _ Ir.Progr
       finished = false;
       nested_lock_free_at = 0;
       dispatch_free_at = 0;
-      bus = Sim.Membus.create ~bytes_per_cycle:cfg.cost.Sim.Cost_model.dram_bytes_per_cycle;
       last_seen = Array.make cfg.workers 0;
     }
   in

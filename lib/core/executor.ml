@@ -9,67 +9,40 @@ let set_seeded_bug = Interp.set_seeded_bug
 
 (* The simulator's side of the shared interpreter: events are stamped with
    virtual time, every hook charges the cost model's cycles into the engine
-   with per-kind attribution, memory traffic is booked on the backend's bus,
+   with per-kind attribution, memory traffic is booked on the engine's bus,
    beats come from the heartbeat mechanism, and reduction halves combine
    inside their spawned task (the engine is single-fibered, so there is no
    race, and the byte pins depend on that timing). *)
 module Hooks = struct
   module B = Sim_backend
 
-  type t = { sb : Sim_backend.t; transfer_cost : int }
+  type t = Sim_backend.t
 
-  let backend h = h.sb
+  let backend h = h
 
-  let emit h ev = Sim_backend.emit h.sb ev
+  let emit = Sim_backend.emit
 
-  let poll h ~worker ~count_poll = Heartbeat.consume h.sb.Sim_backend.hb ~worker ~count_poll
+  let poll h ~worker ~count_poll = Heartbeat.consume h.Sim_backend.hb ~worker ~count_poll
 
-  let cost h = h.sb.Sim_backend.cost
+  let cost h = h.Sim_backend.cost
 
-  let metrics h = h.sb.Sim_backend.metrics
+  let add_work h ~worker:_ c = Sim_backend.add_work h c
 
-  let add_work h ~worker:_ c = Sim_backend.add_work h.sb c
-
-  let charge_slice_entry h =
-    let outline = (cost h).Sim.Cost_model.outline_call_cost
-    and closure = (cost h).Sim.Cost_model.closure_load_cost in
-    if outline + closure > 0 then begin
-      Sim.Engine.advance h.sb.Sim_backend.eng (outline + closure);
-      Sim.Metrics.add_overhead (metrics h) Sim.Metrics.Outline_call outline;
-      Sim.Metrics.add_overhead (metrics h) Sim.Metrics.Closure closure
-    end
+  let charge_slice_entry = Sim_backend.charge_slice_entry
 
   let charge_lst_store h =
-    Sim_backend.overhead h.sb Sim.Metrics.Lst_store (cost h).Sim.Cost_model.lst_store_cost
+    Sim_backend.overhead h Sim.Metrics.Lst_store (cost h).Sim.Cost_model.lst_store_cost
 
-  let charge_serial h ~worker:_ ~work ~bytes =
-    Sim_backend.advance_mixed h.sb ~work ~overhead:0 ~bytes
+  let charge_serial h ~worker:_ ~work ~bytes = Sim_backend.advance_mixed h ~work ~overhead:0 ~bytes
 
-  (* A chunked batch that did not poll pays only the chunk countdown;
-     every other batch pays its poll and the promotion-ready branch. *)
-  let charge_batch h ~worker ~work ~bytes ~chunked ~polled =
-    let chunk = if chunked then 2 + h.transfer_cost else 0
-    and checked = polled || not chunked in
-    let poll = if checked then Heartbeat.poll_cost h.sb.Sim_backend.hb ~worker else 0
-    and branch = if checked then (cost h).Sim.Cost_model.promotion_branch_cost else 0 in
-    Sim_backend.advance_mixed h.sb ~work ~overhead:(chunk + poll + branch) ~bytes;
-    let m = metrics h in
-    if chunked then begin
-      Sim.Metrics.add_overhead m Sim.Metrics.Chunking 2;
-      Sim.Metrics.add_overhead m Sim.Metrics.Chunk_transfer h.transfer_cost
-    end;
-    Sim.Metrics.add_overhead m Sim.Metrics.Poll poll;
-    Sim.Metrics.add_overhead m Sim.Metrics.Promotion_branch branch
+  let charge_batch = Sim_backend.charge_batch
 
-  let charge_latch h ~bytes =
-    let branch = (cost h).Sim.Cost_model.promotion_branch_cost in
-    Sim_backend.advance_mixed h.sb ~work:0 ~overhead:branch ~bytes;
-    Sim.Metrics.add_overhead (metrics h) Sim.Metrics.Promotion_branch branch
+  let charge_latch = Sim_backend.charge_latch
 
   let charge_promotion h =
-    Sim_backend.overhead h.sb Sim.Metrics.Promotion (cost h).Sim.Cost_model.promotion_handler_cost
+    Sim_backend.overhead h Sim.Metrics.Promotion (cost h).Sim.Cost_model.promotion_handler_cost
 
-  let charge_reduction h c = Sim_backend.overhead h.sb Sim.Metrics.Reduction c
+  let charge_reduction h c = Sim_backend.overhead h Sim.Metrics.Reduction c
 
   let combine_in_task = true
 end
@@ -84,15 +57,7 @@ let run_program ?(request = Run_request.default) (cfg : Rt_config.t)
   let gate, observer = Interp.gated_observer request in
   let sb = Sim_backend.create cfg request ~observer ~bug:!Interp.seeded_bug in
   let eng = sb.Sim_backend.eng and hb = sb.Sim_backend.hb in
-  let h =
-    {
-      Hooks.sb;
-      transfer_cost =
-        (if cfg.Rt_config.chunk_transferring then cfg.Rt_config.cost.Sim.Cost_model.chunk_transfer_cost
-         else 0);
-    }
-  in
-  let st = I.create h cfg request in
+  let st = I.create sb cfg request in
   let sc = I.core st in
   Sim.Engine.set_diagnostics eng (fun w ->
       Printf.sprintf " deque=%d depth=%d%s"
@@ -106,13 +71,13 @@ let run_program ?(request = Run_request.default) (cfg : Rt_config.t)
           let cpu =
             {
               Ir.Program.exec = (fun nest -> I.exec_nest st compiled env nest);
-              advance = (fun cyc -> Hooks.add_work h ~worker:0 cyc);
+              advance = (fun cyc -> Sim_backend.add_work sb cyc);
             }
           in
           let t0 = Sim.Engine.now eng in
           program.Ir.Program.driver env cpu;
           if sb.Sim_backend.capture && Sim.Engine.now eng > t0 then
-            Hooks.emit h (Obs.Trace.Interval { t0; kind = "driver" }));
+            Sim_backend.emit sb (Obs.Trace.Interval { t0; kind = "driver" }));
       S.set_finished sc;
       Heartbeat.stop hb;
       Sim.Engine.unpark_all eng

@@ -2,11 +2,14 @@ type t = {
   config : Rt_config.t;
   eng : Sim.Engine.t;
   metrics : Sim.Metrics.t;
-  trace : Obs.Trace.Sink.t;
+  trace : Obs.Trace.Sink.t;  (* counting sink teed with the observer *)
+  observed : bool;  (* the observer is enabled: events go through [trace] *)
   inj : Sim.Fault_injector.t;
   busy : bool array;
-  (* software polling: index of the last heartbeat interval seen per worker *)
-  last_interval : int array;
+  (* software polling: per worker, the first heartbeat boundary (a
+     multiple of the interval) it has not seen; a poll whose clock has
+     reached it detects a beat *)
+  next_beat : int array;
   (* interrupt mechanisms: pending-delivery flags *)
   pending : bool array;
   (* starvation watchdog: consecutive missed/undelivered beats per busy
@@ -18,24 +21,20 @@ type t = {
   mutable stretch_debt : int;  (* ping thread: accumulated period overrun *)
 }
 
-let create ?injector ?trace config eng metrics =
+let create ?injector ?(observer = Obs.Trace.Sink.null) config eng metrics =
   let n = Sim.Engine.num_workers eng in
   let inj =
     match injector with Some i -> i | None -> Sim.Fault_injector.inactive ~num_workers:n
-  in
-  (* Standalone users get heartbeat counters for free; the executor passes
-     its full tee (counting sink + the run request's sink) instead. *)
-  let trace =
-    match trace with Some s -> s | None -> Sim.Metrics.counting_sink metrics
   in
   {
     config;
     eng;
     metrics;
-    trace;
+    trace = Obs.Trace.Sink.tee (Sim.Metrics.counting_sink metrics) observer;
+    observed = Obs.Trace.Sink.enabled observer;
     inj;
     busy = Array.make n false;
-    last_interval = Array.make n 0;
+    next_beat = Array.make n config.Rt_config.cost.Sim.Cost_model.heartbeat_interval;
     pending = Array.make n false;
     missed_streak = Array.make n 0;
     downgraded = Array.make n false;
@@ -46,7 +45,18 @@ let create ?injector ?trace config eng metrics =
 
 let interval t = t.config.Rt_config.cost.Sim.Cost_model.heartbeat_interval
 
-let emit t w ev = Obs.Trace.Sink.emit t.trace ~time:(Sim.Engine.now t.eng) ~worker:w ev
+(* Untraced, an event is counted straight into the metrics (the counting
+   sink's own fold), with no time or worker stamp; traced, it goes
+   through the tee. *)
+let emit t w ev =
+  if t.observed then Obs.Trace.Sink.emit t.trace ~time:(Sim.Engine.now t.eng) ~worker:w ev
+  else Sim.Metrics.count_event t.metrics ev
+
+(* The first interval boundary strictly after [time]: a worker whose
+   polling baseline starts at [time] has seen every beat up to it. *)
+let boundary_after t time =
+  let iv = interval t in
+  ((time / iv) + 1) * iv
 
 (* A downgraded worker has left the interrupt pool: it neither receives
    broadcast/signal beats nor pays delivery costs — it polls. *)
@@ -69,7 +79,7 @@ let note_missed t w =
       emit t w Obs.Trace.Mechanism_downgrade;
       (* The polling baseline starts at the downgrade instant so the idle
          backlog does not surface as a burst of beats. *)
-      t.last_interval.(w) <- Sim.Engine.now t.eng / interval t
+      t.next_beat.(w) <- boundary_after t (Sim.Engine.now t.eng)
     end
   end
 
@@ -171,7 +181,7 @@ let stop t =
 let set_busy t ~worker v =
   t.busy.(worker) <- v;
   if v && effective t worker = Rt_config.Software_polling then
-    t.last_interval.(worker) <- Sim.Engine.now t.eng / interval t
+    t.next_beat.(worker) <- boundary_after t (Sim.Engine.now t.eng)
 
 let poll_cost t ~worker =
   match effective t worker with
@@ -183,10 +193,14 @@ let consume t ~worker ~count_poll =
   match effective t worker with
   | Rt_config.Software_polling ->
       if count_poll then emit t worker Obs.Trace.Poll;
-      let cur = Sim.Engine.now t.eng / interval t in
-      let last = t.last_interval.(worker) in
-      if cur > last then begin
-        t.last_interval.(worker) <- cur;
+      (* A beat is due when the clock has crossed the next boundary: the
+         rule [now / interval > last seen interval] without dividing. The
+         division runs only on a detection, to count the beats passed. *)
+      let now = Sim.Engine.now t.eng and next = t.next_beat.(worker) in
+      if now >= next then begin
+        let iv = interval t in
+        let cur = now / iv and last = (next / iv) - 1 in
+        t.next_beat.(worker) <- (cur + 1) * iv;
         (* One event per beat in the gap: the one this poll detects plus
            [gap - 1] the worker slept through. *)
         let gap = cur - last in

@@ -5,7 +5,8 @@
 
     - {e Software polling}: a poll (TSC read, {!poll_cost} cycles, charged by
       the caller as part of its batched advance) compares the worker's clock
-      against heartbeat-interval boundaries.
+      against its next heartbeat-interval boundary, which {!set_busy} and
+      the watchdog's downgrade reset; it divides only when a beat is due.
     - {e Kernel module}: the executed image carries no polls; a broadcast
       timer callback marks every busy worker and {!consume} charges the
       interrupt delivery cost (3800 cycles) plus a rollforward-table lookup
@@ -33,14 +34,15 @@ type t
 
 val create :
   ?injector:Sim.Fault_injector.t ->
-  ?trace:Obs.Trace.Sink.t ->
+  ?observer:Obs.Trace.Sink.t ->
   Rt_config.t ->
   Sim.Engine.t ->
   Sim.Metrics.t ->
   t
 (** Without [?injector], an inert one is used (no faults, no watchdog).
-    Without [?trace], events go straight to [metrics]'s counting sink —
-    the executor passes its full tee instead. *)
+    Events are counted into [metrics]; when [?observer] (default
+    {!Obs.Trace.Sink.null}) is enabled they also reach it, stamped with
+    the engine's time, through a tee with [metrics]' counting sink. *)
 
 val start : t -> unit
 (** Arm the timer callbacks (no-op for software polling). *)

@@ -2,8 +2,8 @@
    identity and time come from the engine, deques are [Sim.Deque], costs
    advance the engine clock with per-kind metrics attribution, and idling
    is engine parking behind the fault-aware exponential backoff. Body
-   work and its memory traffic are charged here too, on the one shared
-   memory bus, for every simulator client of the core. The
+   work and its memory traffic are charged here too, on the engine's one
+   shared memory bus, for every simulator client of the core. The
    engine is single-fibered, so [critical] is a plain call and emission
    order is exactly the historical executor's — the functor instantiation
    is byte-identical to the pre-refactor code. [create] and [supervise]
@@ -13,11 +13,11 @@ type t = {
   eng : Sim.Engine.t;
   cost : Sim.Cost_model.t;
   metrics : Sim.Metrics.t;
-  trace : Obs.Trace.Sink.t;  (* counting sink teed with the request's sink *)
-  capture : bool;  (* the request's sink wants payload events *)
+  trace : Obs.Trace.Sink.t;  (* counting sink teed with the observer *)
+  capture : bool;  (* the observer wants events *)
   inj : Sim.Fault_injector.t;
   hb : Heartbeat.t;
-  bus : Sim.Membus.t;  (* shared DRAM bandwidth; body traffic queues here *)
+  transfer_cost : int;  (* a chunked leaf batch's residual-chunk carry; 0 unless transferring *)
   deques : Sched.Task.t Sim.Deque.t array;
   steal_fails : int array;  (* consecutive dry steal rounds, drives backoff *)
   bug : Interp.seeded_bug option;  (* armed seeded scheduler bug (tests/fuzzer) *)
@@ -26,7 +26,10 @@ type t = {
 
 let create (cfg : Rt_config.t) (request : Run_request.t) ~observer ~bug =
   let workers = cfg.Rt_config.workers and cost = cfg.Rt_config.cost in
-  let eng = Sim.Engine.create ~seed:cfg.Rt_config.seed ~num_workers:workers () in
+  let eng =
+    Sim.Engine.create ~seed:cfg.Rt_config.seed
+      ~bus_bytes_per_cycle:cost.Sim.Cost_model.dram_bytes_per_cycle ~num_workers:workers ()
+  in
   let metrics = Sim.Metrics.create () in
   let trace = Obs.Trace.Sink.tee (Sim.Metrics.counting_sink metrics) observer in
   let inj =
@@ -41,10 +44,11 @@ let create (cfg : Rt_config.t) (request : Run_request.t) ~observer ~bug =
     cost;
     metrics;
     trace;
-    capture = Obs.Trace.Sink.enabled request.Run_request.trace;
+    capture = Obs.Trace.Sink.enabled observer;
     inj;
-    hb = Heartbeat.create ~injector:inj ~trace cfg eng metrics;
-    bus = Sim.Membus.create ~bytes_per_cycle:cost.Sim.Cost_model.dram_bytes_per_cycle;
+    hb = Heartbeat.create ~injector:inj ~observer cfg eng metrics;
+    transfer_cost =
+      (if cfg.Rt_config.chunk_transferring then cost.Sim.Cost_model.chunk_transfer_cost else 0);
     deques = Array.init workers (fun _ -> Sim.Deque.create ());
     steal_fails = Array.make workers 0;
     bug;
@@ -92,11 +96,16 @@ let capture b = b.capture
 
 let critical _b f = f ()
 
-let emit b ev = Obs.Trace.Sink.emit b.trace ~time:(now b) ~worker:(worker_id b) ev
+(* An untraced run counts each event straight into the metrics, the
+   fold the counting sink applies, without stamping a time and worker
+   nobody reads. A traced run sends it through the tee. *)
+let emit b ev =
+  if b.capture then Obs.Trace.Sink.emit b.trace ~time:(now b) ~worker:(worker_id b) ev
+  else Sim.Metrics.count_event b.metrics ev
 
-(* The simulated charging path, over the engine, the metrics and the
-   shared bus alone, so the OpenMP baseline charges through this one copy
-   too. Overhead: one engine advance, per-kind attribution. *)
+(* The simulated charging path, over the engine and the metrics alone,
+   so the OpenMP baseline charges through this one copy too. Overhead:
+   one engine advance, per-kind attribution. *)
 let charge_overhead eng metrics kind c =
   if c > 0 then begin
     Sim.Engine.advance eng c;
@@ -107,22 +116,72 @@ let charge_work eng metrics c =
   metrics.Sim.Metrics.work_cycles <- metrics.Sim.Metrics.work_cycles + c;
   if c > 0 then Sim.Engine.advance eng c
 
+(* The hot charges below make one call into lib/sim, [Sim.Engine.charge],
+   and attribute their kinds with plain stores: under the dev profile's
+   [-opaque], each [Sim.Metrics.add_overhead] would be a call of its own.
+   The slots are read from [Sim.Metrics.kind_index] once. *)
+let slot = Sim.Metrics.kind_index
+
+let chunk_transfer_slot = slot Sim.Metrics.Chunk_transfer
+and chunking_slot = slot Sim.Metrics.Chunking
+and closure_slot = slot Sim.Metrics.Closure
+and membus_slot = slot Sim.Metrics.Membus
+and outline_call_slot = slot Sim.Metrics.Outline_call
+and poll_slot = slot Sim.Metrics.Poll
+and promotion_branch_slot = slot Sim.Metrics.Promotion_branch
+
+(* [Sim.Metrics.add_overhead] by slot. *)
+let[@inline] attribute (m : Sim.Metrics.t) slot c =
+  m.Sim.Metrics.overhead_cycles <- m.Sim.Metrics.overhead_cycles + c;
+  let by_kind = m.Sim.Metrics.overhead_by_kind in
+  by_kind.(slot) <- by_kind.(slot) + c
+
 (* Work plus overheads in a single advance (hot path: one event per
    batch). The caller attributes [overhead] to its kinds after the call.
-   Memory traffic is booked on the shared bus; time past the compute cost
-   is a bandwidth stall. *)
-let charge_mixed eng metrics bus ~work ~overhead ~bytes =
+   Memory traffic is booked on the engine's bus; time past the compute
+   cost is a bandwidth stall. *)
+let charge_mixed eng metrics ~work ~overhead ~bytes =
   let compute = work + overhead in
-  let total = Sim.Membus.serve bus ~now:(Sim.Engine.now eng) ~compute ~bytes in
-  if total > 0 then Sim.Engine.advance eng total;
+  let total = Sim.Engine.charge eng ~compute ~bytes in
   metrics.Sim.Metrics.work_cycles <- metrics.Sim.Metrics.work_cycles + work;
-  if total > compute then Sim.Metrics.add_overhead metrics Sim.Metrics.Membus (total - compute)
+  if total > compute then attribute metrics membus_slot (total - compute)
 
 let overhead b kind c = charge_overhead b.eng b.metrics kind c
 
 let add_work b c = charge_work b.eng b.metrics c
 
-let advance_mixed b ~work ~overhead ~bytes = charge_mixed b.eng b.metrics b.bus ~work ~overhead ~bytes
+let advance_mixed b ~work ~overhead ~bytes = charge_mixed b.eng b.metrics ~work ~overhead ~bytes
+
+(* A chunked batch that did not poll pays only the chunk countdown and
+   its carry; every other batch pays its poll and the promotion-ready
+   branch. *)
+let charge_batch b ~worker ~work ~bytes ~chunked ~polled =
+  let transfer = b.transfer_cost in
+  let chunk = if chunked then 2 + transfer else 0 and checked = polled || not chunked in
+  let poll = if checked then Heartbeat.poll_cost b.hb ~worker else 0
+  and branch = if checked then b.cost.Sim.Cost_model.promotion_branch_cost else 0 in
+  charge_mixed b.eng b.metrics ~work ~overhead:(chunk + poll + branch) ~bytes;
+  let m = b.metrics in
+  if chunked then begin
+    attribute m chunking_slot 2;
+    attribute m chunk_transfer_slot transfer
+  end;
+  attribute m poll_slot poll;
+  attribute m promotion_branch_slot branch
+
+let charge_slice_entry b =
+  let outline = b.cost.Sim.Cost_model.outline_call_cost
+  and closure = b.cost.Sim.Cost_model.closure_load_cost in
+  if outline + closure > 0 then begin
+    Sim.Engine.advance b.eng (outline + closure);
+    attribute b.metrics outline_call_slot outline;
+    attribute b.metrics closure_slot closure
+  end
+
+let charge_latch b ~bytes =
+  let branch = b.cost.Sim.Cost_model.promotion_branch_cost in
+  charge_mixed b.eng b.metrics ~work:0 ~overhead:branch ~bytes;
+  attribute b.metrics promotion_branch_slot branch
 
 let push b task = Sim.Deque.push_bottom b.deques.(worker_id b) task
 

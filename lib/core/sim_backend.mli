@@ -5,8 +5,9 @@
     {!Sim.Deque}; overhead charges advance the engine clock with per-kind
     metrics attribution; idling is engine parking behind the fault-aware
     exponential backoff. Body work and memory traffic are charged here
-    too ({!add_work}, {!advance_mixed}), so the loop interpreter and
-    {!Fork_join} share one memory bus and one charging path. The engine
+    too ({!add_work}, {!advance_mixed}, {!charge_batch}), so the loop
+    interpreter and {!Fork_join} share the engine's memory bus and one
+    charging path. The engine
     is single-fibered, so [critical] is a plain call and
     [Sched.Core.Make (Sim_backend)] reproduces the pre-functor executor
     byte for byte (pinned by golden tests). {!create} and {!supervise}
@@ -16,11 +17,14 @@ type t = {
   eng : Sim.Engine.t;
   cost : Sim.Cost_model.t;
   metrics : Sim.Metrics.t;
-  trace : Obs.Trace.Sink.t;  (** counting sink teed with the request's sink *)
-  capture : bool;  (** the request's sink wants payload events *)
+  trace : Obs.Trace.Sink.t;  (** counting sink teed with the observer *)
+  capture : bool;  (** the observer wants events *)
   inj : Sim.Fault_injector.t;
   hb : Heartbeat.t;
-  bus : Sim.Membus.t;  (** shared DRAM bandwidth, sized from [cost] *)
+  transfer_cost : int;
+      (** cycles a chunked leaf batch pays to carry the residual chunk
+          counter: [cost]'s [chunk_transfer_cost] under
+          [chunk_transferring], else 0 *)
   deques : Sched.Task.t Sim.Deque.t array;
   steal_fails : int array;
   bug : Interp.seeded_bug option;
@@ -31,10 +35,11 @@ type t = {
 
 val create :
   Rt_config.t -> Run_request.t -> observer:Obs.Trace.Sink.t -> bug:Interp.seeded_bug option -> t
-(** The machine for one run of [cfg]: engine, metrics, the counting sink
-    teed with [observer] (the request's sink, gated on resume), the
-    request's fault injector and the heartbeat. [capture] follows the
-    request's own sink. *)
+(** The machine for one run of [cfg]: engine (with its memory bus sized
+    from [cfg]'s cost model), metrics, the counting sink teed with
+    [observer] (the request's sink, gated on resume), the request's fault
+    injector and the heartbeat. [capture] is whether [observer] is
+    enabled, which is whether the request's own sink is. *)
 
 val supervise :
   Sim.Engine.t ->
@@ -62,6 +67,9 @@ val capture : t -> bool
 val critical : t -> (unit -> unit) -> unit
 
 val emit : t -> Obs.Trace.event -> unit
+(** With [capture], the event goes through the tee, stamped with the
+    engine's time and worker. Without, it is counted straight into
+    [metrics] ({!Sim.Metrics.count_event}), as the counting sink would. *)
 
 val push : t -> Sched.Task.t -> unit
 
@@ -106,9 +114,8 @@ val charge_overhead : Sim.Engine.t -> Sim.Metrics.t -> Sim.Metrics.kind -> int -
 val charge_work : Sim.Engine.t -> Sim.Metrics.t -> int -> unit
 (** {!add_work} over an engine and its metrics alone. *)
 
-val charge_mixed :
-  Sim.Engine.t -> Sim.Metrics.t -> Sim.Membus.t -> work:int -> overhead:int -> bytes:int -> unit
-(** {!advance_mixed} over an engine, its metrics and a bus alone. *)
+val charge_mixed : Sim.Engine.t -> Sim.Metrics.t -> work:int -> overhead:int -> bytes:int -> unit
+(** {!advance_mixed} over an engine and its metrics alone. *)
 
 val overhead : t -> Sim.Metrics.kind -> int -> unit
 (** Charge overhead cycles: one engine advance, per-kind attribution
@@ -119,7 +126,25 @@ val add_work : t -> int -> unit
 
 val advance_mixed : t -> work:int -> overhead:int -> bytes:int -> unit
 (** Body work plus [overhead] cycles in a single engine advance, with
-    [bytes] of memory traffic served by the shared bus; time past the
-    compute cost is attributed to [Membus]. The caller attributes
-    [overhead] to its kinds with {!Sim.Metrics.add_overhead} after the
-    call, so a charge builds no list and allocates nothing. *)
+    [bytes] of memory traffic served by the engine's bus
+    ({!Sim.Engine.charge}); time past the compute cost is attributed to
+    [Membus]. The caller attributes [overhead] to its kinds with
+    {!Sim.Metrics.add_overhead} after the call, so a charge builds no
+    list and allocates nothing. *)
+
+(** {2 The loop interpreter's charges}
+
+    Each makes one call into lib/sim and attributes its kinds by slot. *)
+
+val charge_batch : t -> worker:int -> work:int -> bytes:int -> chunked:bool -> polled:bool -> unit
+(** One leaf batch on [worker]: body work and memory traffic, the poll
+    ({!Heartbeat.poll_cost}) and promotion branch when the batch ended in
+    a poll or is not chunked, and the chunk countdown (2 cycles, kind
+    [Chunking]) plus [transfer_cost] ([Chunk_transfer]) when chunked. *)
+
+val charge_slice_entry : t -> unit
+(** A loop-slice call: the outlined call plus the closure load. *)
+
+val charge_latch : t -> bytes:int -> unit
+(** A non-leaf DOALL latch: the promotion branch plus [bytes] of
+    traffic. *)

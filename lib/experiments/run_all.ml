@@ -60,7 +60,20 @@ let campaign_summary () =
         qs);
   Buffer.contents buf
 
-let exit_code () = if Harness.validation_failures () = [] then 0 else 2
+(* A divergence exits 2. A trial that crashed, deadlocked or broke an
+   invariant exits 4, as [run] does for a trial error; a timeout is a
+   budget the caller set, so it keeps exit 0. *)
+let exit_code () =
+  if Harness.validation_failures () <> [] then 2
+  else if
+    List.exists
+      (fun (_, e) ->
+        match e with
+        | Trial_error.Crash _ | Trial_error.Deadlock _ | Trial_error.Invariant_violation _ -> true
+        | Trial_error.Timeout _ | Trial_error.Result_mismatch _ -> false)
+      (Harness.quarantined ())
+  then 4
+  else 0
 
 let render_all config =
   let body = String.concat "\n" (List.map (render_one config) figures) in

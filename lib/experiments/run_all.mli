@@ -17,8 +17,11 @@ val campaign_summary : unit -> string
 
 val exit_code : unit -> int
 (** The exit status of a figure command, the ablations and the whole
-    campaign: 2 when any trial's output diverged from the sequential
-    reference since the last {!Harness.clear_cache}, 0 otherwise. *)
+    campaign, over the trials since the last {!Harness.clear_cache}: 2
+    when any trial's output diverged from the sequential reference, else
+    4 when any trial was quarantined as a crash, a deadlock or an
+    invariant violation, else 0. A trial stopped by [--trial-budget] or
+    [--wall-budget] (a timeout) leaves the status at 0. *)
 
 val render_all : Harness.config -> string
 (** Render every figure (each guarded against aborts) followed by the

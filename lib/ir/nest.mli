@@ -35,7 +35,7 @@ type 'e loop = {
   bytes_per_iter : int;
       (** memory traffic one iteration of this loop puts on the shared bus
           (its own statements only, not nested loops); drives the
-          {!Sim.Membus} bandwidth model *)
+          {!Sim.Engine.charge} bandwidth model *)
   init : ('e -> Locals.t -> unit) option;
       (** run when a task starts executing a slice of this loop; must
           establish the reduction identity if [reduction] is present *)

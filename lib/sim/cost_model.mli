@@ -49,7 +49,7 @@ type t = {
           dynamic scheduling across the team *)
   dram_bytes_per_cycle : float;
       (** aggregate memory bandwidth of the simulated machine (see
-          {!Membus}); calibrated so bandwidth-bound kernels saturate at the
+          {!Engine.charge}); calibrated so bandwidth-bound kernels saturate at the
           paper's speedup levels *)
   idle_backoff : int;  (** cycles between steal rounds when everything fails *)
 }

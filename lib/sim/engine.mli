@@ -6,7 +6,59 @@
     happen in virtual-time order and a run is a pure function of its inputs.
 
     Besides workers, the engine supports timed callbacks ({!schedule_at},
-    {!every}); the heartbeat interrupt sources are built on them. *)
+    {!every}); the heartbeat interrupt sources are built on them. The
+    machine's shared memory bus is engine state too ({!charge}).
+
+    The heap, the dispatch step and the bus share this one compilation
+    unit on purpose: the dev profile builds with [-opaque], so a call
+    from here into another module could not be inlined. *)
+
+module Event_queue : sig
+  (** The engine's event queue: a binary min-heap of unboxed
+      (virtual time, seq, code) events.
+
+      Pops come out in strictly increasing (time, seq) order. An event is
+      two ints in two flat arrays that double when full: its time, and a
+      tag [seq lsl 20 lor code], so the tag order is the seq order. Push,
+      pop and {!replace_top} allocate nothing once the arrays have grown. *)
+
+  type t
+
+  val create : unit -> t
+
+  val is_empty : t -> bool
+
+  val length : t -> int
+  (** Number of queued events. *)
+
+  val push : t -> time:int -> seq:int -> code:int -> unit
+  (** Enqueue. [seq] must be globally unique; pops tie-break equal times
+      by it, FIFO when the pusher's stamps are monotone. Asserts
+      [0 <= code < 2^20] and [0 <= seq < 2^42], the bounds of the tag
+      layout. *)
+
+  val top_time : t -> int
+  (** Virtual time of the earliest queued event. Undefined when empty —
+      callers check {!is_empty} first. *)
+
+  val top_seq : t -> int
+  (** Seq stamp of the earliest queued event. Undefined when empty. *)
+
+  val top_code : t -> int
+  (** Payload code of the earliest queued event. Undefined when empty. *)
+
+  val drop : t -> unit
+  (** Remove the earliest queued event (the one {!top_time}/{!top_code}
+      describe). Undefined when empty. *)
+
+  val replace_top : t -> time:int -> seq:int -> code:int -> unit
+  (** [replace_top q ~time ~seq ~code] is {!drop} then {!push}, in one
+      sift-down from the root. When (time, seq) is not earlier than the
+      top's, it is also {!push} then {!drop}: the engine's worker handoff
+      pushes the yielding worker's resume and pops the next event this
+      way. Same bounds on [code] and [seq] as {!push}. Undefined when
+      empty. *)
+end
 
 type t
 
@@ -24,7 +76,10 @@ exception Guard_stop of string
 (** Raised from {!run} when the {!set_guard} hook requests an abort (e.g. a
     wall-clock deadline), carrying the hook's reason. *)
 
-val create : ?seed:int -> num_workers:int -> unit -> t
+val create : ?seed:int -> ?bus_bytes_per_cycle:float -> num_workers:int -> unit -> t
+(** [bus_bytes_per_cycle] sizes the shared memory bus {!charge} books
+    traffic on (default: {!Cost_model.default}'s [dram_bytes_per_cycle]).
+    It must be positive. *)
 
 val set_budget : t -> int -> unit
 (** Arm the virtual-cycle watchdog: any event dispatched past this virtual
@@ -62,6 +117,17 @@ val advance : t -> int -> unit
     boundary falls there, the worker runs on without a context switch;
     the step still counts as one dispatch in {!events_processed}. Must be
     called from worker context. *)
+
+val charge : t -> compute:int -> bytes:int -> int
+(** [charge t ~compute ~bytes] books [bytes] of memory traffic on the
+    shared bus from the current worker's clock, then {!advance}s it by
+    the cycles it occupies: [compute] overlapped with the traffic's
+    service time, queued behind traffic already booked. Returns those
+    cycles, never less than [compute]; the excess is a bandwidth stall.
+    With [bytes <= 0] this is [advance t compute] (no advance at 0).
+    Irregular kernels like spmv are bandwidth-bound on real multicores:
+    the paper's 64-core spmv speedups saturate far below the core count.
+    Must be called from worker context. *)
 
 val park : t -> unit
 (** Block the current worker until {!unpark} or {!unpark_all}. Its clock

@@ -50,6 +50,10 @@ val kind_name : kind -> string
 val kind_of_name : string -> kind option
 (** Inverse of {!kind_name}; [None] for a name no kind has. *)
 
+val kind_index : kind -> int
+(** The kind's slot in [overhead_by_kind]: its position in {!kinds}. A
+    hot charging path reads the slots once and attributes by slot. *)
+
 type t = {
   mutable heartbeats_generated : int;
   mutable heartbeats_detected : int;

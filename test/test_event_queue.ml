@@ -23,25 +23,25 @@ let model_insert (t, s, c) model =
    engine's dispatch cursor), so [delta] < 0 pushes behind the last pop.
    Returns false on the first divergence. *)
 let run_ops ops =
-  let q = Sim.Event_queue.create () in
+  let q = Sim.Engine.Event_queue.create () in
   let model = ref [] in
   let seq = ref 0 in
   let last = ref 0 in
   let ok = ref true in
   let pop () =
-    if not (Sim.Event_queue.is_empty q) then begin
+    if not (Sim.Engine.Event_queue.is_empty q) then begin
       (* Double peek: the engine's pause boundary reads top_time before
          deciding to drop, so peeks must not disturb the queue. *)
-      let t0 = Sim.Event_queue.top_time q in
-      let t = Sim.Event_queue.top_time q in
-      let s = Sim.Event_queue.top_seq q in
-      let c = Sim.Event_queue.top_code q in
+      let t0 = Sim.Engine.Event_queue.top_time q in
+      let t = Sim.Engine.Event_queue.top_time q in
+      let s = Sim.Engine.Event_queue.top_seq q in
+      let c = Sim.Engine.Event_queue.top_code q in
       if t0 <> t then ok := false;
       (match !model with
       | [] -> ok := false
       | (mt, ms, mc) :: rest ->
           if t <> mt || s <> ms || c <> mc then ok := false;
-          Sim.Event_queue.drop q;
+          Sim.Engine.Event_queue.drop q;
           model := rest;
           last := t)
     end
@@ -53,15 +53,15 @@ let run_ops ops =
       | Some delta ->
           let time = Stdlib.max 0 (!last + delta) in
           let code = !seq land 0xffff in
-          Sim.Event_queue.push q ~time ~seq:!seq ~code;
+          Sim.Engine.Event_queue.push q ~time ~seq:!seq ~code;
           model := model_insert (time, !seq, code) !model;
           incr seq)
     ops;
-  while not (Sim.Event_queue.is_empty q) do
+  while not (Sim.Engine.Event_queue.is_empty q) do
     pop ()
   done;
   if !model <> [] then ok := false;
-  if Sim.Event_queue.length q <> 0 then ok := false;
+  if Sim.Engine.Event_queue.length q <> 0 then ok := false;
   !ok
 
 (* Delta generator: 0 forces simultaneous events (FIFO tie-break), small
@@ -104,10 +104,10 @@ let differential_random =
    queues are compared by draining them. *)
 let drain q =
   let rec go acc =
-    if Sim.Event_queue.is_empty q then List.rev acc
+    if Sim.Engine.Event_queue.is_empty q then List.rev acc
     else begin
-      let e = Sim.Event_queue.(top_time q, top_seq q, top_code q) in
-      Sim.Event_queue.drop q;
+      let e = Sim.Engine.Event_queue.(top_time q, top_seq q, top_code q) in
+      Sim.Engine.Event_queue.drop q;
       go (e :: acc)
     end
   in
@@ -115,22 +115,22 @@ let drain q =
 
 let replace_top_matches (init, deltas) =
   let fill () =
-    let q = Sim.Event_queue.create () in
-    List.iteri (fun seq time -> Sim.Event_queue.push q ~time ~seq ~code:(seq land 0xff)) init;
+    let q = Sim.Engine.Event_queue.create () in
+    List.iteri (fun seq time -> Sim.Engine.Event_queue.push q ~time ~seq ~code:(seq land 0xff)) init;
     q
   in
   let q = fill () and drop_push = fill () and push_drop = fill () in
   let none_earlier = ref true in
   List.iteri
     (fun i delta ->
-      let time = Sim.Event_queue.top_time q + delta in
+      let time = Sim.Engine.Event_queue.top_time q + delta in
       let seq = List.length init + i and code = i land 0xff in
       if delta < 0 then none_earlier := false;
-      Sim.Event_queue.replace_top q ~time ~seq ~code;
-      Sim.Event_queue.drop drop_push;
-      Sim.Event_queue.push drop_push ~time ~seq ~code;
-      Sim.Event_queue.push push_drop ~time ~seq ~code;
-      Sim.Event_queue.drop push_drop)
+      Sim.Engine.Event_queue.replace_top q ~time ~seq ~code;
+      Sim.Engine.Event_queue.drop drop_push;
+      Sim.Engine.Event_queue.push drop_push ~time ~seq ~code;
+      Sim.Engine.Event_queue.push push_drop ~time ~seq ~code;
+      Sim.Engine.Event_queue.drop push_drop)
     deltas;
   let got = drain q in
   got = drain drop_push && ((not !none_earlier) || got = drain push_drop)
@@ -158,85 +158,85 @@ let replace_top_random =
 
 (* Simultaneous events pop FIFO by seq. *)
 let simultaneous_fifo () =
-  let q = Sim.Event_queue.create () in
+  let q = Sim.Engine.Event_queue.create () in
   for s = 0 to 63 do
-    Sim.Event_queue.push q ~time:1000 ~seq:s ~code:s
+    Sim.Engine.Event_queue.push q ~time:1000 ~seq:s ~code:s
   done;
   for s = 0 to 63 do
-    check_int "time" 1000 (Sim.Event_queue.top_time q);
-    check_int "fifo seq" s (Sim.Event_queue.top_seq q);
-    check_int "fifo code" s (Sim.Event_queue.top_code q);
-    Sim.Event_queue.drop q
+    check_int "time" 1000 (Sim.Engine.Event_queue.top_time q);
+    check_int "fifo seq" s (Sim.Engine.Event_queue.top_seq q);
+    check_int "fifo code" s (Sim.Engine.Event_queue.top_code q);
+    Sim.Engine.Event_queue.drop q
   done;
-  Alcotest.(check bool) "drained" true (Sim.Event_queue.is_empty q)
+  Alcotest.(check bool) "drained" true (Sim.Engine.Event_queue.is_empty q)
 
 (* Far-future events pop in (time, seq) order after the near one. *)
 let far_future_order () =
-  let q = Sim.Event_queue.create () in
-  Sim.Event_queue.push q ~time:0 ~seq:0 ~code:0;
-  Sim.Event_queue.push q ~time:10_000_000 ~seq:1 ~code:1;
-  Sim.Event_queue.push q ~time:9_999_999 ~seq:2 ~code:2;
-  Sim.Event_queue.push q ~time:10_000_000 ~seq:3 ~code:3;
-  check_int "first" 0 (Sim.Event_queue.top_seq q);
-  Sim.Event_queue.drop q;
-  check_int "earliest far" 2 (Sim.Event_queue.top_seq q);
-  Sim.Event_queue.drop q;
-  check_int "fifo at equal far time" 1 (Sim.Event_queue.top_seq q);
-  Sim.Event_queue.drop q;
-  check_int "last" 3 (Sim.Event_queue.top_seq q);
-  Sim.Event_queue.drop q;
-  check_int "empty" 0 (Sim.Event_queue.length q)
+  let q = Sim.Engine.Event_queue.create () in
+  Sim.Engine.Event_queue.push q ~time:0 ~seq:0 ~code:0;
+  Sim.Engine.Event_queue.push q ~time:10_000_000 ~seq:1 ~code:1;
+  Sim.Engine.Event_queue.push q ~time:9_999_999 ~seq:2 ~code:2;
+  Sim.Engine.Event_queue.push q ~time:10_000_000 ~seq:3 ~code:3;
+  check_int "first" 0 (Sim.Engine.Event_queue.top_seq q);
+  Sim.Engine.Event_queue.drop q;
+  check_int "earliest far" 2 (Sim.Engine.Event_queue.top_seq q);
+  Sim.Engine.Event_queue.drop q;
+  check_int "fifo at equal far time" 1 (Sim.Engine.Event_queue.top_seq q);
+  Sim.Engine.Event_queue.drop q;
+  check_int "last" 3 (Sim.Engine.Event_queue.top_seq q);
+  Sim.Engine.Event_queue.drop q;
+  check_int "empty" 0 (Sim.Engine.Event_queue.length q)
 
 (* A push behind the last pop is served before everything ahead of it,
    still ordered among its own. *)
 let behind_last_pop_served_first () =
-  let q = Sim.Event_queue.create () in
-  Sim.Event_queue.push q ~time:500 ~seq:0 ~code:0;
-  Sim.Event_queue.push q ~time:600 ~seq:1 ~code:1;
-  check_int "front" 0 (Sim.Event_queue.top_seq q);
-  Sim.Event_queue.drop q;
+  let q = Sim.Engine.Event_queue.create () in
+  Sim.Engine.Event_queue.push q ~time:500 ~seq:0 ~code:0;
+  Sim.Engine.Event_queue.push q ~time:600 ~seq:1 ~code:1;
+  check_int "front" 0 (Sim.Engine.Event_queue.top_seq q);
+  Sim.Engine.Event_queue.drop q;
   (* The last pop was at 500; these land behind it. *)
-  Sim.Event_queue.push q ~time:100 ~seq:2 ~code:2;
-  Sim.Event_queue.push q ~time:50 ~seq:3 ~code:3;
-  check_int "earliest behind" 3 (Sim.Event_queue.top_seq q);
-  Sim.Event_queue.drop q;
-  check_int "next behind" 2 (Sim.Event_queue.top_seq q);
-  Sim.Event_queue.drop q;
-  check_int "then ahead" 1 (Sim.Event_queue.top_seq q);
-  Sim.Event_queue.drop q;
-  check_int "empty" 0 (Sim.Event_queue.length q)
+  Sim.Engine.Event_queue.push q ~time:100 ~seq:2 ~code:2;
+  Sim.Engine.Event_queue.push q ~time:50 ~seq:3 ~code:3;
+  check_int "earliest behind" 3 (Sim.Engine.Event_queue.top_seq q);
+  Sim.Engine.Event_queue.drop q;
+  check_int "next behind" 2 (Sim.Engine.Event_queue.top_seq q);
+  Sim.Engine.Event_queue.drop q;
+  check_int "then ahead" 1 (Sim.Engine.Event_queue.top_seq q);
+  Sim.Engine.Event_queue.drop q;
+  check_int "empty" 0 (Sim.Engine.Event_queue.length q)
 
 (* Draining the queue and pushing again far away keeps the ordering,
    including a later push just behind the first one. *)
 let drain_then_repush () =
-  let q = Sim.Event_queue.create () in
-  Sim.Event_queue.push q ~time:3 ~seq:0 ~code:0;
-  Sim.Event_queue.drop q;
-  Sim.Event_queue.push q ~time:1_000_000_007 ~seq:1 ~code:1;
-  check_int "re-pushed" 1_000_000_007 (Sim.Event_queue.top_time q);
-  Sim.Event_queue.push q ~time:1_000_000_005 ~seq:2 ~code:2;
-  check_int "earlier re-push served first" 2 (Sim.Event_queue.top_seq q);
-  Sim.Event_queue.drop q;
-  Sim.Event_queue.drop q;
-  Alcotest.(check bool) "drained" true (Sim.Event_queue.is_empty q)
+  let q = Sim.Engine.Event_queue.create () in
+  Sim.Engine.Event_queue.push q ~time:3 ~seq:0 ~code:0;
+  Sim.Engine.Event_queue.drop q;
+  Sim.Engine.Event_queue.push q ~time:1_000_000_007 ~seq:1 ~code:1;
+  check_int "re-pushed" 1_000_000_007 (Sim.Engine.Event_queue.top_time q);
+  Sim.Engine.Event_queue.push q ~time:1_000_000_005 ~seq:2 ~code:2;
+  check_int "earlier re-push served first" 2 (Sim.Engine.Event_queue.top_seq q);
+  Sim.Engine.Event_queue.drop q;
+  Sim.Engine.Event_queue.drop q;
+  Alcotest.(check bool) "drained" true (Sim.Engine.Event_queue.is_empty q)
 
 (* The engine's pause path peeks top_time between dispatches; interleaved
    peeks at a pause-like boundary must not reorder anything. *)
 let peek_stability_across_boundary () =
-  let q = Sim.Event_queue.create () in
+  let q = Sim.Engine.Event_queue.create () in
   List.iteri
-    (fun i t -> Sim.Event_queue.push q ~time:t ~seq:i ~code:i)
+    (fun i t -> Sim.Engine.Event_queue.push q ~time:t ~seq:i ~code:i)
     [ 10; 10; 2_000; 40_000; 40_000; 5_000_000 ];
   let expected = [ (10, 0); (10, 1); (2_000, 2); (40_000, 3); (40_000, 4); (5_000_000, 5) ] in
   List.iter
     (fun (t, s) ->
       for _ = 1 to 3 do
-        check_int "peek time stable" t (Sim.Event_queue.top_time q)
+        check_int "peek time stable" t (Sim.Engine.Event_queue.top_time q)
       done;
-      check_int "seq" s (Sim.Event_queue.top_seq q);
-      Sim.Event_queue.drop q)
+      check_int "seq" s (Sim.Engine.Event_queue.top_seq q);
+      Sim.Engine.Event_queue.drop q)
     expected;
-  check_int "empty" 0 (Sim.Event_queue.length q)
+  check_int "empty" 0 (Sim.Engine.Event_queue.length q)
 
 let qt = QCheck_alcotest.to_alcotest
 

@@ -49,6 +49,28 @@ let divergence_exits_2 () =
       Alcotest.(check int) "diverged exit" 2 (Experiments.Run_all.exit_code ()));
   Alcotest.(check int) "clean exit" 0 (Experiments.Run_all.exit_code ())
 
+(* A trial stopped by its cycle budget is quarantined as a timeout and
+   keeps exit 0; a trial whose compute raises is quarantined as a crash
+   and exits 4. Clearing the cache clears the status. *)
+let crash_exits_4 () =
+  Experiments.Harness.clear_cache ();
+  Fun.protect ~finally:Experiments.Harness.clear_cache (fun () ->
+      let entry = Workloads.Registry.find "plus-reduce-array" in
+      let o = Experiments.Harness.run { tiny with trial_budget = Some 5000 } Sched_run.hbc entry in
+      check_bool "timed out" true
+        (match o.Experiments.Harness.error with
+        | Some (Experiments.Trial_error.Timeout _) -> true
+        | _ -> false);
+      Alcotest.(check int) "timeout exit" 0 (Experiments.Run_all.exit_code ());
+      let r =
+        Experiments.Harness.trial { tiny with max_retries = 0 } ~bench:"exit-code" ~tag:"raises"
+          ~signature:"raises" (fun () -> failwith "trial body raised")
+      in
+      check_bool "crashed" true
+        (match r with Error (Experiments.Trial_error.Crash _) -> true | _ -> false);
+      Alcotest.(check int) "crash exit" 4 (Experiments.Run_all.exit_code ()));
+  Alcotest.(check int) "clean exit" 0 (Experiments.Run_all.exit_code ())
+
 let figure_ids () =
   Alcotest.(check (list string))
     "all figures present"
@@ -61,6 +83,7 @@ let suite =
     Alcotest.test_case "harness: caching" `Quick harness_caching;
     Alcotest.test_case "harness: hbc outcome" `Quick harness_speedup_sane;
     Alcotest.test_case "divergence exits 2" `Quick divergence_exits_2;
+    Alcotest.test_case "crash exits 4" `Quick crash_exits_4;
     Alcotest.test_case "fig5 renders" `Slow (renders_with_rows "fig5" [ "nesting level"; "mandelbulb" ]);
     Alcotest.test_case "fig10 renders" `Slow (renders_with_rows "fig10" [ "1024"; "input 1" ]);
     Alcotest.test_case "fig12 renders" `Slow (renders_with_rows "fig12" [ "powerlaw-reverse"; "avg AC chunk" ]);

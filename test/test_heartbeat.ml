@@ -107,6 +107,114 @@ let stop_cancels_beats () =
       Sim.Engine.advance eng (5 * interval);
       check_int "no beats after stop" before metrics.Sim.Metrics.heartbeats_generated)
 
+(* ------------- the boundary check against the division rule ------------- *)
+
+type op = Advance of int | Busy of bool | Poll of bool
+
+(* Software polling as the division rule states it: a poll detects a beat
+   when [now / interval] exceeds the last interval the worker saw, and
+   reports [gap] generated beats, one detected and [gap - 1] missed;
+   [set_busy] and a watchdog downgrade reset the last interval to the
+   one they happen in. [Heartbeat.consume] compares the clock with a
+   stored boundary instead, and must report the same detections and the
+   same events. Under the kernel module every beat is lost and
+   [watchdog_k = 1], so the first beat that finds the worker busy
+   downgrades it to polling at a point the op list decides. *)
+let boundary_matches_division (interval, km, ops) =
+  let cost = { Sim.Cost_model.default with Sim.Cost_model.heartbeat_interval = interval } in
+  let base =
+    if km then Hbc_core.Rt_config.hbc_kernel_module ~chunk:64 else Hbc_core.Rt_config.hbc
+  in
+  let cfg = { base with Hbc_core.Rt_config.workers = 1; cost; watchdog_k = 1 } in
+  let eng = Sim.Engine.create ~num_workers:1 () in
+  let log = ref [] and logged = ref 0 in
+  let observer =
+    Obs.Trace.Sink.fn (fun ~time ~worker:_ ev ->
+        log := (time, ev) :: !log;
+        incr logged)
+  in
+  let injector =
+    Sim.Fault_injector.create
+      { Sim.Fault_plan.none with Sim.Fault_plan.seed = 1; beat_drop_prob = 1.0 }
+      ~num_workers:1 ()
+  in
+  let hb = Hbc_core.Heartbeat.create ~injector ~observer cfg eng (Sim.Metrics.create ()) in
+  (* The events logged after the first [n], oldest first. *)
+  let since n = List.rev (List.filteri (fun i _ -> i < !logged - n) !log) in
+  let polling = ref (not km) and last = ref 0 and seen = ref 0 and ok = ref true in
+  let catch_up () =
+    List.iter
+      (fun (time, ev) ->
+        if ev = Obs.Trace.Mechanism_downgrade then begin
+          polling := true;
+          last := time / interval
+        end)
+      (since !seen);
+    seen := !logged
+  in
+  Hbc_core.Heartbeat.start hb;
+  Sim.Engine.run eng (fun _ ->
+      List.iter
+        (fun op ->
+          catch_up ();
+          match op with
+          | Advance c -> Sim.Engine.advance eng c
+          | Busy b ->
+              Hbc_core.Heartbeat.set_busy hb ~worker:0 b;
+              if b && !polling then last := Sim.Engine.now eng / interval
+          | Poll count_poll ->
+              let got = Hbc_core.Heartbeat.consume hb ~worker:0 ~count_poll in
+              let emitted = List.map snd (since !seen) in
+              let polls = if !polling && count_poll then [ Obs.Trace.Poll ] else [] in
+              let cur = Sim.Engine.now eng / interval in
+              let expected, events =
+                if !polling && cur > !last then begin
+                  let gap = cur - !last in
+                  last := cur;
+                  ( true,
+                    polls
+                    @ List.init gap (fun _ -> Obs.Trace.Heartbeat_generated)
+                    @ [ Obs.Trace.Heartbeat_detected ]
+                    @ List.init (gap - 1) (fun _ -> Obs.Trace.Heartbeat_missed) )
+                end
+                else (false, polls)
+              in
+              if got <> expected || emitted <> events then ok := false)
+        ops;
+      Hbc_core.Heartbeat.stop hb);
+  !ok
+
+let boundary_arbitrary =
+  let open QCheck.Gen in
+  let gen =
+    let* interval = int_range 1 64 in
+    let* km = bool in
+    let op =
+      frequency
+        [
+          (3, map (fun c -> Advance c) (int_range 0 (3 * interval)));
+          (1, map (fun b -> Busy b) bool);
+          (3, map (fun b -> Poll b) bool);
+        ]
+    in
+    let* ops = list_size (int_range 1 200) op in
+    return (interval, km, ops)
+  in
+  let show = function
+    | Advance c -> Printf.sprintf "A%d" c
+    | Busy b -> if b then "B+" else "B-"
+    | Poll b -> if b then "P" else "p"
+  in
+  QCheck.make
+    ~print:(fun (interval, km, ops) ->
+      Printf.sprintf "interval=%d km=%b ops=[%s]" interval km
+        (String.concat " " (List.map show ops)))
+    gen
+
+let boundary_random =
+  QCheck.Test.make ~name:"polling boundary equals the division rule" ~count:500
+    boundary_arbitrary boundary_matches_division
+
 let suite =
   [
     Alcotest.test_case "polling: boundary detection" `Quick polling_detects_interval_boundary;
@@ -115,4 +223,5 @@ let suite =
     Alcotest.test_case "kernel module: pending/missed" `Quick kernel_module_pending_and_missed;
     Alcotest.test_case "ping thread: single-worker delivery" `Quick ping_thread_stretch_accounting;
     Alcotest.test_case "stop cancels timers" `Quick stop_cancels_beats;
+    QCheck_alcotest.to_alcotest boundary_random;
   ]

@@ -1,4 +1,5 @@
-(* Tests for the simulation substrate: RNG, deque, engine, membus, metrics. *)
+(* Tests for the simulation substrate: RNG, deque, engine, the engine's
+   memory bus, metrics. *)
 
 let check_int = Alcotest.(check int)
 
@@ -459,29 +460,49 @@ let engine_lone_worker_dispatches () =
 
 (* ----------------------------- membus ----------------------------- *)
 
+(* The engine's shared bus, driven through [Sim.Engine.charge] from
+   worker context; [charges] collects each worker's charged cycles. *)
+let bus_run ~bytes_per_cycle ~workers body =
+  let e = Sim.Engine.create ~bus_bytes_per_cycle:bytes_per_cycle ~num_workers:workers () in
+  let charges = Array.make workers [] in
+  Sim.Engine.run e (fun w ->
+      body e (fun ~compute ~bytes ->
+          charges.(w) <- Sim.Engine.charge e ~compute ~bytes :: charges.(w)));
+  (e, Array.map List.rev charges)
+
 let membus_no_stall_under_capacity () =
-  let b = Sim.Membus.create ~bytes_per_cycle:10.0 in
   (* 100 bytes over 100 compute cycles: demand 1 B/cy << 10. *)
-  check_int "compute-bound" 100 (Sim.Membus.serve b ~now:0 ~compute:100 ~bytes:100)
+  let e, charges =
+    bus_run ~bytes_per_cycle:10.0 ~workers:1 (fun _ charge -> charge ~compute:100 ~bytes:100)
+  in
+  Alcotest.(check (list int)) "compute-bound" [ 100 ] charges.(0);
+  check_int "advanced by the charge" 100 (Sim.Engine.max_time e)
 
 let membus_caps_throughput () =
-  let b = Sim.Membus.create ~bytes_per_cycle:10.0 in
   (* Two requesters at the same instant, each 1000 bytes, no compute:
      the second finishes only after both transfers. *)
-  let t1 = Sim.Membus.serve b ~now:0 ~compute:0 ~bytes:1000 in
-  let t2 = Sim.Membus.serve b ~now:0 ~compute:0 ~bytes:1000 in
-  check_int "first: own transfer" 100 t1;
-  check_int "second: queued behind" 200 t2
+  let _, charges =
+    bus_run ~bytes_per_cycle:10.0 ~workers:2 (fun _ charge -> charge ~compute:0 ~bytes:1000)
+  in
+  Alcotest.(check (list int)) "first: own transfer" [ 100 ] charges.(0);
+  Alcotest.(check (list int)) "second: queued behind" [ 200 ] charges.(1)
 
 let membus_idle_resets () =
-  let b = Sim.Membus.create ~bytes_per_cycle:10.0 in
-  ignore (Sim.Membus.serve b ~now:0 ~compute:0 ~bytes:1000);
-  (* Much later, the bus is idle again. *)
-  check_int "no residual backlog" 10 (Sim.Membus.serve b ~now:10_000 ~compute:0 ~bytes:100)
+  let _, charges =
+    bus_run ~bytes_per_cycle:10.0 ~workers:1 (fun e charge ->
+        charge ~compute:0 ~bytes:1000;
+        (* Much later, the bus is idle again. *)
+        Sim.Engine.advance e (10_000 - Sim.Engine.now e);
+        charge ~compute:0 ~bytes:100)
+  in
+  Alcotest.(check (list int)) "no residual backlog" [ 100; 10 ] charges.(0)
 
 let membus_zero_bytes () =
-  let b = Sim.Membus.create ~bytes_per_cycle:1.0 in
-  check_int "pure compute" 42 (Sim.Membus.serve b ~now:0 ~compute:42 ~bytes:0)
+  let e, charges =
+    bus_run ~bytes_per_cycle:1.0 ~workers:1 (fun _ charge -> charge ~compute:42 ~bytes:0)
+  in
+  Alcotest.(check (list int)) "pure compute" [ 42 ] charges.(0);
+  check_int "advanced by the charge" 42 (Sim.Engine.max_time e)
 
 (* ----------------------------- metrics ---------------------------- *)
 

@@ -107,6 +107,63 @@ let counters_match_trace () =
     "promotions by level" m.Sim.Metrics.promotions_by_level
     (Obs.Trace_query.promotions_by_level t)
 
+(* ------------------- the two counting routes ------------------- *)
+
+(* An untraced run counts each event straight into its metrics; a traced
+   run counts it through the counting sink teed with the observer. The
+   two routes must agree on every counter, the overhead attribution and
+   the makespan: every Fig. 4 program, each heartbeat mechanism, with and
+   without injected faults. *)
+let counting_routes_agree () =
+  let plan =
+    {
+      Sim.Fault_plan.none with
+      Sim.Fault_plan.seed = 5;
+      beat_drop_prob = 0.3;
+      beat_jitter = 2_000;
+      steal_fail_prob = 0.2;
+      steal_fail_burst = 2;
+      stall_prob = 0.05;
+      stall_cycles = 3_000;
+    }
+  in
+  let mechanisms =
+    [
+      ("poll", Hbc_core.Rt_config.hbc);
+      ("km", Hbc_core.Rt_config.hbc_kernel_module ~chunk:64);
+      ("ping", Hbc_core.Rt_config.hbc_ping_thread ~chunk:64);
+    ]
+  in
+  List.iter
+    (fun entry ->
+      let (Ir.Program.Any p) = entry.Workloads.Registry.make 0.02 in
+      List.iter
+        (fun (mech, rt) ->
+          List.iter
+            (fun (faults, fault_plan) ->
+              let go trace =
+                let request = Hbc_core.Run_request.make ?fault_plan ?trace () in
+                Sched_run.run ~request (Sched_run.Hbc { rt with workers }) p
+              in
+              let off = go None and on_ = go (Some (Obs.Trace.Sink.stream ())) in
+              let tag = Printf.sprintf "%s/%s/%s" entry.Workloads.Registry.name mech faults in
+              check_bool (tag ^ " traced run captured") true (on_.Sim.Run_result.trace <> []);
+              if fault_plan <> None then
+                check_bool (tag ^ " faults injected") true
+                  (Sim.Metrics.faults_injected off.Sim.Run_result.metrics > 0);
+              check_int (tag ^ " makespan") on_.Sim.Run_result.makespan off.Sim.Run_result.makespan;
+              Alcotest.(check (list (pair string int)))
+                (tag ^ " counters")
+                (Sim.Metrics.counters on_.Sim.Run_result.metrics)
+                (Sim.Metrics.counters off.Sim.Run_result.metrics);
+              Alcotest.(check (list (pair string int)))
+                (tag ^ " attribution")
+                (Sim.Metrics.attribution on_.Sim.Run_result.metrics)
+                (Sim.Metrics.attribution off.Sim.Run_result.metrics))
+            [ ("fault-free", None); ("faults", Some plan) ])
+        mechanisms)
+    (Workloads.Registry.irregular_set ())
+
 (* ------------------- sink semantics ------------------- *)
 
 let some_records n =
@@ -186,6 +243,7 @@ let suite =
     Alcotest.test_case "export parses as chrome trace" `Quick export_parses_as_chrome_trace;
     Alcotest.test_case "journal codec round-trips" `Quick journal_codec_roundtrip;
     Alcotest.test_case "counters match trace" `Quick counters_match_trace;
+    Alcotest.test_case "untraced and traced counts agree" `Quick counting_routes_agree;
     Alcotest.test_case "ring drops oldest" `Quick ring_drops_oldest;
     Alcotest.test_case "ring keep filter" `Quick ring_keep_filter;
     Alcotest.test_case "tee and null" `Quick tee_and_null;
