@@ -91,6 +91,27 @@ let micro_engine_dispatch () =
       Probe.deti ctx "makespan_cycles" (Sim.Engine.max_time eng);
       Probe.deti ctx "timer_ticks" !ticks)
 
+(* The engine's bus booking: one worker charges compute plus memory
+   traffic on the default 44 B/cy bus, a mix of compute-bound batches and
+   bandwidth stalls. A lone worker never meets an earlier event, so every
+   charge runs ahead without a yield, and the loop's minor words are the
+   charge path's own: the gate pins them at zero, and the makespan pins
+   the booking arithmetic. *)
+let micro_engine_bus_charge () =
+  Probe.run ~name:"micro/engine-bus-charge" (fun ctx ->
+      let eng = Sim.Engine.create ~seed ~num_workers:1 () in
+      let charges = 65_536 in
+      let hot_words = ref 0 in
+      Sim.Engine.run eng (fun _w ->
+          let w0 = Gc.minor_words () in
+          for i = 1 to charges do
+            ignore (Sim.Engine.charge eng ~compute:(i land 31) ~bytes:(i * 37 land 2047) : int)
+          done;
+          hot_words := int_of_float (Gc.minor_words () -. w0));
+      Probe.deti ctx "charges" charges;
+      Probe.deti ctx "makespan_cycles" (Sim.Engine.max_time eng);
+      Probe.deti ctx "hot_path_alloc_words" !hot_words)
+
 (* Checkpoint capture at a pause boundary, priced end to end: pause a
    real run mid-flight, serialize the checkpoint through its byte-stable
    codec, then resume and run to completion. The codec length, slice and
@@ -225,6 +246,7 @@ let micro () =
     micro_adaptive_chunking ();
     micro_trace_emission ();
     micro_engine_dispatch ();
+    micro_engine_bus_charge ();
     micro_checkpoint_capture ();
     micro_domains_dispatch ();
     micro_native_untraced_overhead ();

@@ -504,6 +504,134 @@ let membus_zero_bytes () =
   Alcotest.(check (list int)) "pure compute" [ 42 ] charges.(0);
   check_int "advanced by the charge" 42 (Sim.Engine.max_time e)
 
+(* Random multi-worker bus schedules through [Sim.Engine.charge],
+   compared per worker: each charge's clock and result, and the final
+   clocks. The model runs the workers in (time, seq) order, as the engine
+   dispatches them, and books the bus with the formula as first written: [Float.max]
+   of the bus's free time and the clock, plus the transfer, and the
+   [Float.ceil] of the stall. Byte counts are often whole multiples of the
+   bus's bytes per cycle, so stalls end exactly on a cycle and a worker's
+   next booking finds the bus free at its own clock. *)
+type bus_op = Charge of int * int | Wait of int
+
+let bus_model ~bytes_per_cycle scripts =
+  let n = Array.length scripts in
+  let clock = Array.make n 0 and rest = Array.copy scripts in
+  let free = ref 0.0 and log = Array.make n [] in
+  let q = ref [] and seq = ref 0 in
+  let push w =
+    q := (clock.(w), !seq, w) :: !q;
+    incr seq
+  in
+  let rec step w =
+    match rest.(w) with
+    | [] -> ()
+    | op :: tl ->
+        rest.(w) <- tl;
+        let c =
+          match op with
+          | Wait c -> c
+          | Charge (compute, bytes) ->
+              let total =
+                if bytes <= 0 then compute
+                else begin
+                  let now = Float.of_int clock.(w) in
+                  let finish = Float.max !free now +. (Float.of_int bytes /. bytes_per_cycle) in
+                  free := finish;
+                  Int.max compute (int_of_float (Float.ceil (finish -. now)))
+                end
+              in
+              log.(w) <- (clock.(w), total) :: log.(w);
+              total
+        in
+        if c > 0 then begin
+          clock.(w) <- clock.(w) + c;
+          push w
+        end
+        else step w
+  in
+  for w = 0 to n - 1 do
+    push w
+  done;
+  let rec loop () =
+    match List.sort compare !q with
+    | [] -> ()
+    | (_, s, w) :: _ ->
+        q := List.filter (fun (_, s', _) -> s' <> s) !q;
+        step w;
+        loop ()
+  in
+  loop ();
+  (Array.map List.rev log, clock)
+
+let bus_engine ~bytes_per_cycle scripts =
+  let n = Array.length scripts in
+  let e = Sim.Engine.create ~bus_bytes_per_cycle:bytes_per_cycle ~num_workers:n () in
+  let log = Array.make n [] in
+  Sim.Engine.run e (fun w ->
+      List.iter
+        (function
+          | Wait c -> Sim.Engine.advance e c
+          | Charge (compute, bytes) ->
+              let now = Sim.Engine.now e in
+              let total = Sim.Engine.charge e ~compute ~bytes in
+              log.(w) <- (now, total) :: log.(w))
+        scripts.(w));
+  (Array.map List.rev log, Array.init n (Sim.Engine.clock_of e))
+
+(* Bus rates with the byte count of a whole number of cycles on each. *)
+let bus_rates =
+  [ (0.5, 1); (0.75, 3); (1.0, 1); (2.0, 2); (2.5, 5); (3.0, 3); (10.0, 10); (44.0, 44) ]
+
+let bus_schedule_gen =
+  let open QCheck.Gen in
+  pair (oneofl bus_rates) (int_range 1 4) >>= fun ((rate, whole), n) ->
+  let compute = frequency [ (3, return 0); (3, int_range 1 20); (1, int_range 20 400) ] in
+  let bytes =
+    frequency
+      [ (1, return 0); (4, map (fun k -> k * whole) (int_range 1 40)); (3, int_range 1 500) ]
+  in
+  let op =
+    frequency
+      [
+        (6, map2 (fun c b -> Charge (c, b)) compute bytes);
+        (1, map (fun c -> Wait c) (int_range 1 60));
+      ]
+  in
+  map (fun l -> (rate, Array.of_list l)) (list_repeat n (list_size (int_bound 25) op))
+
+let bus_charge_matches_model =
+  QCheck.Test.make ~name:"membus: charges match the float model" ~count:1000
+    (QCheck.make
+       ~print:(fun (rate, scripts) ->
+         Printf.sprintf "%g B/cy\n%s" rate
+           (String.concat "\n"
+              (Array.to_list
+                 (Array.mapi
+                    (fun w s ->
+                      Printf.sprintf "w%d: %s" w
+                        (String.concat ", "
+                           (List.map
+                              (function
+                                | Charge (c, b) -> Printf.sprintf "charge %d+%dB" c b
+                                | Wait c -> Printf.sprintf "wait %d" c)
+                              s)))
+                    scripts))))
+       bus_schedule_gen)
+    (fun (bytes_per_cycle, scripts) ->
+      let got = bus_engine ~bytes_per_cycle scripts and want = bus_model ~bytes_per_cycle scripts in
+      let show (logs, clocks) =
+        String.concat "\n"
+          (Array.to_list
+             (Array.mapi
+                (fun w log ->
+                  let charge (now, c) = Printf.sprintf "%d@%d" c now in
+                  Printf.sprintf "w%d (clock %d): %s" w clocks.(w)
+                    (String.concat " " (List.map charge log)))
+                logs))
+      in
+      got = want || QCheck.Test.fail_reportf "engine %s\nmodel  %s" (show got) (show want))
+
 (* ----------------------------- metrics ---------------------------- *)
 
 let metrics_overhead_attribution () =
@@ -674,6 +802,7 @@ let suite =
     Alcotest.test_case "membus: caps throughput" `Quick membus_caps_throughput;
     Alcotest.test_case "membus: idles" `Quick membus_idle_resets;
     Alcotest.test_case "membus: zero bytes" `Quick membus_zero_bytes;
+    qt bus_charge_matches_model;
     Alcotest.test_case "metrics: attribution" `Quick metrics_overhead_attribution;
     Alcotest.test_case "metrics: kind names" `Quick metrics_kind_names;
     Alcotest.test_case "metrics: promotion shares" `Quick metrics_promotion_shares;
