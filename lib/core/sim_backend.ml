@@ -17,6 +17,7 @@ type t = {
   capture : bool;  (* the observer wants events *)
   inj : Sim.Fault_injector.t;
   hb : Heartbeat.t;
+  polling : bool;  (* software polling: no downgrade changes a worker's mechanism *)
   transfer_cost : int;  (* a chunked leaf batch's residual-chunk carry; 0 unless transferring *)
   deques : Sched.Task.t Sim.Deque.t array;
   steal_fails : int array;  (* consecutive dry steal rounds, drives backoff *)
@@ -47,6 +48,7 @@ let create (cfg : Rt_config.t) (request : Run_request.t) ~observer ~bug =
     capture = Obs.Trace.Sink.enabled observer;
     inj;
     hb = Heartbeat.create ~injector:inj ~observer cfg eng metrics;
+    polling = cfg.Rt_config.mechanism = Rt_config.Software_polling;
     transfer_cost =
       (if cfg.Rt_config.chunk_transferring then cost.Sim.Cost_model.chunk_transfer_cost else 0);
     deques = Array.init workers (fun _ -> Sim.Deque.create ());
@@ -154,14 +156,23 @@ let advance_mixed b ~work ~overhead ~bytes = charge_mixed b.eng b.metrics ~work 
 
 (* A chunked batch that did not poll pays only the chunk countdown and
    its carry; every other batch pays its poll and the promotion-ready
-   branch. *)
+   branch. One call into lib/sim, as [charge_mixed] makes. Under
+   software polling every worker polls and pays the cost model's poll;
+   only an interrupt mechanism asks [Heartbeat] whether a worker was
+   downgraded to polling. *)
 let charge_batch b ~worker ~work ~bytes ~chunked ~polled =
-  let transfer = b.transfer_cost in
+  let cost = b.cost and transfer = b.transfer_cost in
   let chunk = if chunked then 2 + transfer else 0 and checked = polled || not chunked in
-  let poll = if checked then Heartbeat.poll_cost b.hb ~worker else 0
-  and branch = if checked then b.cost.Sim.Cost_model.promotion_branch_cost else 0 in
-  charge_mixed b.eng b.metrics ~work ~overhead:(chunk + poll + branch) ~bytes;
+  let poll =
+    if not checked then 0
+    else if b.polling then cost.Sim.Cost_model.poll_cost
+    else Heartbeat.poll_cost b.hb ~worker
+  and branch = if checked then cost.Sim.Cost_model.promotion_branch_cost else 0 in
+  let compute = work + chunk + poll + branch in
+  let total = Sim.Engine.charge b.eng ~compute ~bytes in
   let m = b.metrics in
+  m.Sim.Metrics.work_cycles <- m.Sim.Metrics.work_cycles + work;
+  if total > compute then attribute m membus_slot (total - compute);
   if chunked then begin
     attribute m chunking_slot 2;
     attribute m chunk_transfer_slot transfer

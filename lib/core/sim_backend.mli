@@ -21,6 +21,9 @@ type t = {
   capture : bool;  (** the observer wants events *)
   inj : Sim.Fault_injector.t;
   hb : Heartbeat.t;
+  polling : bool;
+      (** the run's mechanism is software polling, which no watchdog
+          downgrade changes, so every poll costs [cost]'s [poll_cost] *)
   transfer_cost : int;
       (** cycles a chunked leaf batch pays to carry the residual chunk
           counter: [cost]'s [chunk_transfer_cost] under
@@ -138,7 +141,8 @@ val advance_mixed : t -> work:int -> overhead:int -> bytes:int -> unit
 
 val charge_batch : t -> worker:int -> work:int -> bytes:int -> chunked:bool -> polled:bool -> unit
 (** One leaf batch on [worker]: body work and memory traffic, the poll
-    ({!Heartbeat.poll_cost}) and promotion branch when the batch ended in
+    ([cost]'s [poll_cost] under software polling, else
+    {!Heartbeat.poll_cost}) and promotion branch when the batch ended in
     a poll or is not chunked, and the chunk countdown (2 cycles, kind
     [Chunking]) plus [transfer_cost] ([Chunk_transfer]) when chunked. *)
 
