@@ -144,7 +144,7 @@ let rec ping_thread_beat t scheduled_time () =
     (* Next beat: on schedule if the team was signaled in time, otherwise as
        soon as the sender is free; skipped periods are lost heartbeats. *)
     let next_nominal = scheduled_time + interval t in
-    let next = Stdlib.max next_nominal !finish in
+    let next = Int.max next_nominal !finish in
     (* Period overrun accumulates; every full interval of accumulated debt
        is one heartbeat the machine never received — generated and missed,
        one pair of events per busy worker. *)

@@ -81,7 +81,7 @@ and range_chunks :
  fun pool i body combine init acc l hi ->
   if l >= hi then acc
   else begin
-    let c = Stdlib.min (current_chunk pool i) (hi - l) in
+    let c = Int.min (current_chunk pool i) (hi - l) in
     let acc = ref acc in
     for k = l to l + c - 1 do
       acc := body !acc k

@@ -64,6 +64,49 @@ let ac_invariants =
           && Sched.Adaptive_chunking.intervals_logged ac < window)
         beats)
 
+(* The window as a list of closed intervals' poll counts, newest first,
+   and the update rule over its minimum. A step is a heartbeat after some
+   polls, through [on_heartbeat_full] when [full] is set, which also
+   shows the old chunk and the minimum, else through [on_heartbeat]. *)
+let ac_list_model ~initial ~target ~window steps =
+  let chunk = ref (Int.max 1 initial) and log = ref [] in
+  List.map
+    (fun (polls, full) ->
+      log := polls :: !log;
+      let decision =
+        if List.length !log >= window then begin
+          let old_chunk = !chunk and min_polls = List.fold_left Int.min max_int !log in
+          log := [];
+          let ratio = Float.of_int min_polls /. Float.of_int target in
+          chunk := Int.max 1 (int_of_float (Float.round (Float.of_int !chunk *. ratio)));
+          Some (if full then (old_chunk, !chunk, min_polls) else (-1, !chunk, -1))
+        end
+        else None
+      in
+      (decision, !chunk, List.length !log))
+    steps
+
+let ac_matches_list_model =
+  QCheck.Test.make ~name:"AC matches the list-window model" ~count:500
+    QCheck.(
+      quad (int_range 1 300) (int_range 1 20) (int_range 1 6)
+        (list (pair (oneof [ int_range 0 3; int_range 0 200 ]) bool)))
+    (fun (initial, target, window, steps) ->
+      let module A = Sched.Adaptive_chunking in
+      let ac = A.create ~initial_chunk:initial ~target_polls:target ~window () in
+      let step (polls, full) =
+        for _ = 1 to polls do
+          A.on_poll ac
+        done;
+        let decision =
+          if full then
+            Option.map (fun d -> A.(d.old_chunk, d.new_chunk, d.min_polls)) (A.on_heartbeat_full ac)
+          else Option.map (fun c -> (-1, c, -1)) (A.on_heartbeat ac)
+        in
+        (decision, A.chunk_size ac, A.intervals_logged ac)
+      in
+      List.map step steps = ac_list_model ~initial ~target ~window steps)
+
 (* ------------------------- test programs -------------------------- *)
 
 type env = { rows : int; sizes : int array; base : int array; out : float array; mutable total : float }
@@ -631,6 +674,7 @@ let suite =
     Alcotest.test_case "AC: floor at 1" `Quick ac_never_below_one;
     Alcotest.test_case "AC: parameter validation" `Quick ac_rejects_bad_params;
     qt ac_invariants;
+    qt ac_matches_list_model;
     Alcotest.test_case "executor: matches sequential" `Quick hbc_matches_seq;
     Alcotest.test_case "executor: 1-worker accounting" `Quick hbc_single_worker_accounting;
     Alcotest.test_case "executor: deterministic" `Quick hbc_deterministic;
