@@ -207,8 +207,8 @@ let run_cmd =
      match the sequential reference; on the domains backend the portable kinds also apply — \
      see $(b,--beat)). $(b,--trace) additionally captures every scheduler event and exports a \
      Chrome trace_event / Perfetto JSON file. $(b,--pause-at) checkpoints the run cooperatively \
-     at a boundary; $(b,--resume-from) continues it to a byte-identical final result (on \
-     domains: $(b,--beat polls:N) with one worker)."
+     at a boundary; $(b,--resume-from) continues it to a byte-identical final result (simulator \
+     only)."
   in
   let bench_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCHMARK" ~doc:"Benchmark name.")
@@ -223,7 +223,7 @@ let run_cmd =
        OCaml 5 domains via the native runner — same policy core, wall-clock heartbeats). The \
        domains backend supports the seq, hbc, and tpal executors; makespan is wall microseconds \
        (seq prints its simulated cycles). Portable fault kinds (drop/steal/stall-polls/wakeup) \
-       inject natively; pause/resume needs $(b,--beat polls:N) and one worker."
+       inject natively; pause/resume runs on $(b,sim) only."
     in
     Arg.(value & opt string "sim" & info [ "backend" ] ~docv:"BACKEND" ~doc)
   in
@@ -245,7 +245,8 @@ let run_cmd =
   let pause_arg =
     let doc =
       "Cooperatively pause the run at the first event at or past $(docv) virtual cycles and \
-       write the serializable checkpoint to the $(b,--checkpoint) path (hbc executors only)."
+       write the serializable checkpoint to the $(b,--checkpoint) path (hbc executors on \
+       $(b,--backend sim) only)."
     in
     Arg.(value & opt (some int) None & info [ "pause-at" ] ~docv:"CYCLE" ~doc)
   in
@@ -265,7 +266,7 @@ let run_cmd =
     let doc =
       "Heartbeat source for $(b,--backend domains): $(b,wall:US) (interval timer, microseconds; \
        the default is wall:100) or $(b,polls:N) (a deterministic beat every N leaf polls — \
-       reproducible schedules; required for native pause/resume)."
+       reproducible schedules)."
     in
     Arg.(value & opt (some string) None & info [ "beat" ] ~docv:"SRC" ~doc)
   in
@@ -304,6 +305,11 @@ let run_cmd =
         Printf.eprintf "unknown benchmark %s; try `hbc_repro list`\n" bench;
         exit 1
     in
+    let native = backend = Sched.Policy.Domains in
+    if native && (pause_at <> None || resume_path <> None) then begin
+      Printf.eprintf "run: --pause-at/--resume-from run on --backend sim only\n";
+      exit 2
+    end;
     let resume_from =
       Option.map
         (fun path ->
@@ -324,7 +330,6 @@ let run_cmd =
               exit 2)
         resume_path
     in
-    let native = backend = Sched.Policy.Domains in
     let direct = pause_at <> None || resume_from <> None in
     let named = Sched_run.of_name ~chunk:entry.Workloads.Registry.tpal_chunk executor in
     if native && not (List.mem executor [ "seq"; "hbc"; "tpal" ]) then begin
@@ -333,7 +338,7 @@ let run_cmd =
     end;
     (match named with
     | Some (_, Sched_run.Hbc _) -> ()
-    | _ when direct && not native ->
+    | _ when direct ->
         Printf.eprintf "run: --pause-at/--resume-from need an hbc executor, not %s\n" executor;
         exit 2
     | _ -> ());
@@ -404,7 +409,14 @@ let run_cmd =
          not apply. Validation is still against the simulated sequential
          reference — fingerprints are backend-independent. *)
       let (Ir.Program.Any p) = entry.Workloads.Registry.make config.Experiments.Harness.scale in
-      let r = Sched_run.run ~request ?beat engine p in
+      let r =
+        (* A capability the backend lacks (a simulator-only fault kind) is
+           a usage error, reported as the others are. *)
+        try Sched_run.run ~request ?beat engine p
+        with Invalid_argument msg ->
+          Printf.eprintf "run: %s\n" msg;
+          exit 2
+      in
       Printf.printf "benchmark        : %s (%s on %s)\n" entry.Workloads.Registry.name executor
         backend_s;
       Printf.printf "baseline work    : %d cycles (simulated reference)\n"
@@ -437,30 +449,10 @@ let run_cmd =
             (Obs.Trace_query.downgrades r.Sim.Run_result.trace);
           print_newline ());
       export_trace r;
-      (match r.Sim.Run_result.termination with
-      | Sim.Run_result.Paused ck ->
-          let oc = open_out ckpt_path in
-          Fun.protect
-            ~finally:(fun () -> close_out_noerr oc)
-            (fun () -> output_string oc (Sim.Checkpoint_state.to_string ck));
-          Printf.printf "paused           : %s\n" (Sim.Checkpoint_state.describe ck);
-          Printf.printf "checkpoint       : digest %s -> %s\n" (Sim.Checkpoint_state.digest ck)
-            ckpt_path;
-          Printf.printf "resume           : hbc_repro run %s -e %s --backend domains -w 1 %s \
---resume-from %s\n"
-            bench executor
-            (match beat_s with Some b -> "--beat " ^ b | None -> "")
-            ckpt_path;
-          finish_sanitizer r
-      | Sim.Run_result.Guard_aborted reason ->
-          Printf.printf "aborted          : %s\n" reason;
-          finish_sanitizer r;
-          exit 4
-      | _ ->
-          let valid = Sim.Run_result.fingerprints_close base r in
-          Printf.printf "output valid     : %b\n" valid;
-          finish_sanitizer r;
-          if not valid then exit 4)
+      let valid = Sim.Run_result.fingerprints_close base r in
+      Printf.printf "output valid     : %b\n" valid;
+      finish_sanitizer r;
+      if not valid then exit 4
     end
     else begin
     let tag_of t =

@@ -127,24 +127,16 @@ fi
 rm -f "$NC" "$NF"
 echo "check.sh: native chaos smoke OK"
 
-# --- native pause/resume smoke test: pause a single-worker domains run at
-# a deterministic poll-count boundary, resume from the checkpoint file, and
-# require the resumed report to match an uninterrupted run's (makespan is
-# wall-clock on this backend, so it is filtered from the comparison) ---
-NCK=$(mktemp "$TMP/hbc-nck.XXXXXX.json")
-NA=$(mktemp "$TMP/hbc-nrun.XXXXXX.txt"); NB=$(mktemp "$TMP/hbc-nrun.XXXXXX.txt")
+# --- native pause refusal smoke test: pause/resume runs on the simulator
+# only, so a domains run asking for it must exit 2 and write no
+# checkpoint ---
+NCK="$TMP/hbc-nck.$$.json"; rm -f "$NCK"
+rc=0
 "$REPRO" run spmv-powerlaw --scale 0.05 --backend domains -e hbc -w 1 \
-    --beat polls:16 > "$NA"
-"$REPRO" run spmv-powerlaw --scale 0.05 --backend domains -e hbc -w 1 \
-    --beat polls:16 --pause-at 2000 --checkpoint "$NCK" > /dev/null
-[ -s "$NCK" ] || { echo "check.sh: native pause wrote no checkpoint" >&2; exit 1; }
-"$REPRO" run spmv-powerlaw --scale 0.05 --backend domains -e hbc -w 1 \
-    --beat polls:16 --resume-from "$NCK" > "$NB"
-grep -v makespan "$NA" > "$NA.f"; grep -v makespan "$NB" > "$NB.f"
-cmp -s "$NA.f" "$NB.f" \
-    || { echo "check.sh: native resumed run differs from uninterrupted" >&2; exit 1; }
-rm -f "$NCK" "$NA" "$NB" "$NA.f" "$NB.f"
-echo "check.sh: native pause/resume smoke OK"
+    --beat polls:16 --pause-at 2000 --checkpoint "$NCK" > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] || { echo "check.sh: native --pause-at exited $rc, not 2" >&2; exit 1; }
+[ ! -e "$NCK" ] || { echo "check.sh: refused native pause wrote a checkpoint" >&2; exit 1; }
+echo "check.sh: native pause refusal smoke OK"
 
 # --- serve smoke test: a mixed-tenant overload run with the sanitizer on
 # must hit the shed and deadline paths (exit 4 if either never fires, exit 3

@@ -51,8 +51,9 @@ type t = {
     being measured, a request describes one observed run of it. *)
 
 val default : t
-(** 64 workers, software polling, adaptive chunking, target polls and window
-    of 8 (Sec. 6.6), promotions on. *)
+(** 64 workers, software polling, adaptive chunking with 8 target polls
+    (Sec. 6.6) and a window of 2 (the paper's 8 ramps too slowly for runs
+    of ~100 beats, see DESIGN.md), promotions on. *)
 
 val hbc : t
 (** Alias of {!default}: the configuration the paper calls "HBC". *)

@@ -13,7 +13,9 @@
     [max_cycles], [deadline], [cycle_budget], [guard]) and its [trace],
     but ignores [fault_plan], [promotion_budget] and pause/resume.
     [Baselines.Serial_exec] ignores the request. The domains runner
-    ignores the virtual-cycle caps. *)
+    honours [trace], [sanitize], [promotion_budget] and portable
+    [fault_plan]s, ignores the virtual-cycle caps and refuses
+    [pause_at]/[resume_from]. *)
 
 type t = {
   backend : Sched.Policy.backend_kind;
@@ -57,12 +59,13 @@ type t = {
       (** cooperative preemption boundary in virtual cycles: the run stops
           at the first event at or past this time and terminates with
           [Run_result.Paused] carrying a {!Sim.Checkpoint_state} (unless it
-          finishes first). *)
+          finishes first). Simulator only: the domains runner refuses it. *)
   resume_from : Sim.Checkpoint_state.t option;
       (** resume a previously paused run: the executor replays the job from
           cycle 0 with trace emission muted up to the checkpoint boundary,
           byte-verifies the re-derived checkpoint against this one, then
-          continues live. Divergence aborts with [Guard_aborted]. *)
+          continues live. Divergence aborts with [Guard_aborted]. Simulator
+          only: the domains runner refuses it. *)
 }
 
 val default : t

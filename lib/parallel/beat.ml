@@ -1,8 +1,7 @@
 (* Native heartbeat delivery, shared by [Native_run] and [Hb_par]: the one
    place a poll on real domains decides whether it observed a beat. The
    hot path is [consume]: one call per poll, allocation-free, with chaos
-   and the pause mark costing one bool test and one int compare when
-   unarmed. *)
+   costing one bool test when no plan is armed. *)
 
 type source = Wall_us of float | Every_polls of int
 
@@ -15,8 +14,6 @@ type t = {
       (* per-worker scheduling-point counter, bumped on every [consume].
          Plain stores — rung-2 reads from other domains race, which the
          watchdog tolerates. *)
-  mutable next_mark : int;  (* progress value of the armed mark; max_int when none *)
-  mutable on_mark : unit -> unit;
   mutable on_sample : unit -> unit;  (* watchdog rung 2, chaos leaf polls only *)
   inj : Sim.Fault_injector.t;
   chaos : bool;  (* [inj] is active *)
@@ -45,8 +42,6 @@ let create source ~workers ~injector ~watchdog_k ~on_downgrade =
     pending = Array.make n false;
     polls = Array.make n 0;
     progress = Array.make n 0;
-    next_mark = Stdlib.max_int;
-    on_mark = ignore;
     on_sample = ignore;
     inj = injector;
     chaos = Sim.Fault_injector.active injector;
@@ -56,10 +51,6 @@ let create source ~workers ~injector ~watchdog_k ~on_downgrade =
     downgraded = Array.make n false;
     on_downgrade;
   }
-
-let arm t ~at f =
-  t.next_mark <- at;
-  t.on_mark <- f
 
 let on_sample t f = t.on_sample <- f
 
@@ -107,7 +98,6 @@ let chaos_poll t w =
 let consume t w ~count_poll =
   t.progress.(w) <- t.progress.(w) + 1;
   if count_poll && t.chaos then chaos_poll t w;
-  if t.progress.(w) = t.next_mark then t.on_mark ();
   let boundary =
     match t.source with
     | Every_polls n ->

@@ -23,7 +23,7 @@ type source =
   | Every_polls of int
       (** deterministic poll-count proxy: a beat every [n] leaf polls on a
           worker. With one worker the schedule is fully reproducible —
-          benchgate, CI smoke and pause/resume use this. *)
+          benchgate and the CI smoke use this. *)
 
 type t
 
@@ -51,19 +51,13 @@ val consume : t -> int -> count_poll:bool -> bool
     [w]'s pending flag and returns false. Any check on [w] that finds
     the flag raised clears it and delivers the beat, so a non-leaf latch
     is a flag read and takes the beat the leaf poll below it saw. The
-    chaos draws and watchdog rung 1 act at delivery. Allocation-free;
-    fires the armed mark when [w]'s progress reaches it. *)
+    chaos draws and watchdog rung 1 act at delivery. Allocation-free. *)
 
 val progress : t -> worker:int -> int
-(** [worker]'s count of {!consume} calls: the pause-boundary clock at
-    one worker and the liveness signal of watchdog rung 2. Racy reads
-    from another domain are fine. *)
+(** [worker]'s count of {!consume} calls: the liveness signal of
+    watchdog rung 2. Racy reads from another domain are fine. *)
 
 val on_sample : t -> (unit -> unit) -> unit
 (** Call [f] synchronously, from {!consume}, at every 64th leaf poll of
     each worker, in chaos runs only: the sampling point of watchdog
     rung 2. A fault-free run never calls it. *)
-
-val arm : t -> at:int -> (unit -> unit) -> unit
-(** Call [f] synchronously, from {!consume}, when a worker's progress
-    reaches [at] ([max_int] disarms). One mark at a time. *)

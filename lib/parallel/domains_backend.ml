@@ -129,11 +129,6 @@ let steal_from b ~victim = Ws_deque.steal b.deques.(victim)
 
 let deque_empty b ~worker = Ws_deque.size b.deques.(worker) = 0
 
-let rng_word b ~worker = b.rng.(worker)
-
-let deque_task_ids b ~worker =
-  List.map (fun (t : Sched.Task.t) -> t.Sched.Task.id) (Ws_deque.to_list b.deques.(worker))
-
 let random_victim b =
   let w = worker_id b in
   let s = b.rng.(w) in

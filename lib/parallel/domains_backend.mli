@@ -37,14 +37,6 @@ val set_injector : t -> Sim.Fault_injector.t -> unit
 val injector : t -> Sim.Fault_injector.t
 (** The attached injector ({!Sim.Fault_injector.inactive} by default). *)
 
-val rng_word : t -> worker:int -> int
-(** [worker]'s victim-selection xorshift state word (checkpointed at the
-    single-worker pause boundary). *)
-
-val deque_task_ids : t -> worker:int -> int list
-(** Task ids in [worker]'s deque, oldest (steal end) first. Quiescent
-    snapshots only (the single-worker pause boundary). *)
-
 val start : t -> work:(unit -> unit) -> unit Domain.t list
 (** Start the pool: register the caller as worker 0 and spawn
     [workers - 1] domains, each registered as worker 1..n-1 and running

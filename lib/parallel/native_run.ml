@@ -34,13 +34,8 @@
      promotions when a busy worker makes no progress for a bounded
      window. Both rungs emit [Mechanism_downgrade].
 
-   - Pause/checkpoint-resume: under the deterministic [Every_polls]
-     beat with one worker, a run can pause at a scheduling-point
-     boundary, serialize a [Sim.Checkpoint_state], and resume by
-     replaying from scratch with the trace gated until the boundary,
-     where the re-derived state must be byte-identical (the same
-     replay-with-verify scheme the simulator executor uses — fibers and
-     stacks cannot be serialized, determinism can). *)
+   Pause/checkpoint-resume is the simulator's ([Hbc_core.Executor]):
+   requests carrying [pause_at] or [resume_from] are refused here. *)
 
 module Rt_config = Hbc_core.Rt_config
 module Pipeline = Hbc_core.Pipeline
@@ -48,14 +43,6 @@ module Run_request = Hbc_core.Run_request
 module C = Sched.Core.Make (Domains_backend)
 
 exception Internal_error = Hbc_core.Interp.Internal_error
-
-(* Pause/resume control flow: [Pause_now] unwinds the run at the armed
-   boundary (the heap state it needs — contexts, live-slice registry,
-   deques — survives the unwind untouched); [Resume_diverged] aborts a
-   replay whose re-derived boundary state mismatched the checkpoint. *)
-exception Pause_now
-
-exception Resume_diverged of string
 
 type beat_source = Beat.source = Wall_us of float | Every_polls of int
 
@@ -109,8 +96,7 @@ module I = Hbc_core.Interp.Make (Hooks)
 let run_program ?(request = Run_request.default) ?(beat = Wall_us 100.0) (cfg : Rt_config.t)
     (compiled : 'e Pipeline.program) : Sim.Run_result.t =
   (* Capability checks, with precise errors: fault plans are accepted
-     when every kind is backend-portable; pause/resume is accepted under
-     the deterministic beat with one worker. *)
+     when every kind is backend-portable; pause/resume is refused. *)
   (match request.Run_request.fault_plan with
   | Some plan when not (Sim.Fault_plan.is_zero plan) -> (
       match Sim.Fault_plan.simulator_only plan with
@@ -122,27 +108,16 @@ let run_program ?(request = Run_request.default) ?(beat = Wall_us 100.0) (cfg : 
                 --backend sim"
                (String.concat ", " bad)))
   | Some _ | None -> ());
-  let pausing =
-    Option.is_some request.Run_request.pause_at || Option.is_some request.Run_request.resume_from
-  in
+  if Option.is_some request.Run_request.pause_at || Option.is_some request.Run_request.resume_from
+  then
+    invalid_arg
+      "Native_run: pause/resume (pause_at, resume_from) runs on the simulator only; use \
+       --backend sim";
   let n = Stdlib.max 1 cfg.Rt_config.workers in
-  if pausing then begin
-    (match beat with
-    | Every_polls _ -> ()
-    | Wall_us _ ->
-        invalid_arg
-          "Native_run: pause/resume needs the deterministic Every_polls beat (--beat polls:N) — \
-           wall-clock heartbeats cannot be replayed byte-identically");
-    if n > 1 then
-      invalid_arg
-        "Native_run: pause/resume needs workers=1 — a multi-worker native replay is not \
-         byte-reproducible; use workers=1 or --backend sim"
-  end;
   let program = compiled.Pipeline.source in
   let env = program.Ir.Program.make_env () in
   let capture = Obs.Trace.Sink.enabled request.Run_request.trace in
-  let gate, observer = Hbc_core.Interp.gated_observer request in
-  let b = Domains_backend.create ~workers:n ~trace:observer ~capture in
+  let b = Domains_backend.create ~workers:n ~trace:request.Run_request.trace ~capture in
   (* Rare events — injected faults and watchdog downgrades — count into
      [metrics] through the simulator's own rule ({!Sim.Metrics.count_event})
      and forward into the linearized trace. They come from any domain, so
@@ -168,51 +143,6 @@ let run_program ?(request = Run_request.default) ?(beat = Wall_us 100.0) (cfg : 
   let st = { b; beat; work = Array.make n 0; capture } in
   let ist = I.create st cfg request in
   let core = I.core ist in
-  (* The boundary state is a pure function of the single-worker
-     deterministic dispatch history; progress counts stand in for clocks. *)
-  let machine () =
-    {
-      Hbc_core.Interp.rng_state = Int64.of_int (Domains_backend.rng_word b ~worker:0);
-      work_cycles = Array.fold_left ( + ) 0 st.work;
-      clocks = Array.init n (fun worker -> Beat.progress beat ~worker);
-      deques = Array.init n (fun w -> Domains_backend.deque_task_ids b ~worker:w);
-    }
-  in
-  (* Boundary agenda: an ascending list of (progress, action) marks that
-     [Beat.consume] fires synchronously on worker 0 — regrant replays, the
-     resume byte-verify, and the pause point itself. *)
-  let rec arm = function
-    | [] -> Beat.arm beat ~at:Stdlib.max_int ignore
-    | (p, act) :: rest ->
-        Beat.arm beat ~at:p (fun () ->
-            arm rest;
-            act ())
-  in
-  let applied = ref (-1) in
-  (match request.Run_request.resume_from with
-  | None -> (
-      match request.Run_request.pause_at with
-      | Some p -> arm [ (p, fun () -> raise Pause_now) ]
-      | None -> ())
-  | Some ck ->
-      let verify () =
-        match I.resume_mismatch ist (machine ()) ck with
-        | Some reason -> raise (Resume_diverged reason)
-        | None -> (
-            (* The replay reproduced the paused state exactly: open the
-               gate, apply this episode's grant and run for real. *)
-            gate := true;
-            applied := I.apply_grant ist request;
-            match request.Run_request.pause_at with
-            | Some p when p > ck.Sim.Checkpoint_state.at_cycle ->
-                arm [ (p, fun () -> raise Pause_now) ]
-            | Some _ | None -> ())
-      in
-      arm
-        (List.map
-           (fun (cyc, g) -> (cyc, fun () -> if g >= 0 then I.set_promo_left ist g))
-           ck.Sim.Checkpoint_state.regrants
-        @ [ (ck.Sim.Checkpoint_state.at_cycle, verify) ]));
   (* Watchdog rung 2, sampled from chaos leaf polls ([Beat.on_sample]):
      one sample per 3.2 ms, taken by whichever polling worker gets the
      sampler's lock first. A busy worker whose progress counter has not
@@ -248,49 +178,32 @@ let run_program ?(request = Run_request.default) ?(beat = Wall_us 100.0) (cfg : 
   end;
   let domains = Domains_backend.start b ~work:(fun () -> C.scavenge core) in
   let t_start = Beat.now_ns () in
-  let termination = ref Sim.Run_result.Finished in
-  (try
-     Fun.protect
-       ~finally:(fun () ->
-         C.set_finished core;
-         Domains_backend.stop b domains)
-       (fun () ->
-         C.root core @@ fun () ->
-         (* Driver intervals cover only the serial segments between nests —
-            while a nest runs, worker 0 records its own task intervals, and
-            one interval spanning the whole run would overlap them. *)
-         let mark = ref (Domains_backend.now b) in
-         let driver_segment_ends () =
-           if st.capture && Domains_backend.now b > !mark then
-             emit st (Obs.Trace.Interval { t0 = !mark; kind = "driver" })
-         in
-         let cpu =
-           {
-             Ir.Program.exec =
-               (fun nest ->
-                 driver_segment_ends ();
-                 I.exec_nest ist compiled env nest;
-                 mark := Domains_backend.now b);
-             advance = (fun cyc -> add_work st ~worker:0 cyc);
-           }
-         in
-         program.Ir.Program.driver env cpu;
-         driver_segment_ends ())
-   with
-  | Pause_now ->
-      (* The unwind skipped the live-registry pops and mutated nothing the
-         checkpoint reads, so the boundary state is captured here intact. *)
-      let at_cycle = Option.get request.Run_request.pause_at in
-      termination :=
-        Sim.Run_result.Paused (I.paused ist (machine ()) request ~applied:!applied ~at_cycle)
-  | Resume_diverged reason -> termination := Sim.Run_result.Guard_aborted ("resume-divergence: " ^ reason));
-  (match (request.Run_request.resume_from, !termination) with
-  | Some ck, Sim.Run_result.Finished when not !gate ->
-      termination :=
-        Sim.Run_result.Guard_aborted
-          (Printf.sprintf "resume-divergence: run finished before the boundary at cycle %d"
-             ck.Sim.Checkpoint_state.at_cycle)
-  | _ -> ());
+  Fun.protect
+    ~finally:(fun () ->
+      C.set_finished core;
+      Domains_backend.stop b domains)
+    (fun () ->
+      C.root core @@ fun () ->
+      (* Driver intervals cover only the serial segments between nests —
+         while a nest runs, worker 0 records its own task intervals, and
+         one interval spanning the whole run would overlap them. *)
+      let mark = ref (Domains_backend.now b) in
+      let driver_segment_ends () =
+        if st.capture && Domains_backend.now b > !mark then
+          emit st (Obs.Trace.Interval { t0 = !mark; kind = "driver" })
+      in
+      let cpu =
+        {
+          Ir.Program.exec =
+            (fun nest ->
+              driver_segment_ends ();
+              I.exec_nest ist compiled env nest;
+              mark := Domains_backend.now b);
+          advance = (fun cyc -> add_work st ~worker:0 cyc);
+        }
+      in
+      program.Ir.Program.driver env cpu;
+      driver_segment_ends ());
   let elapsed_us = (Beat.now_ns () - t_start) / 1000 in
   metrics.Sim.Metrics.work_cycles <- Array.fold_left ( + ) 0 st.work;
   metrics.Sim.Metrics.promotions <- I.promotions ist;
@@ -302,7 +215,7 @@ let run_program ?(request = Run_request.default) ?(beat = Wall_us 100.0) (cfg : 
     fingerprint = program.Ir.Program.fingerprint env;
     work_cycles = metrics.Sim.Metrics.work_cycles;
     dnf = false;
-    termination = !termination;
+    termination = Sim.Run_result.Finished;
     trace = Obs.Trace.Sink.captured request.Run_request.trace;
     sanitizer = None;
   }

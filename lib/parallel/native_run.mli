@@ -24,15 +24,8 @@
     stops progressing; both emit
     {!Obs.Trace.Mechanism_downgrade}.
 
-    {b Pause/resume.} Under [Every_polls] with one worker, [pause_at]
-    (a scheduling-point count) stops the run at a deterministic boundary
-    and returns [Paused] with a {!Sim.Checkpoint_state}; [resume_from]
-    replays from scratch with the request sink gated until the boundary,
-    byte-verifies the re-derived state against the checkpoint
-    ({!Sim.Checkpoint_state.equal}; mismatch is
-    [Guard_aborted "resume-divergence: ..."]), then continues. The
-    per-episode trace streams tile the uninterrupted run's stream exactly
-    once. *)
+    {b Pause/resume} is the simulator's ({!Hbc_core.Executor}): a request
+    with [pause_at] or [resume_from] is refused. *)
 
 exception Internal_error of string
 (** Alias of {!Hbc_core.Interp.Internal_error}: a runtime invariant
@@ -51,8 +44,7 @@ val run_program :
     worker 0). The config's virtual cost model, mechanism and seed are
     ignored; policy, chunking, promotion, leftover and [watchdog_k]
     knobs all apply. From the request, [trace], [sanitize],
-    [promotion_budget], portable [fault_plan]s and
-    [pause_at]/[resume_from] (single worker, [Every_polls]) apply.
+    [promotion_budget] and portable [fault_plan]s apply.
 
     The result reuses the simulator's record: [makespan] is monotonic
     wall-clock microseconds (comparable only between native runs), [work_cycles]
@@ -60,9 +52,9 @@ val run_program :
     [metrics.promotions] counts splits, the [metrics.faults_*] counters
     count injected chaos events ([faults_stall_cycles] carries the
     poll-counted stall total) and [metrics.downgrades] the watchdog
-    trips; other counters stay 0.
+    trips; other counters stay 0. [termination] is always [Finished].
 
     @raise Invalid_argument naming the offending feature when the fault
     plan has simulator-only kinds ({!Sim.Fault_plan.simulator_only}), or
-    when [pause_at]/[resume_from] is requested under a wall-clock beat
-    or with more than one worker. *)
+    when the request sets [pause_at] or [resume_from] (under any beat
+    and worker count; the message names [--backend sim]). *)

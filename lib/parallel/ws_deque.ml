@@ -77,16 +77,3 @@ let steal t =
   end
 
 let size t = Stdlib.max 0 (Atomic.get t.bottom - Atomic.get t.top)
-
-(* Owner-side snapshot, oldest (steal end) first. Only meaningful when no
-   thief is racing — the checkpoint code calls it at a quiescent
-   single-worker pause boundary. *)
-let to_list t =
-  let top = Atomic.get t.top in
-  let bottom = Atomic.get t.bottom in
-  let b = Atomic.get t.buffer in
-  let out = ref [] in
-  for i = bottom - 1 downto top do
-    match buf_get b i with None -> () | Some x -> out := x :: !out
-  done;
-  !out

@@ -16,8 +16,3 @@
     domain; {!steal} may be called by any domain. *)
 
 include Sched.Backend_intf.DEQUE
-
-val to_list : 'a t -> 'a list
-(** Owner-side snapshot of the deque contents, oldest (steal end) first.
-    Only meaningful when no thief is racing; the native checkpoint code
-    calls it at a quiescent single-worker pause boundary. *)

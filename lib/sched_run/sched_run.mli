@@ -83,5 +83,5 @@ val run :
     @raise Invalid_argument for combinations the backend cannot express:
     [Openmp]/[Hybrid] on [Domains]; a fault plan with simulator-only
     kinds ({!Sim.Fault_plan.simulator_only}) on [Domains] — portable
-    plans inject natively; and pause/resume on [Domains] without a
-    deterministic [Every_polls] beat and a single worker. *)
+    plans inject natively; and [pause_at]/[resume_from] on [Domains],
+    which only the simulator runs. *)
