@@ -83,8 +83,8 @@ let injector_streams_reproducible () =
   in
   check_bool "identical decision sequences" true (drive () = drive ())
 
-let capability_errors_are_precise () =
-  (* Every refusal names the backend that can run the request. *)
+(* Every refusal names the backend that can run the request. *)
+let expect_invalid name f =
   let names_sim msg =
     let k = "--backend sim" in
     let rec at i =
@@ -93,12 +93,33 @@ let capability_errors_are_precise () =
     in
     at 0
   in
-  let expect_invalid name f =
-    match f () with
-    | exception Invalid_argument msg ->
-        if not (names_sim msg) then Alcotest.failf "%s: %S does not name --backend sim" name msg
-    | _ -> Alcotest.failf "%s was accepted" name
+  match f () with
+  | exception Invalid_argument msg ->
+      if not (names_sim msg) then Alcotest.failf "%s: %S does not name --backend sim" name msg
+  | _ -> Alcotest.failf "%s was accepted" name
+
+(* A checkpoint the simulator wrote, paused part-way through [prog]. *)
+let sim_checkpoint () =
+  let paused =
+    Sched_run.run
+      ~request:(Hbc_core.Run_request.make ~pause_at:50_000 ())
+      (Sched_run.Hbc (cfg 1)) (prog ())
   in
+  match paused.Sim.Run_result.termination with
+  | Sim.Run_result.Paused ck -> ck
+  | t -> Alcotest.failf "simulated run did not pause: %s" (Sim.Run_result.termination_to_string t)
+
+(* The pool is the only domain a run starts: P=2 spawns exactly one. Domain
+   ids are handed out in spawn order, so two probe domains around the run
+   bracket every spawn it made. *)
+let domains_spawned run =
+  let probe () = Domain.join (Domain.spawn (fun () -> (Domain.self () :> int))) in
+  let before = probe () in
+  let r = run () in
+  let after = probe () in
+  (r, after - before - 1)
+
+let capability_errors_are_precise () =
   expect_invalid "simulator-only plan on domains" (fun () ->
       let request =
         Hbc_core.Run_request.make
@@ -117,16 +138,9 @@ let capability_errors_are_precise () =
       run_native ~request:(Hbc_core.Run_request.make ~pause_at:1_000 ()) 1);
   (* A checkpoint the simulator wrote is refused too: resuming it natively
      would replay on a different clock. *)
-  let paused =
-    Sched_run.run
-      ~request:(Hbc_core.Run_request.make ~pause_at:50_000 ())
-      (Sched_run.Hbc (cfg 1)) (prog ())
-  in
-  match paused.Sim.Run_result.termination with
-  | Sim.Run_result.Paused ck ->
-      expect_invalid "resume from a simulator checkpoint" (fun () ->
-          run_native ~request:(Hbc_core.Run_request.make ~resume_from:ck ()) 1)
-  | t -> Alcotest.failf "simulated run did not pause: %s" (Sim.Run_result.termination_to_string t)
+  let ck = sim_checkpoint () in
+  expect_invalid "resume from a simulator checkpoint" (fun () ->
+      run_native ~request:(Hbc_core.Run_request.make ~resume_from:ck ()) 1)
 
 (* --------------------------- chaos runs ---------------------------- *)
 
@@ -231,6 +245,74 @@ let watchdog_downgrades_under_stalls () =
   check_bool "downgrade visible in the trace" true (r.Sim.Run_result.trace <> []);
   check_bool "downgraded run still correct" true (Sim.Run_result.fingerprints_close seq r)
 
+(* ------------------ pause/resume refused natively ------------------ *)
+
+(* The pause/resume refusal comes before the fault plan is acted on: a
+   portable chaos plan does not make pause or resume acceptable, at any
+   worker count. *)
+let pause_resume_refused_under_chaos () =
+  let ck = sim_checkpoint () in
+  List.iter
+    (fun workers ->
+      expect_invalid (Printf.sprintf "pause under chaos at P=%d" workers) (fun () ->
+          run_native
+            ~request:(Hbc_core.Run_request.make ~fault_plan:heavy_plan ~pause_at:1_000 ())
+            workers);
+      expect_invalid (Printf.sprintf "resume under chaos at P=%d" workers) (fun () ->
+          run_native
+            ~request:(Hbc_core.Run_request.make ~fault_plan:heavy_plan ~resume_from:ck ())
+            workers))
+    [ 1; 2; 4 ]
+
+(* Refused up front: a refused request starts no pool domain. *)
+let pause_resume_refused_before_spawning () =
+  let ck = sim_checkpoint () in
+  let refused request () =
+    match run_native ~request 4 with
+    | exception Invalid_argument _ -> true
+    | _ -> false
+  in
+  let pause_refused, pause_spawned =
+    domains_spawned (refused (Hbc_core.Run_request.make ~pause_at:1_000 ()))
+  in
+  check_bool "pause refused at P=4" true pause_refused;
+  check_int "domains spawned by a refused pause" 0 pause_spawned;
+  let resume_refused, resume_spawned =
+    domains_spawned (refused (Hbc_core.Run_request.make ~resume_from:ck ()))
+  in
+  check_bool "resume refused at P=4" true resume_refused;
+  check_int "domains spawned by a refused resume" 0 resume_spawned
+
+(* The refusal belongs to the backend, not the executor: a TPAL engine on
+   domains is refused the same way. *)
+let pause_resume_refused_for_tpal () =
+  let engine = Sched_run.with_machine ~workers:2 ~seed:1 (Sched_run.tpal ~chunk:32) in
+  let on_domains request = { request with Hbc_core.Run_request.backend = Sched.Policy.Domains } in
+  let ck = sim_checkpoint () in
+  expect_invalid "tpal pause on domains" (fun () ->
+      Sched_run.run
+        ~request:(on_domains (Hbc_core.Run_request.make ~pause_at:1_000 ()))
+        ~beat:(Hb_parallel.Native_run.Every_polls 16) engine (prog ()));
+  expect_invalid "tpal resume on domains" (fun () ->
+      Sched_run.run
+        ~request:(on_domains (Hbc_core.Run_request.make ~resume_from:ck ()))
+        ~beat:(Hb_parallel.Native_run.Every_polls 16) engine (prog ()))
+
+(* The checkpoint the domains backend refuses is a sound one: the
+   simulator the refusal points to resumes it to the serial answer. *)
+let refused_checkpoint_resumes_on_sim () =
+  let ck = sim_checkpoint () in
+  expect_invalid "resume on domains" (fun () ->
+      run_native ~request:(Hbc_core.Run_request.make ~resume_from:ck ()) 1);
+  let r =
+    Sched_run.run
+      ~request:(Hbc_core.Run_request.make ~resume_from:ck ())
+      (Sched_run.Hbc (cfg 1)) (prog ())
+  in
+  check_bool "simulator resume finishes" true (Sim.Run_result.completed r);
+  check_bool "simulator resume matches serial" true
+    (Sim.Run_result.fingerprints_close (serial ()) r)
+
 (* ----------------------- park/wake stress -------------------------- *)
 
 (* Repeated short pools: every run exercises park, ticket hand-off and
@@ -299,16 +381,6 @@ let lost_wakeup_regression () =
   check_int "every cycle finished" cycles (Atomic.get finished);
   check_int "every cycle promoted and joined" cycles (Atomic.get joined)
 
-(* The pool is the only domain a run starts: P=2 spawns exactly one. Domain
-   ids are handed out in spawn order, so two probe domains around the run
-   bracket every spawn it made. *)
-let domains_spawned run =
-  let probe () = Domain.join (Domain.spawn (fun () -> (Domain.self () :> int))) in
-  let before = probe () in
-  let r = run () in
-  let after = probe () in
-  (r, after - before - 1)
-
 let one_extra_domain_at_p2 () =
   let r, spawned = domains_spawned (fun () -> run_native 2) in
   check_bool "P=2 run matches serial" true (Sim.Run_result.fingerprints_close (serial ()) r);
@@ -338,6 +410,10 @@ let suite =
     Alcotest.test_case "chaos: never changes results" `Slow chaos_never_changes_results;
     Alcotest.test_case "chaos: suppressed wakeups recover" `Slow suppressed_wakeups_still_finish;
     Alcotest.test_case "watchdog: downgrades under stalls" `Slow watchdog_downgrades_under_stalls;
+    Alcotest.test_case "pause/resume: refused under chaos" `Quick pause_resume_refused_under_chaos;
+    Alcotest.test_case "pause/resume: refused, no spawn" `Quick pause_resume_refused_before_spawning;
+    Alcotest.test_case "pause/resume: refused for tpal" `Quick pause_resume_refused_for_tpal;
+    Alcotest.test_case "pause/resume: sim resumes it" `Quick refused_checkpoint_resumes_on_sim;
     Alcotest.test_case "park/wake: pool stress" `Slow park_wake_stress;
     Alcotest.test_case "park/wake: no lost wakeup in 600 pools" `Slow lost_wakeup_regression;
     Alcotest.test_case "park/wake: P=2 spawns one domain" `Quick one_extra_domain_at_p2;
