@@ -370,6 +370,15 @@ let run_cmd =
       Hbc_core.Run_request.make ~backend ?fault_plan ?trace:sink ~sanitize ?pause_at ?resume_from
         ()
     in
+    (* A capability the backend lacks (a simulator-only fault kind) or a
+       pause a resume would never reach is a usage error, reported as the
+       others are. *)
+    let run_or_exit ?beat p =
+      try Sched_run.run ~request ?beat engine p
+      with Invalid_argument msg ->
+        Printf.eprintf "run: %s\n" msg;
+        exit 2
+    in
     let finish_sanitizer (r : Sim.Run_result.t) =
       match san with
       | None -> ()
@@ -409,14 +418,7 @@ let run_cmd =
          not apply. Validation is still against the simulated sequential
          reference — fingerprints are backend-independent. *)
       let (Ir.Program.Any p) = entry.Workloads.Registry.make config.Experiments.Harness.scale in
-      let r =
-        (* A capability the backend lacks (a simulator-only fault kind) is
-           a usage error, reported as the others are. *)
-        try Sched_run.run ~request ?beat engine p
-        with Invalid_argument msg ->
-          Printf.eprintf "run: %s\n" msg;
-          exit 2
-      in
+      let r = run_or_exit ?beat p in
       Printf.printf "benchmark        : %s (%s on %s)\n" entry.Workloads.Registry.name executor
         backend_s;
       Printf.printf "baseline work    : %d cycles (simulated reference)\n"
@@ -467,7 +469,7 @@ let run_cmd =
        invariant error. Drive the engine directly instead. *)
     let run_direct () =
       let (Ir.Program.Any p) = entry.Workloads.Registry.make config.Experiments.Harness.scale in
-      let r = Sched_run.run ~request engine p in
+      let r = run_or_exit p in
       let valid =
         match r.Sim.Run_result.termination with
         | Sim.Run_result.Finished -> Sim.Run_result.fingerprints_close base r

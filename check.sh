@@ -161,15 +161,20 @@ echo "check.sh: serve smoke OK"
 # --- job pause/resume smoke test: pause a run at a heartbeat boundary,
 # resume it from the checkpoint file, and require the resumed run's full
 # report (makespan, fingerprint validity, promotion/steal counts) to be
-# byte-identical to an uninterrupted run's ---
+# byte-identical to an uninterrupted run's: a polling run, and a
+# kernel-module run paused on a tick (30000 is the heartbeat interval) ---
 CK=$(mktemp "$TMP/hbc-ck.XXXXXX.json")
 RA=$(mktemp "$TMP/hbc-run.XXXXXX.txt"); RB=$(mktemp "$TMP/hbc-run.XXXXXX.txt")
-"$REPRO" run spmv-powerlaw --scale 0.05 --workers 8 > "$RA"
-"$REPRO" run spmv-powerlaw --scale 0.05 --workers 8 \
-    --pause-at 100000 --checkpoint "$CK" > /dev/null
-[ -s "$CK" ] || { echo "check.sh: pause wrote no checkpoint" >&2; exit 1; }
-"$REPRO" run spmv-powerlaw --scale 0.05 --workers 8 --resume-from "$CK" > "$RB"
-cmp -s "$RA" "$RB" || { echo "check.sh: resumed run differs from uninterrupted" >&2; exit 1; }
+for spec in hbc:100000 hbc-km:30000; do
+    e=${spec%:*}; at=${spec#*:}
+    "$REPRO" run spmv-powerlaw --scale 0.05 --workers 8 -e "$e" > "$RA"
+    rm -f "$CK"
+    "$REPRO" run spmv-powerlaw --scale 0.05 --workers 8 -e "$e" \
+        --pause-at "$at" --checkpoint "$CK" > /dev/null
+    [ -s "$CK" ] || { echo "check.sh: $e pause wrote no checkpoint" >&2; exit 1; }
+    "$REPRO" run spmv-powerlaw --scale 0.05 --workers 8 -e "$e" --resume-from "$CK" > "$RB"
+    cmp -s "$RA" "$RB" || { echo "check.sh: $e resumed run differs from uninterrupted" >&2; exit 1; }
+done
 rm -f "$CK" "$RA" "$RB"
 echo "check.sh: pause/resume smoke OK"
 

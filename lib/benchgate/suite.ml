@@ -116,9 +116,8 @@ let micro_engine_bus_charge () =
    real run mid-flight, serialize the checkpoint through its byte-stable
    codec, then resume and run to completion. The codec length, slice and
    iteration counts pin the capture itself; the resumed makespan equalling
-   the uninterrupted one pins the replay (hot-path cost shows up in the
-   makespan/overhead metrics of the macro probes, which share the
-   executor's pause-check). Effect fibers: no alloc metric. *)
+   the uninterrupted one pins the replay. Effect fibers: no alloc
+   metric. *)
 let micro_checkpoint_capture () =
   Probe.run ~name:"micro/checkpoint-capture" ~det_alloc:false (fun ctx ->
       let entry = Workloads.Registry.find "spmv-powerlaw" in

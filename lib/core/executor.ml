@@ -50,8 +50,17 @@ end
 module I = Interp.Make (Hooks)
 module S = Sched.Core.Make (Sim_backend)
 
+(* Raised by a pause boundary's callback, caught around [Sim.Engine.run]. *)
+exception Pause of Sim.Checkpoint_state.t
+
 let run_program ?(request = Run_request.default) (cfg : Rt_config.t)
     (compiled : 'e Pipeline.program) : Sim.Run_result.t =
+  (match (request.Run_request.pause_at, request.Run_request.resume_from) with
+  | Some p, Some ck when p <= ck.Sim.Checkpoint_state.at_cycle ->
+      invalid_arg
+        (Printf.sprintf "pause at cycle %d is not past the checkpoint's boundary at cycle %d" p
+           ck.Sim.Checkpoint_state.at_cycle)
+  | _ -> ());
   let program = compiled.Pipeline.source in
   let env = program.Ir.Program.make_env () in
   let gate, observer = Interp.gated_observer request in
@@ -64,6 +73,55 @@ let run_program ?(request = Run_request.default) (cfg : Rt_config.t)
         (Sim.Deque.length sb.Sim_backend.deques.(w))
         (S.depth sc).(w)
         (if Heartbeat.is_downgraded hb ~worker:w then " downgraded" else ""));
+  let machine () =
+    {
+      Interp.rng_state = Sim.Sim_rng.state (Sim.Engine.rng eng);
+      work_cycles = sb.Sim_backend.metrics.Sim.Metrics.work_cycles;
+      clocks = Array.init cfg.Rt_config.workers (fun w -> Sim.Engine.clock_of eng w);
+      deques =
+        Array.map
+          (fun d -> List.map (fun (t : Sched.Task.t) -> t.Sched.Task.id) (Sim.Deque.to_list d))
+          sb.Sim_backend.deques;
+    }
+  in
+  (* Pause and resume boundaries are engine callbacks, queued here before
+     any other event: before the heartbeat's first timers, the request's
+     caps and the workers' start callbacks. Each then has the lowest seq
+     at its cycle, so it fires after every event earlier than the cycle
+     and before any event at or past it, and no worker runs ahead across
+     it. That is the cut a checkpoint stands for: the paused run's trace
+     ends strictly before the boundary, and the resumed run checks the
+     same state and opens its gate before anything at the boundary runs.
+     A timer queued ahead of a boundary at its own cycle would fire on
+     the paused side of the cut and be muted in the resumed run. *)
+  let reached = ref (Option.is_none request.Run_request.resume_from) and applied = ref (-1) in
+  Option.iter
+    (fun (ck : Sim.Checkpoint_state.t) ->
+      (* Effect fibers cannot be serialized, so resume replays the run
+         from cycle 0 — determinism makes the replay byte-exact — with the
+         grant history re-applied, so metered promotion decisions replay
+         as in the original episodes, and proves the re-derived state at
+         the boundary matches the checkpoint before going past it. *)
+      List.iter
+        (fun (cycle, grant) ->
+          if grant >= 0 then
+            Sim.Engine.schedule_at eng ~time:cycle (fun () -> I.set_promo_left st grant))
+        ck.Sim.Checkpoint_state.regrants;
+      Sim.Engine.schedule_at eng ~time:ck.Sim.Checkpoint_state.at_cycle (fun () ->
+          reached := true;
+          match I.resume_mismatch st (machine ()) ck with
+          | Some reason -> raise (Sim.Engine.Guard_stop ("resume-divergence: " ^ reason))
+          | None ->
+              (* The replay reproduced the paused state exactly: open the
+                 gate, apply this episode's grant and run for real. *)
+              gate := true;
+              applied := I.apply_grant st request))
+    request.Run_request.resume_from;
+  Option.iter
+    (fun at_cycle ->
+      Sim.Engine.schedule_at eng ~time:at_cycle (fun () ->
+          raise (Pause (I.paused st (machine ()) request ~applied:!applied ~at_cycle))))
+    request.Run_request.pause_at;
   Heartbeat.start hb;
   let main w =
     if w = 0 then begin
@@ -84,75 +142,13 @@ let run_program ?(request = Run_request.default) (cfg : Rt_config.t)
     end
     else S.scavenge sc
   in
-  let machine () =
-    {
-      Interp.rng_state = Sim.Sim_rng.state (Sim.Engine.rng eng);
-      work_cycles = sb.Sim_backend.metrics.Sim.Metrics.work_cycles;
-      clocks = Array.init cfg.Rt_config.workers (fun w -> Sim.Engine.clock_of eng w);
-      deques =
-        Array.map
-          (fun d -> List.map (fun (t : Sched.Task.t) -> t.Sched.Task.id) (Sim.Deque.to_list d))
-          sb.Sim_backend.deques;
-    }
-  in
-  let termination = ref Sim.Run_result.Finished in
-  let pause_if_stopped ~applied =
-    if Sim.Engine.paused eng then
-      let at_cycle = Option.get request.Run_request.pause_at in
-      termination := Sim.Run_result.Paused (I.paused st (machine ()) request ~applied ~at_cycle)
-  in
   Sim_backend.supervise eng sb.Sim_backend.metrics request
     ~fingerprint:(fun () -> program.Ir.Program.fingerprint env)
     (fun () ->
-      (match request.Run_request.resume_from with
-      | None ->
-          (match request.Run_request.pause_at with
-          | Some p -> Sim.Engine.set_pause_at eng p
-          | None -> ());
-          Sim.Engine.run eng main;
-          pause_if_stopped ~applied:(-1)
-      | Some ck ->
-          (* Effect fibers cannot be serialized, so resume replays the run
-             from cycle 0 — determinism makes the replay byte-exact — and
-             proves the re-derived boundary state matches the checkpoint
-             before continuing past it. *)
-          let ok = ref true in
-          let diverged reason =
-            ok := false;
-            termination := Sim.Run_result.Guard_aborted ("resume-divergence: " ^ reason)
-          in
-          let started = ref false in
-          let run_to cycle =
-            Sim.Engine.set_pause_at eng cycle;
-            if !started then Sim.Engine.continue_run eng
-            else begin
-              started := true;
-              Sim.Engine.run eng main
-            end;
-            if not (Sim.Engine.paused eng) then
-              diverged (Printf.sprintf "run finished before the boundary at cycle %d" cycle)
-          in
-          (* Re-apply the grant history so metered promotion decisions replay
-             exactly as in the original episodes. *)
-          List.iter
-            (fun (cycle, grant) ->
-              if !ok then begin
-                run_to cycle;
-                if !ok && grant >= 0 then I.set_promo_left st grant
-              end)
-            ck.Sim.Checkpoint_state.regrants;
-          if !ok then run_to ck.Sim.Checkpoint_state.at_cycle;
-          if !ok then
-            match I.resume_mismatch st (machine ()) ck with
-            | Some reason -> diverged reason
-            | None ->
-                (* The replay reproduced the paused state exactly: open the
-                   gate, apply this episode's grant and run for real. *)
-                gate := true;
-                let applied = I.apply_grant st request in
-                (match request.Run_request.pause_at with
-                | Some p when p > ck.Sim.Checkpoint_state.at_cycle -> Sim.Engine.set_pause_at eng p
-                | Some _ | None -> Sim.Engine.clear_pause eng);
-                Sim.Engine.continue_run eng;
-                pause_if_stopped ~applied);
-      !termination)
+      match Sim.Engine.run eng main with
+      | exception Pause ck -> Sim.Run_result.Paused ck
+      | () when !reached -> Sim.Run_result.Finished
+      | () ->
+          Sim.Run_result.Guard_aborted
+            (Printf.sprintf "resume-divergence: run finished before the boundary at cycle %d"
+               (Option.get request.Run_request.resume_from).Sim.Checkpoint_state.at_cycle))

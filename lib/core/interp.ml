@@ -277,8 +277,8 @@ module Make (H : HOOKS) = struct
     | Some live when c.nest.Compiled.infos.(ord).Compiled.doall ->
         (* Slices never migrate workers mid-run (a task executes on the
            worker that started it), so registration and removal hit the
-           same stack. A pause unwind skips the removal on purpose: the
-           checkpoint reads the still-registered activations. *)
+           same stack. A checkpoint reads the registered activations of
+           the workers suspended at its boundary. *)
         let w = ts.worker in
         live.(w) <-
           {

@@ -1,4 +1,4 @@
-(* A paused run's observational state, captured at an engine pause
+(* A paused run's observational state, captured at the executor's pause
    boundary. OCaml effect continuations cannot be serialized, so this is
    not the mechanism that *restores* a run — resume re-executes the job
    from cycle 0 under the same seed (determinism makes that byte-exact)

@@ -1,10 +1,11 @@
 (** Serializable pause-boundary state of a run.
 
-    Captured when the engine stops at a {!Engine.set_pause_at} boundary: the
-    remaining iteration ranges of every live slice (in the paper's leftover
-    [lo+1] resume representation), per-worker deque contents as shadow-
-    replayable task identities, per-worker clocks, the engine RNG word, and
-    the cycle/promotion budget consumed so far.
+    Captured by the executor's pause boundary, an engine callback that
+    fires before any event at or past its cycle: the remaining iteration
+    ranges of every live slice (in the paper's leftover [lo+1] resume
+    representation), per-worker deque contents as shadow-replayable task
+    identities, per-worker clocks, the engine RNG word, and the
+    cycle/promotion budget consumed so far.
 
     Effect continuations cannot be serialized, so resuming does not restore
     from this record. Instead the executor re-runs the job from cycle 0 —

@@ -45,36 +45,38 @@ exception Guard_stop of string
    Handoff. A yield pushes the worker's resume and pops the top. When
    the worker's new clock is not below the top's time, the resume
    sorts after the top (at an equal time it has the larger seq), so
-   the pop takes the old top either way. Unless a pause boundary stops
-   the step before that pop, the handler then swaps the resume in with
-   [Event_queue.replace_top], one sift-down, and fires the old top.
-   Seqs, pop order, [events_processed] and the watchdog countdown are
-   those of a push and a pop.
+   the pop takes the old top either way. The handler then swaps the
+   resume in with [Event_queue.replace_top], one sift-down, and fires
+   the old top. Seqs, pop order, [events_processed] and the watchdog
+   countdown are those of a push and a pop.
 
-   Stops. A step stops when no worker is live or when the top event
-   lies at or past the pause boundary; it returns, and the handlers
-   and callbacks below it return in turn, each re-checking the stop,
-   down to [run] or [continue_run]. Deadlock, budget and guard stops,
-   and exceptions from callbacks or worker bodies, are raised on the
-   main stack by a step or a handler, never inside a worker fiber, so
-   they leave [run] unchanged and no worker's own handler sees them.
+   Stops. A step stops when no worker is live; it returns, and the
+   handlers and callbacks below it return in turn, down to [run].
+   Deadlock, budget and guard stops, and exceptions from callbacks or
+   worker bodies, are raised on the main stack by a step or a handler,
+   never inside a worker fiber, so they leave [run] unchanged and no
+   worker's own handler sees them. A caller that wants to stop a run at
+   a cycle queues a callback there that raises; queued before any other
+   event, it fires after every event earlier than its cycle and before
+   any event at or past it.
 
    Run-ahead. [advance] skips the yield altogether when the worker's
-   new clock is strictly below the queue's top time and no pause,
-   budget or guard boundary falls on this dispatch. The yield would
-   push a resume at that clock, and with a time strictly below every
-   queued one it would be the very next event popped, resuming the
-   same worker; nothing runs in between. So run-ahead does in place
+   new clock is strictly below the queue's top time and no budget or
+   guard boundary falls on this dispatch. The yield would push a
+   resume at that clock, and with a time strictly below every queued
+   one it would be the very next event popped, resuming the same
+   worker; nothing runs in between. So run-ahead does in place
    exactly what that pop does: it stamps the seq the push would have
    taken, counts the dispatch, steps the guard countdown and moves the
    engine time. Every later (time, seq) stamp, [events_processed] and
    virtual time are what the yield path gives. Equal times must yield,
    because a queued event at that time carries an earlier seq and
-   pops first. So must a dispatch that a boundary acts on: a pause at
-   or below the new clock stops the step before the pop, a budget
-   below it aborts on the pop, and a guard countdown that reaches zero
-   polls the hook. Those take the yield path, so a stop is raised on
-   the main stack and never inside the worker.
+   pops first. So must a dispatch that a boundary acts on: a budget
+   below the new clock aborts on the pop, and a guard countdown that
+   reaches zero polls the hook. Those take the yield path, so a stop is
+   raised on the main stack and never inside the worker. A queued
+   callback bounds run-ahead as any event does: no worker runs ahead
+   to or past its time.
 
    Memory bus. The machine's DRAM bandwidth is one shared resource
    serving [bus_bytes_per_cycle]. [charge] books a batch's bytes on it
@@ -270,8 +272,6 @@ type t = {
   mutable guard : (unit -> string option) option;
   mutable guard_every : int;
   mutable guard_countdown : int;
-  mutable pause_at : int option;  (* cooperative pause boundary (absolute time) *)
-  mutable paused : bool;
   bus : bus;
 }
 
@@ -312,18 +312,8 @@ let create ?(seed = 42) ?(bus_bytes_per_cycle = Cost_model.default.Cost_model.dr
     guard = None;
     guard_every = 4096;
     guard_countdown = 4096;
-    pause_at = None;
-    paused = false;
     bus = { bytes_per_cycle = bus_bytes_per_cycle; free_at = 0.0 };
   }
-
-let set_pause_at t time = t.pause_at <- Some time
-
-(* Disarms the boundary only: [paused] stays true so [continue_run]'s
-   guard still accepts the engine (it resets the flag itself). *)
-let clear_pause t = t.pause_at <- None
-
-let paused t = t.paused
 
 let set_diagnostics t f = t.diagnostics <- Some f
 
@@ -432,8 +422,7 @@ let[@inline] take_resume t w =
 (* The boundaries a dispatch step would check when popping a resume at
    [time] that is already known to be the queue's earliest event. *)
 let[@inline] no_boundary_at t time =
-  (match t.pause_at with None -> true | Some p -> time < p)
-  && (match t.budget with None -> true | Some b -> time <= b)
+  (match t.budget with None -> true | Some b -> time <= b)
   && match t.guard with None -> true | Some _ -> t.guard_countdown > 1
 
 let[@inline] advance t c =
@@ -506,15 +495,6 @@ let every t ~start ~interval f =
   schedule_at t ~time:start tick;
   fun () -> alive := false
 
-(* A pause boundary is checked *before* the top event is dropped or
-   counted, so a paused engine holds the exact pre-dispatch state:
-   resuming it replays the same dispatch sequence (and [dispatched]
-   counts) an uninterrupted run has. *)
-let[@inline] must_pause t =
-  match t.pause_at with
-  | None -> false
-  | Some p -> (not (Event_queue.is_empty t.q)) && Event_queue.top_time t.q >= p
-
 (* Fire the event (time, code) just taken off the queue. A resume is
    continued as the last call, so the caller's frame is gone before the
    worker runs; a callback runs to completion and the next step
@@ -539,10 +519,6 @@ let rec fire t time code =
 (* One dispatch step: stop, or pop the earliest event and fire it. *)
 and dispatch t =
   if t.live = 0 then t.current <- -1
-  else if must_pause t then begin
-    t.paused <- true;
-    t.current <- -1
-  end
   else begin
     if t.pending_resumes = 0 then begin
       (* Only callbacks remain. If every live worker is parked, no callback
@@ -569,11 +545,7 @@ let start_worker t w main =
     Some
       (fun (k : (unit, unit) Effect.Deep.continuation) ->
         let time = t.clocks.(w) in
-        if
-          (not (Event_queue.is_empty t.q))
-          && time >= Event_queue.top_time t.q
-          && not (must_pause t)
-        then begin
+        if (not (Event_queue.is_empty t.q)) && time >= Event_queue.top_time t.q then begin
           (* Handoff: the resume sorts after the top, so the top is the
              next event either way. *)
           let top = Event_queue.top_time t.q and code = Event_queue.top_code t.q in
@@ -612,12 +584,6 @@ let run t main =
   for w = 0 to t.nworkers - 1 do
     push_callback t ~time:0 (fun () -> start_worker t w main)
   done;
-  dispatch t
-
-let continue_run t =
-  if not t.paused then invalid_arg "Engine.continue_run: engine is not paused";
-  t.paused <- false;
-  t.starved <- 0;
   dispatch t
 
 let max_time t = Array.fold_left Int.max 0 t.clocks

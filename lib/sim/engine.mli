@@ -113,10 +113,10 @@ val clock_of : t -> int -> int
 val advance : t -> int -> unit
 (** [advance t c] consumes [c] cycles on the current worker, yielding to any
     worker or callback whose virtual time is earlier. When nothing queued
-    is due at or before the new clock and no pause, budget or guard
-    boundary falls there, the worker runs on without a context switch;
-    the step still counts as one dispatch in {!events_processed}. Must be
-    called from worker context. *)
+    is due at or before the new clock and no budget or guard boundary
+    falls there, the worker runs on without a context switch; the step
+    still counts as one dispatch in {!events_processed}. Must be called
+    from worker context. *)
 
 val charge : t -> compute:int -> bytes:int -> int
 (** [charge t ~compute ~bytes] books [bytes] of memory traffic on the
@@ -141,7 +141,13 @@ val unpark : t -> int -> unit
 val unpark_all : t -> unit
 
 val schedule_at : t -> time:int -> (unit -> unit) -> unit
-(** Run a callback at an absolute virtual time (engine context). *)
+(** Run a callback at an absolute virtual time (engine context). Events
+    at one time fire in the order they were queued. An exception the
+    callback raises ends {!run} with it, so a callback queued before
+    any other event is a stop at its time: it fires after every event
+    earlier than that time and before any event at or past it. Its own
+    dispatch counts in {!events_processed} and meets the {!set_budget}
+    and {!set_guard} checks as any event's does. *)
 
 val every : t -> start:int -> interval:int -> (unit -> unit) -> unit -> unit
 (** [every t ~start ~interval f] runs [f] at [start], [start+interval], ...
@@ -150,10 +156,7 @@ val every : t -> start:int -> interval:int -> (unit -> unit) -> unit -> unit
 
 val run : t -> (int -> unit) -> unit
 (** [run t main] starts [num_workers] fibers, worker [w] executing [main w]
-    from virtual time 0, and processes events until all workers finish —
-    or until the {!set_pause_at} boundary is reached, in which case the
-    engine stops with its heap and fiber continuations intact ({!paused}
-    becomes true) and can be continued with {!continue_run}.
+    from virtual time 0, and processes events until all workers finish.
 
     Events fire in (time, seq) order. A yielding worker's handler resumes
     the next worker itself, as a tail call, so the OCaml stack does not
@@ -163,30 +166,6 @@ val run : t -> (int -> unit) -> unit
     after one.
     @raise Deadlock if all unfinished workers are parked with nothing
     scheduled to wake them. *)
-
-val set_pause_at : t -> int -> unit
-(** Arm a cooperative pause boundary: dispatch stops *before*
-    dispatching any event whose virtual time is [>=] the boundary. Unlike
-    {!set_budget} this is not an abort — every continuation, clock, and
-    queued event is preserved, so {!continue_run} resumes the identical
-    dispatch sequence an uninterrupted run would have had. *)
-
-val clear_pause : t -> unit
-(** Disarm the pause boundary. The {!paused} flag is left as is (it is
-    {!continue_run}'s job to reset it), so a paused engine stays
-    continuable after its boundary is cleared. *)
-
-val paused : t -> bool
-(** True when {!run} (or {!continue_run}) returned at a pause boundary
-    rather than by all workers finishing. *)
-
-val continue_run : t -> unit
-(** Continue a paused engine ({!paused} must be true). Typically the caller
-    first moves or clears the boundary with {!set_pause_at}/{!clear_pause};
-    otherwise the engine pauses again immediately. Dispatch goes on exactly
-    as in {!run}, with the same events, seqs and {!events_processed} an
-    uninterrupted run has; the count of callback-only dispatches behind
-    the {!Deadlock} check starts afresh. *)
 
 val max_time : t -> int
 (** Largest virtual clock reached across workers (the makespan after

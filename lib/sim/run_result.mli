@@ -13,9 +13,10 @@ type termination =
       (** aborted by an external guard (wall-clock deadline); partial
           counters only *)
   | Paused of Checkpoint_state.t
-      (** cooperatively paused at an engine pause boundary; the payload is
-          the serializable checkpoint a later run can resume from (see
-          {!Checkpoint_state}); partial counters, resumable *)
+      (** paused at the request's pause boundary, before any event at or
+          past its cycle; the payload is the serializable checkpoint a
+          later run can resume from (see {!Checkpoint_state}); partial
+          counters, resumable *)
 
 type t = {
   makespan : int;  (** virtual cycles from program start to completion *)

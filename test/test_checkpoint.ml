@@ -115,6 +115,66 @@ let trace_gate_tiling () =
   check_int "episodes tile the stream" (List.length full_evs) (List.length pre + List.length post);
   check_bool "concatenation is the uninterrupted stream" true (pre @ post = full_evs)
 
+(* A resume whose boundary lies past the run's end cannot verify the
+   replay there: the run finishes, and the resume is refused. *)
+let unreached_resume_boundary () =
+  let full = run () in
+  let ck = ck_of (run ~request:(Hbc_core.Run_request.make ~pause_at:100_000 ()) ()) in
+  let beyond = { ck with Sim.Checkpoint_state.at_cycle = full.Sim.Run_result.makespan + 1 } in
+  let r = run ~request:(Hbc_core.Run_request.make ~resume_from:beyond ()) () in
+  let want = "resume-divergence: run finished before the boundary" in
+  match r.Sim.Run_result.termination with
+  | Sim.Run_result.Guard_aborted reason ->
+      check_bool ("names the unreached boundary: " ^ reason) true
+        (String.starts_with ~prefix:want reason)
+  | t -> Alcotest.failf "unreached boundary accepted: %s" (Sim.Run_result.termination_to_string t)
+
+(* Pauses on heartbeat ticks: the boundaries are multiples of the
+   30,000-cycle interval, so under the kernel module and the ping thread a
+   beat timer fires at the boundary's own cycle (polling has no timer).
+   The boundary must still cut before it, and the resumed run must finish
+   as the uninterrupted one does. *)
+let pause_on_ticks () =
+  let chunk = (Workloads.Registry.find "spmv-powerlaw").Workloads.Registry.tpal_chunk in
+  let configs =
+    [
+      ("poll", Hbc_core.Rt_config.default);
+      ("kmod", Hbc_core.Rt_config.hbc_kernel_module ~chunk);
+      ("ping", Hbc_core.Rt_config.hbc_ping_thread ~chunk);
+    ]
+  in
+  List.iter
+    (fun (name, cfg) ->
+      let cfg = { cfg with Hbc_core.Rt_config.workers = 8; seed = 1 } in
+      check_int "tick-aligned boundaries" 30_000
+        cfg.Hbc_core.Rt_config.cost.Sim.Cost_model.heartbeat_interval;
+      let traced ?pause_at ?resume_from () =
+        let sink = Obs.Trace.Sink.stream () in
+        let r =
+          Sched_run.run
+            ~request:(Hbc_core.Run_request.make ~trace:sink ?pause_at ?resume_from ())
+            (Sched_run.Hbc cfg) (program ())
+        in
+        ( r,
+          List.map
+            (fun (e : Obs.Trace.record) -> (e.Obs.Trace.time, e.Obs.Trace.worker, e.Obs.Trace.event))
+            r.Sim.Run_result.trace )
+      in
+      let full, full_evs = traced () in
+      List.iter
+        (fun boundary ->
+          if boundary <= full.Sim.Run_result.makespan then begin
+            let tag = Printf.sprintf "%s@%d" name boundary in
+            let paused, pre = traced ~pause_at:boundary () in
+            let resumed, post = traced ~resume_from:(ck_of paused) () in
+            same_result tag full resumed;
+            check_bool (name ^ ": pre before boundary") true
+              (List.for_all (fun (t, _, _) -> t < boundary) pre);
+            check_bool (name ^ ": pre @ post is the full stream") true (pre @ post = full_evs)
+          end)
+        [ 30_000; 60_000; 90_000 ])
+    configs
+
 let suite =
   [
     Alcotest.test_case "pause captures live state" `Quick pause_captures_live_state;
@@ -123,4 +183,6 @@ let suite =
     Alcotest.test_case "multi-episode resume" `Quick multi_episode_resume;
     Alcotest.test_case "resume divergence detected" `Quick resume_divergence_detected;
     Alcotest.test_case "trace gate tiling" `Quick trace_gate_tiling;
+    Alcotest.test_case "unreached resume boundary" `Quick unreached_resume_boundary;
+    Alcotest.test_case "pause on heartbeat ticks" `Quick pause_on_ticks;
   ]

@@ -30,8 +30,8 @@ let run_ops ops =
   let ok = ref true in
   let pop () =
     if not (Sim.Engine.Event_queue.is_empty q) then begin
-      (* Double peek: the engine's pause boundary reads top_time before
-         deciding to drop, so peeks must not disturb the queue. *)
+      (* Double peek: the engine's run-ahead and handoff read top_time
+         before deciding to drop, so peeks must not disturb the queue. *)
       let t0 = Sim.Engine.Event_queue.top_time q in
       let t = Sim.Engine.Event_queue.top_time q in
       let s = Sim.Engine.Event_queue.top_seq q in
@@ -220,8 +220,9 @@ let drain_then_repush () =
   Sim.Engine.Event_queue.drop q;
   Alcotest.(check bool) "drained" true (Sim.Engine.Event_queue.is_empty q)
 
-(* The engine's pause path peeks top_time between dispatches; interleaved
-   peeks at a pause-like boundary must not reorder anything. *)
+(* The engine's run-ahead and handoff peek top_time between dispatches;
+   interleaved peeks at boundary-like equal times must not reorder
+   anything. *)
 let peek_stability_across_boundary () =
   let q = Sim.Engine.Event_queue.create () in
   List.iteri

@@ -208,8 +208,10 @@ let engine_max_time () =
 (* Scripted workers run against the engine and against a model that
    keeps its events in a list and scans it for the smallest (time, seq).
    The model yields on every advance, so any run-ahead shortcut in the
-   engine must give the same dispatches, the same [events_processed]
-   and the same pause, budget and guard stops. *)
+   engine must give the same dispatches, the same [events_processed],
+   the same budget and guard stops, and must not cross a boundary: a
+   callback queued before any other event, as pause/resume boundaries
+   are, that records where it fires. *)
 
 type op = Adv of int | Park_op | Unpark_op of int | Sched_op of int * int option
 
@@ -224,8 +226,8 @@ let no_boundaries = { pause = None; budget = None; guard = None }
 (* A run's observable history: (worker, time) after every advance and
    park ([-1] for a callback firing, [-2] for a guard poll with the
    dispatch count, [-3] for a stop seen inside a worker, which the model
-   never logs), the dispatch count and log length at the pause, the
-   final dispatch count and how the run ended. *)
+   never logs), the dispatch count and log length where the boundary
+   fires, the final dispatch count and how the run ended. *)
 type outcome = {
   log : (int * int) list;
   at_pause : (int * int) option;
@@ -243,7 +245,12 @@ let engine_outcome nworkers scripts b =
   let log = ref [] in
   let note w = log := (w, Sim.Engine.now e) :: !log in
   let polls = ref 0 in
-  Option.iter (Sim.Engine.set_pause_at e) b.pause;
+  let at_pause = ref None in
+  Option.iter
+    (fun time ->
+      Sim.Engine.schedule_at e ~time (fun () ->
+          at_pause := Some (Sim.Engine.events_processed e, List.length !log)))
+    b.pause;
   Option.iter (Sim.Engine.set_budget e) b.budget;
   Option.iter
     (fun (every, stop) ->
@@ -274,15 +281,9 @@ let engine_outcome nworkers scripts b =
       scripts.(w);
     Sim.Engine.unpark_all e
   in
-  let at_pause = ref None in
   let ending =
     try
       Sim.Engine.run e main;
-      if Sim.Engine.paused e then begin
-        at_pause := Some (Sim.Engine.events_processed e, List.length !log);
-        Sim.Engine.clear_pause e;
-        Sim.Engine.continue_run e
-      end;
       "finished"
     with
     | Sim.Engine.Deadlock _ -> "deadlock"
@@ -293,7 +294,7 @@ let engine_outcome nworkers scripts b =
 
 exception Model_stop of string
 
-type payload = Start of int | Resume of int | Fire of int option
+type payload = Start of int | Resume of int | Fire of int option | Boundary
 
 let model_outcome nworkers scripts b =
   let clock = Array.make nworkers 0 in
@@ -343,6 +344,7 @@ let model_outcome nworkers scripts b =
         | _ -> Some ev)
       None !q
   in
+  Option.iter (fun time -> push time Boundary) b.pause;
   for w = 0 to nworkers - 1 do
     push 0 (Start w)
   done;
@@ -355,34 +357,30 @@ let model_outcome nworkers scripts b =
         match earliest () with
         | None -> raise (Model_stop "deadlock")
         | Some (time, s, p) -> (
-            match b.pause with
-            | Some pause when !at_pause = None && time >= pause ->
-                at_pause := Some (!processed, List.length !log)
-            | _ -> (
-                q := List.filter (fun (_, s', _) -> s' <> s) !q;
-                incr processed;
-                (match b.budget with
-                | Some cap when time > cap ->
-                    raise (Model_stop (Printf.sprintf "budget at %d" time))
-                | _ -> ());
-                (match b.guard with
-                | Some (every, stop) ->
-                    decr countdown;
-                    if !countdown <= 0 then begin
-                      countdown := every;
-                      incr polls;
-                      log := (-2, !processed) :: !log;
-                      if !polls >= stop then raise (Model_stop "guard stop")
-                    end
-                | None -> ());
-                match p with
-                | Start w -> step w
-                | Resume w ->
-                    log := (w, clock.(w)) :: !log;
-                    step w
-                | Fire wake ->
-                    log := (-1, time) :: !log;
-                    Option.iter (unpark time) wake))
+            q := List.filter (fun (_, s', _) -> s' <> s) !q;
+            incr processed;
+            (match b.budget with
+            | Some cap when time > cap -> raise (Model_stop (Printf.sprintf "budget at %d" time))
+            | _ -> ());
+            (match b.guard with
+            | Some (every, stop) ->
+                decr countdown;
+                if !countdown <= 0 then begin
+                  countdown := every;
+                  incr polls;
+                  log := (-2, !processed) :: !log;
+                  if !polls >= stop then raise (Model_stop "guard stop")
+                end
+            | None -> ());
+            match p with
+            | Start w -> step w
+            | Resume w ->
+                log := (w, clock.(w)) :: !log;
+                step w
+            | Fire wake ->
+                log := (-1, time) :: !log;
+                Option.iter (unpark time) wake
+            | Boundary -> at_pause := Some (!processed, List.length !log))
       done;
       "finished"
     with Model_stop s -> s
